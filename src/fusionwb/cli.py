@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import corpus_check
@@ -32,6 +31,7 @@ from .io import (
     serialize_presentation,
 )
 from .models import (
+    MAX_RADIUS,
     DatumInvalid,
     hnn_presentation,
     recover_fusion,
@@ -40,33 +40,12 @@ from .models import (
 )
 from .report import RunReport
 from .stable import (
+    MAX_DEGREE,
     is_nilpotent,
     poincare_series,
     quillen_limit_finite_group,
     stable_basis,
 )
-
-MAX_DEGREE_CAP = 40
-MAX_RADIUS_CAP = 8
-
-
-@dataclass
-class WorkbenchConfig:
-    prime: int | None = None
-    max_degree: int = 12
-    radius: int = 3
-    inputs: dict = None
-    out: str | None = None
-    fmt: str = "text"
-    seed: int = 1898
-
-    def validate(self):
-        if self.max_degree > MAX_DEGREE_CAP:
-            raise UsageError(f"--max-degree capped at {MAX_DEGREE_CAP}")
-        if self.radius > MAX_RADIUS_CAP:
-            raise UsageError(f"--radius capped at {MAX_RADIUS_CAP}")
-        return self
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -215,7 +194,8 @@ def _run_model(args, report):
         _emit_presentation(args, report, pres)
         return report
     # verify
-    WorkbenchConfig(radius=args.radius).validate()
+    if args.radius > MAX_RADIUS:
+        raise UsageError(f"--radius capped at {MAX_RADIUS}")
     pres = load_presentation(args.presentation)
     if args.datum:
         expected = load_datum(args.datum).fusion
@@ -245,11 +225,12 @@ def _run_stable(args, report):
             report.add("nilpotent: no")
             report.fail("family is not nilpotent")
         return report
-    cfg = WorkbenchConfig(max_degree=args.max_degree).validate()
+    if args.max_degree > MAX_DEGREE:
+        raise UsageError(f"--max-degree capped at {MAX_DEGREE}")
     if args.action == "basis":
         F = load_fusion_spec(args.fusion).fusion()
         report.add(describe_fusion(F))
-        for d in range(cfg.max_degree + 1):
+        for d in range(args.max_degree + 1):
             fams = stable_basis(F, d)
             report.add(f"degree {d}: dimension {len(fams)}")
             for k, fam in enumerate(fams):
@@ -259,17 +240,17 @@ def _run_stable(args, report):
         return report
     if args.action == "poincare":
         F = load_fusion_spec(args.fusion).fusion()
-        dims = poincare_series(F, cfg.max_degree)
-        report.add("degrees 0..%d: %s" % (cfg.max_degree,
+        dims = poincare_series(F, args.max_degree)
+        report.add("degrees 0..%d: %s" % (args.max_degree,
                                           " ".join(map(str, dims))))
         return report
     # compare
     spec = load_fusion_spec(args.fusion)
     F = spec.fusion()
     G = load_group(args.group)
-    sdims = [len(stable_basis(F, d)) for d in range(cfg.max_degree + 1)]
+    sdims = [len(stable_basis(F, d)) for d in range(args.max_degree + 1)]
     qdims = [quillen_limit_finite_group(G, spec.p, d).dimension
-             for d in range(cfg.max_degree + 1)]
+             for d in range(args.max_degree + 1)]
     report.add("stable  dims: " + " ".join(map(str, sdims)))
     report.add("quillen dims: " + " ".join(map(str, qdims)))
     if sdims == qdims:

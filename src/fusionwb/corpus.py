@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,9 +118,7 @@ def load_corpus(directory=None):
     return Corpus(directory, names, files, groups, pairs)
 
 
-def _check_group(item):
-    name, G = item
-    lines = []
+def _check_group(name, G):
     subs = subgroups(G)
     keys = {P.elements for P in subs}
     for P in subs:
@@ -143,8 +139,7 @@ def _check_group(item):
             for x in V.elements:
                 if x and G.element_order(x) != p:
                     raise AssertionError(f"{name}: exponent violation")
-    lines.append(f"ok {name}: {len(subs)} subgroups")
-    return lines
+    return f"ok {name}: {len(subs)} subgroups"
 
 
 def corpus_check(directory=None, seed=DEFAULT_SEED):
@@ -166,16 +161,8 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
         report.add(f"ok load: {len(corpus.names)} groups")
 
     with report.step("group-invariants"):
-        threads = int(os.environ.get("WORKBENCH_THREADS", "1"))
-        items = [(name, corpus.groups[name]) for name in corpus.names]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_check_group, items))
-        else:
-            results = [_check_group(item) for item in items]
-        for lines in results:
-            for ln in lines:
-                report.add(ln)
+        for name in corpus.names:
+            report.add(_check_group(name, corpus.groups[name]))
 
     with report.step("fusion-saturation", BUDGETS["fusion-saturation"]):
         for sname, gname, p in corpus.pairs:

@@ -20,24 +20,11 @@ from .groups import (
     group_from_elements,
     normalizer,
     p_part,
+    prime_of,
     quotient_group,
     subgroup_as_group,
     subgroups,
 )
-
-
-def _infer_prime(order):
-    if order == 1:
-        return None
-    p = 2
-    while order % p:
-        p += 1
-    n = order
-    while n % p == 0:
-        n //= p
-    if n != 1:
-        raise ValueError(f"order {order} is not a prime power")
-    return p
 
 
 class FusionSystem:
@@ -46,7 +33,7 @@ class FusionSystem:
     def __init__(self, S, p, homsets, validate=True):
         if S.elements != tuple(range(S.parent.order)):
             raise ValueError("S must be the full subgroup of its own p-group")
-        inferred = _infer_prime(S.order)
+        inferred = prime_of(S.order)
         if inferred is not None and inferred != p:
             raise ValueError(f"S has order {S.order}, not a power of {p}")
         self.S = S
@@ -184,7 +171,7 @@ def aut_s_images(F, P):
 def fusion_from_group(S, G, p=None):
     """The transporter fusion system F_S(G) on a Sylow p-subgroup S <= G."""
     if p is None:
-        p = _infer_prime(S.order)
+        p = prime_of(S.order)
         if p is None:
             raise ValueError("S is trivial; pass the prime explicitly")
     if S.order != p_part(G.order, p):

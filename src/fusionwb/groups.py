@@ -38,6 +38,14 @@ def p_part(n, p):
     return m
 
 
+def prime_of(order):
+    """The prime p of which order is a power, or None when order is 1."""
+    factors = _factorize(order)
+    if len(factors) > 1:
+        raise ValueError(f"order {order} is not a prime power")
+    return next(iter(factors), None)
+
+
 class Group:
     """A finite group as a validated Cayley table."""
 
@@ -150,10 +158,6 @@ def _validate_table(rows):
 def _perm_mul(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def build_group_from_table(table, labels=None, name="G"):
-    return Group(table, labels=labels, name=name)
 
 
 def build_group_from_permutations(gens, name="G"):

@@ -20,6 +20,7 @@ from .groups import (
     build_group_from_permutations,
     full_subgroup,
     normalizer,
+    prime_of,
     sylow_p,
 )
 from .models import (
@@ -228,20 +229,17 @@ def _fusion_from_ref(ref, p, base):
 
 
 def serialize_presentation(pres):
-    lines = [f"presentation kind={pres.kind}"]
+    lines = [f"presentation kind={pres.kind}",
+             f"sgroup order {pres.s_group.order}"]
+    for row in pres.s_group.table:
+        lines.append(" ".join(str(x) for x in row))
     if pres.kind == "hnn":
-        lines.append(f"sgroup order {pres.base.order}")
-        for row in pres.base.table:
-            lines.append(" ".join(str(x) for x in row))
         for st in pres.stables:
             images = [st.phi[x] for x in st.source.elements]
             lines.append(f"stable {st.name} src="
                          f"{format_elems(st.source.elements)} "
                          f"images={format_elems(images)}")
     else:
-        lines.append(f"sgroup order {pres.s_group.order}")
-        for row in pres.s_group.table:
-            lines.append(" ".join(str(x) for x in row))
         lines.append(f"sembed {format_elems(pres.s_embed)}")
         for fi, L in enumerate(pres.factors, start=1):
             lines.append(f"factor {fi} order {L.order}")
@@ -266,7 +264,6 @@ def parse_presentation(text):
     if not m:
         raise ParseError(f"bad presentation header: {lines[0]!r}")
     kind = m.group(1)
-    idx = 1
 
     def read_table(idx, header_re):
         m = re.fullmatch(header_re, lines[idx])
@@ -277,9 +274,12 @@ def parse_presentation(text):
                 for ln in lines[idx + 1:idx + 1 + order]]
         return m, Group(rows), idx + 1 + order
 
+    _, sgroup, idx = read_table(1, r"sgroup order (\d+)")
+    p = prime_of(sgroup.order)
+    if p is None:
+        raise ParseError("sgroup order 1: a trivial S does not name its prime")
     if kind == "hnn":
-        _, base, idx = read_table(idx, r"sgroup order (\d+)")
-        S = full_subgroup(base)
+        S = full_subgroup(sgroup)
         phis = []
         while idx < len(lines) and lines[idx].startswith("stable "):
             m = re.fullmatch(
@@ -287,12 +287,11 @@ def parse_presentation(text):
                 lines[idx])
             if not m:
                 raise ParseError(f"bad stable line: {lines[idx]!r}")
-            src = Subgroup(base, parse_elems(m.group(2)))
+            src = Subgroup(sgroup, parse_elems(m.group(2)))
             phis.append(InjHom(src, S, parse_elems(m.group(3))))
             idx += 1
-        pres = hnn_presentation(S, _prime_of(base.order), phis)
+        pres = hnn_presentation(S, p, phis)
     else:
-        _, sgroup, idx = read_table(idx, r"sgroup order (\d+)")
         m = re.fullmatch(r"sembed (\[[\d,]*\])", lines[idx])
         if not m:
             raise ParseError(f"expected sembed line, got {lines[idx]!r}")
@@ -315,7 +314,7 @@ def parse_presentation(text):
             edges[fi] = Edge(fi, dict(zip(left, right)),
                              dict(zip(right, left)))
             idx += 1
-        pres = amalgam_presentation(factors, edges, sgroup, s_embed)
+        pres = amalgam_presentation(factors, edges, sgroup, s_embed, p)
     # remaining lines must agree with the regenerated text
     declared_gens = [ln[4:] for ln in lines[idx:] if ln.startswith("gen ")]
     if tuple(declared_gens) != pres.generators:
@@ -340,13 +339,6 @@ def parse_word(pres, text):
             raise ParseError(f"bad word letter {tok!r}")
         letters.append((pres.gen_index[m.group(1)], int(m.group(2))))
     return pres.word(letters)
-
-
-def _prime_of(order):
-    p = 2
-    while order % p:
-        p += 1
-    return p
 
 
 # ---------------------------------------------------------------------------

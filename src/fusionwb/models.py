@@ -2,15 +2,24 @@
 
 Two constructions are emitted: an iterated HNN extension of S (one stable
 letter per generating morphism) and an iterated amalgam of finite groups over
-the S-normalizers prescribed by an Alperin datum.  Words are reduced by pinch
-elimination (HNN) or by folding letters through the amalgamated copies
-(amalgam); a reduced word of length >= 2 is never trivial, which is what makes
-the identity test sound.
+the S-normalizers prescribed by an Alperin datum.  Both are fundamental groups
+of graphs of groups (Serre, *Trees*), and each presentation carries its graph:
+the vertex groups ((S,) for the HNN extension, (L_1, ..., L_k) for the
+amalgam), one edge per stable letter or per amalgam edge, and the path that
+each generator spells.  A letter of factor i >= 2 is the path e_i x e_i^-1
+through the tree edge e_i, which is not a generator.
+
+One engine reduces words in both models: a stack-based pinch loop gives the
+reduced path, pushing coset parts leftward through the edge subgroups gives
+its normal form (Lyndon-Schupp, *Combinatorial Group Theory*, Ch. IV), and an
+emitter spells either path back in letters.  A reduced path that crosses an
+edge is never trivial, which is what makes the identity test sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     MalformedWord,
@@ -51,9 +60,6 @@ class StableLetter:
     phi: dict                 # element of P -> element of S
     image: frozenset          # phi(P)
 
-    def phi_inverse(self):
-        return {v: k for k, v in self.phi.items()}
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -64,26 +70,69 @@ class Edge:
     right: dict               # element of L_i -> element of L_1
 
 
+class _Half(NamedTuple):
+    """One direction of a graph edge, from vertex `depart` to vertex `arrive`.
+
+    `sub` maps the edge subgroup at `arrive` to its copy at `depart`.
+    """
+
+    depart: int
+    arrive: int
+    sub: dict
+    letter: tuple | None      # (generator, exponent); None on a tree edge
+
+
 class Presentation:
     """A finitely presented group model of kind 'hnn' or 'amalgam'."""
 
-    def __init__(self, kind, generators, letter_info, relators=(), name="G"):
+    def __init__(self, kind, generators, letter_info, p, s_group, s_embed,
+                 vertices, vertex_letters, graph_edges, name="G"):
+        """`vertex_letters[v]` maps each element of `vertices[v]` but 1 to its
+        generator.  `graph_edges` lists (inner, outer, phi, back, generator) with
+        t^-1 u t = phi(u) for u in the edge subgroup of vertex inner, back
+        the inverse of phi, and generator None for a tree edge."""
         self.kind = kind
         self.generators = tuple(generators)
         self.letter_info = tuple(letter_info)
-        self.relators = tuple(relators)
+        self.relators = ()
         self.name = name
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
+        self.p = p
+        self.s_group = s_group
+        self.s_embed = tuple(s_embed)
+        self.s_back = {y: x for x, y in enumerate(self.s_embed)}
+        # graph of groups: half 2j crosses edge j as t^-1, half 2j + 1 as t;
+        # paths[generator, exponent] lists (half or None, table, element)
+        # steps, each crossing its half, then multiplying at the arrival
+        self.vertices = tuple(vertices)
+        self.vertex_letters = tuple(vertex_letters)
+        halves, self.paths, tree = [], {}, {}
+        for j, (inner, outer, phi, back, gid) in enumerate(graph_edges):
+            halves.append(_Half(outer, inner, phi,
+                                None if gid is None else (gid, -1)))
+            halves.append(_Half(inner, outer, back,
+                                None if gid is None else (gid, 1)))
+            if gid is None:
+                tree[inner] = j
+            else:
+                self.paths[gid, -1] = ((2 * j, vertices[inner].table, 0),)
+                self.paths[gid, 1] = ((2 * j + 1, vertices[outer].table, 0),)
+        self.halves = tuple(halves)
+        root = vertices[0].table
+        for v, letters in enumerate(vertex_letters):
+            L = vertices[v]
+            for x, gid in letters.items():
+                for exp, y in ((1, x), (-1, L.inv(x))):
+                    self.paths[gid, exp] = (
+                        ((None, root, y),) if v == 0 else
+                        ((2 * tree[v], L.table, y), (2 * tree[v] + 1, root, 0)))
         # hnn payload
-        self.base = None
         self.stables = ()
         self.s_letter = {}
         # amalgam payload
         self.factors = ()
         self.factor_letter = ()
         self.edges = {}
-        self.s_group = None
-        self.s_embed = ()
         self.attachments = ()
 
     def word(self, letters):
@@ -91,15 +140,9 @@ class Presentation:
 
     def s_word(self, elems):
         """Word spelling a product of S-elements."""
-        letters = []
-        for x in elems:
-            if x == 0:
-                continue
-            if self.kind == "hnn":
-                letters.append((self.s_letter[x], 1))
-            else:
-                letters.append((self.factor_letter[0][self.s_embed[x]], 1))
-        return ModelWord(self, tuple(letters))
+        letters = self.vertex_letters[0]
+        return ModelWord(self, tuple((letters[self.s_embed[x]], 1)
+                                     for x in elems if x))
 
     def __repr__(self):
         return (f"Presentation({self.kind}, {len(self.generators)} generators, "
@@ -137,151 +180,67 @@ class ModelWord:
 
 
 # ---------------------------------------------------------------------------
-# HNN reduction
+# reduction on the graph of groups
 
 
-def _hnn_syllables(word):
-    """[s0, (i, e1), s1, ..., (ik, ek), sk] with s-values folded."""
-    m = word.model
-    base = m.base
-    svals = [0]
-    ts = []
-    for gid, exp in word.letters:
-        info = m.letter_info[gid]
-        if info[0] == "s":
-            x = info[1] if exp == 1 else base.inv(info[1])
-            svals[-1] = base.table[svals[-1]][x]
-        else:
-            ts.append((info[1], exp))
-            svals.append(0)
+def _reduced_path(word):
+    """Syllables s_0..s_k and halves h_1..h_k of the word's pinch-free path."""
+    halves = word.model.halves
+    paths = word.model.paths
+    svals, ts = [0], []
+    for letter in word.letters:
+        for h, table, x in paths[letter]:
+            if h is not None:
+                if ts and ts[-1] == h ^ 1 and svals[-1] in halves[h ^ 1].sub:
+                    # pinch: the syllable between h^1 and h lies in the edge
+                    # subgroup, so it crosses back and merges to the left
+                    moved = halves[ts.pop()].sub[svals.pop()]
+                    svals[-1] = table[svals[-1]][moved]
+                else:
+                    ts.append(h)
+                    svals.append(0)
+            if x:
+                svals[-1] = table[svals[-1]][x]
     return svals, ts
 
 
-def _hnn_eliminate_pinches(m, svals, ts):
-    base = m.base
-    j = 0
-    while j < len(ts) - 1:
-        (i1, e1), (i2, e2) = ts[j], ts[j + 1]
-        mid = svals[j + 1]
-        pinched = None
-        if i1 == i2 and e1 == -1 and e2 == 1 and mid in m.stables[i1].phi:
-            pinched = m.stables[i1].phi[mid]
-        elif i1 == i2 and e1 == 1 and e2 == -1 and mid in m.stables[i1].image:
-            pinched = m.stables[i1].phi_inverse()[mid]
-        if pinched is None:
-            j += 1
-            continue
-        merged = base.table[base.table[svals[j]][pinched]][svals[j + 2]]
-        svals[j:j + 3] = [merged]
-        ts[j:j + 2] = []
-        j = max(j - 1, 0)
-    return svals, ts
+def _canonical(m, svals, ts):
+    """Push coset parts leftward: each s_j becomes min(a * s_j), a in the
+    edge subgroup before it, and the part it drops crosses that edge."""
+    for j in range(len(ts), 0, -1):
+        half = m.halves[ts[j - 1]]
+        here = m.vertices[half.arrive]
+        s = svals[j]
+        rep = min(here.table[a][s] for a in half.sub)
+        carried = here.table[s][here.inv(rep)]   # s = carried * rep
+        svals[j] = rep
+        there = m.vertices[half.depart].table
+        svals[j - 1] = there[svals[j - 1]][half.sub[carried]]
 
 
-def _hnn_letters(m, svals, ts):
+def _emit(m, svals, ts):
+    """Letters of a path: one per nontrivial syllable and per stable letter."""
     letters = []
-    for k, s in enumerate(svals):
-        if s != 0:
-            letters.append((m.s_letter[s], 1))
-        if k < len(ts):
-            i, e = ts[k]
-            letters.append((m.stables[i].name_index, e))
+    v = 0
+    for j, s in enumerate(svals):
+        if s:
+            letters.append((m.vertex_letters[v][s], 1))
+        if j < len(ts):
+            half = m.halves[ts[j]]
+            if half.letter:
+                letters.append(half.letter)
+            v = half.arrive
     return tuple(letters)
 
 
-def _hnn_canonical(m, svals, ts):
-    """Push coset parts leftward through shortlex transversals of P / phi(P)."""
-    base = m.base
-    svals = list(svals)
-    for j in range(len(ts), 0, -1):
-        i, e = ts[j - 1]
-        st = m.stables[i]
-        part = st.image if e == 1 else frozenset(st.phi)
-        s = svals[j]
-        rep = min(base.table[a][s] for a in part)
-        carried = base.table[s][base.inv(rep)]   # s = carried * rep
-        svals[j] = rep
-        moved = st.phi_inverse()[carried] if e == 1 else st.phi[carried]
-        svals[j - 1] = base.table[svals[j - 1]][moved]
-    return svals, ts
-
-
-def _reduce_hnn(word, canonical=False):
-    m = word.model
-    svals, ts = _hnn_syllables(word)
-    svals, ts = _hnn_eliminate_pinches(m, svals, ts)
+def _reduce(word, canonical=False):
+    svals, ts = _reduced_path(word)
     if canonical:
-        svals, ts = _hnn_canonical(m, svals, ts)
-    return ModelWord(m, _hnn_letters(m, svals, ts))
+        _canonical(word.model, svals, ts)
+    return ModelWord(word.model, _emit(word.model, svals, ts))
 
 
-# ---------------------------------------------------------------------------
-# amalgam reduction
-
-
-def _amalgam_letters_in(word):
-    m = word.model
-    out = []
-    for gid, exp in word.letters:
-        kind, fi, elem = m.letter_info[gid]
-        if exp == -1:
-            elem = m.factors[fi - 1].inv(elem)
-        out.append((fi, elem))
-    return out
-
-
-def _reduce_amalgam_letters(m, letters):
-    letters = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k < len(letters):
-            fi, x = letters[k]
-            if x == 0:
-                del letters[k]
-                changed = True
-                continue
-            if k + 1 < len(letters) and letters[k + 1][0] == fi:
-                letters[k] = (fi, m.factors[fi - 1].table[x][letters[k + 1][1]])
-                del letters[k + 1]
-                changed = True
-                continue
-            if fi >= 2 and x in m.edges[fi].right:
-                letters[k] = (1, m.edges[fi].right[x])
-                changed = True
-                continue
-            if fi == 1:
-                if k > 0:
-                    lf = letters[k - 1][0]
-                    if lf >= 2 and x in m.edges[lf].left:
-                        lx = letters[k - 1][1]
-                        letters[k - 1] = (
-                            lf, m.factors[lf - 1].table[lx][m.edges[lf].left[x]])
-                        del letters[k]
-                        changed = True
-                        k -= 1
-                        continue
-                if k + 1 < len(letters):
-                    rf = letters[k + 1][0]
-                    if rf >= 2 and x in m.edges[rf].left:
-                        rx = letters[k + 1][1]
-                        letters[k + 1] = (
-                            rf, m.factors[rf - 1].table[m.edges[rf].left[x]][rx])
-                        del letters[k]
-                        changed = True
-                        continue
-            k += 1
-    return letters
-
-
-def _reduce_amalgam(word):
-    m = word.model
-    letters = _reduce_amalgam_letters(m, _amalgam_letters_in(word))
-    out = []
-    for fi, x in letters:
-        out.append((m.factor_letter[fi - 1][x], 1))
-    return ModelWord(m, tuple(out))
+_reduce_hnn = _reduce     # the name perfbench/smoke.py calls
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +248,15 @@ def _reduce_amalgam(word):
 
 
 def reduce_word(word):
-    """Pinch-free (HNN) or fold-reduced (amalgam) form of the same element."""
+    """A pinch-free form of the same element."""
     word.check()
-    if word.model.kind == "hnn":
-        return _reduce_hnn(word)
-    return _reduce_amalgam(word)
+    return _reduce(word)
 
 
 def is_identity(word):
     word.check()
-    if word.model.kind == "hnn":
-        red = _reduce_hnn(word)
-        return len(red.letters) == 0
-    return len(_reduce_amalgam(word).letters) == 0
+    svals, ts = _reduced_path(word)
+    return not ts and svals[0] == 0
 
 
 def words_equal(u, v):
@@ -311,20 +266,8 @@ def words_equal(u, v):
 def base_element_of(word):
     """The S-element a word represents, or None if it lies outside S."""
     word.check()
-    m = word.model
-    if m.kind == "hnn":
-        svals, ts = _hnn_eliminate_pinches(m, *_hnn_syllables(word))
-        if ts:
-            return None
-        return svals[0]
-    letters = _reduce_amalgam_letters(m, _amalgam_letters_in(word))
-    if not letters:
-        return 0
-    if len(letters) > 1 or letters[0][0] != 1:
-        return None
-    z = letters[0][1]
-    back = {img: x for x, img in enumerate(m.s_embed)}
-    return back.get(z)
+    svals, ts = _reduced_path(word)
+    return None if ts else word.model.s_back.get(svals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +284,24 @@ def hnn_presentation(S, p, phis):
     names = [f"g{k}" for k in range(1, base.order)]
     info = [("s", k) for k in range(1, base.order)]
     s_letter = {k: k - 1 for k in range(1, base.order)}
-    stables = []
+    stables, edges = [], []
     for i, phi in enumerate(phis, start=1):
         if phi.source.parent != base or phi.target.parent != base:
             raise ValueError("morphism does not live on S")
         names.append(f"t{i}")
         info.append(("stable", i - 1))
-        stables.append(StableLetter(
+        st = StableLetter(
             name=f"t{i}",
             name_index=len(names) - 1,
             source=phi.source,
             phi={x: phi.image_of(x) for x in phi.source.elements},
-            image=frozenset(phi.images)))
-    pres = Presentation("hnn", names, info, name=f"HNN({base.name})")
-    pres.base = base
+            image=frozenset(phi.images))
+        stables.append(st)
+        edges.append((0, 0, st.phi, {y: x for x, y in st.phi.items()},
+                      st.name_index))
+    pres = Presentation("hnn", names, info, p, base, range(base.order),
+                        (base,), (s_letter,), edges, name=f"HNN({base.name})")
     pres.s_letter = s_letter
-    pres.s_group = base
-    pres.s_embed = tuple(range(base.order))
     pres.stables = tuple(stables)
     relators = []
     for a in range(base.order):
@@ -383,8 +327,11 @@ def hnn_presentation(S, p, phis):
     return pres
 
 
-def amalgam_presentation(factors, edges, s_group, s_embed, name="Amalgam"):
+def amalgam_presentation(factors, edges, s_group, s_embed, p, name="Amalgam"):
     """Star amalgam of finite factors over identified subgroups of factor 1."""
+    if not factors or sorted(edges) != list(range(2, len(factors) + 1)):
+        raise ValueError("an amalgam needs a first factor and one attachment "
+                         "for each further factor")
     names, info = [], []
     factor_letter = []
     for fi, L in enumerate(factors, start=1):
@@ -394,12 +341,13 @@ def amalgam_presentation(factors, edges, s_group, s_embed, name="Amalgam"):
             names.append(f"L{fi}.g{k}")
             info.append(("factor", fi, k))
         factor_letter.append(lmap)
-    pres = Presentation("amalgam", names, info, name=name)
+    tree = [(fi - 1, 0, edges[fi].right, edges[fi].left, None)
+            for fi in sorted(edges)]
+    pres = Presentation("amalgam", names, info, p, s_group, s_embed,
+                        factors, factor_letter, tree, name=name)
     pres.factors = tuple(factors)
     pres.factor_letter = tuple(factor_letter)
     pres.edges = dict(edges)
-    pres.s_group = s_group
-    pres.s_embed = tuple(s_embed)
     relators = []
     for fi, L in enumerate(factors, start=1):
         lmap = factor_letter[fi - 1]
@@ -597,6 +545,7 @@ def robinson_presentation(datum):
         [e.L for e in datum.entries], edges,
         s_group=F.group,
         s_embed=[iota1.image_of(x) for x in F.S.elements],
+        p=F.p,
         name="Robinson(" + ",".join(e.L.name for e in datum.entries) + ")")
     pres.attachments = tuple(
         (e.P, normalizer(F.group, e.P)) for e in datum.entries)
@@ -608,53 +557,34 @@ def robinson_presentation(datum):
 
 
 def _alphabet(pres):
+    """Every generator, and the inverse of every stable letter."""
     letters = []
-    if pres.kind == "hnn":
-        for k in range(1, pres.base.order):
-            letters.append((pres.s_letter[k], 1))
-        for st in pres.stables:
-            letters.append((st.name_index, 1))
-            letters.append((st.name_index, -1))
-    else:
-        for fi, L in enumerate(pres.factors, start=1):
-            for k in range(1, L.order):
-                letters.append((pres.factor_letter[fi - 1][k], 1))
+    for gid, info in enumerate(pres.letter_info):
+        letters.append((gid, 1))
+        if info[0] == "stable":
+            letters.append((gid, -1))
     return letters
 
 
 def ball_enumerate(pres, radius):
-    """Reduced representatives of all elements spelled by <= radius letters."""
+    """Normal forms of all elements spelled by <= radius letters."""
     if radius > MAX_RADIUS:
         raise RadiusBoundExceeded(f"radius {radius} exceeds {MAX_RADIUS}")
     alphabet = _alphabet(pres)
     empty = ModelWord(pres, ())
-    if pres.kind == "hnn":
-        reps = {(): empty}
-        frontier = [empty]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for letter in alphabet:
-                    cand = _reduce_hnn(
-                        ModelWord(pres, w.letters + (letter,)), canonical=True)
-                    if cand.letters not in reps:
-                        reps[cand.letters] = cand
-                        nxt.append(cand)
-            frontier = nxt
-        return sorted(reps.values(), key=lambda w: (len(w.letters), w.letters))
-    known = [empty]
+    reps = {(): empty}
     frontier = [empty]
     for _ in range(radius):
         nxt = []
         for w in frontier:
             for letter in alphabet:
-                cand = _reduce_amalgam(ModelWord(pres, w.letters + (letter,)))
-                if any(words_equal(cand, k) for k in known):
-                    continue
-                known.append(cand)
-                nxt.append(cand)
+                cand = _reduce(ModelWord(pres, w.letters + (letter,)),
+                               canonical=True)
+                if cand.letters not in reps:
+                    reps[cand.letters] = cand
+                    nxt.append(cand)
         frontier = nxt
-    return sorted(known, key=lambda w: (len(w.letters), w.letters))
+    return sorted(reps.values(), key=lambda w: (len(w.letters), w.letters))
 
 
 def recover_fusion(pres, S, radius):
@@ -664,7 +594,6 @@ def recover_fusion(pres, S, radius):
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")
     base = S.parent
-    p = _prime_of(base.order)
     ball = ball_enumerate(pres, radius)
     morphisms = []
     subs = subgroups(base)
@@ -683,14 +612,7 @@ def recover_fusion(pres, S, radius):
             for Q in subs:
                 if img_set <= Q.as_set():
                     morphisms.append(InjHom(P, Q, images))
-    return generate_fusion(S, p, morphisms)
-
-
-def _prime_of(order):
-    p = 2
-    while order % p:
-        p += 1
-    return p
+    return generate_fusion(S, pres.p, morphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +621,13 @@ def _prime_of(order):
 
 def word_from_syllables(pres, svals, ts):
     """Build an HNN word from alternating S-values and stable letters."""
-    return ModelWord(pres, _hnn_letters(pres, list(svals), list(ts)))
+    halves = [2 * i + (e == 1) for i, e in ts]
+    return ModelWord(pres, _emit(pres, list(svals), halves))
 
 
 def random_pinch_free_word(pres, rng, max_stables=4):
     """A random pinch-free HNN word containing at least one stable letter."""
-    base = pres.base
+    base = pres.s_group
     k = rng.randint(1, max_stables)
     svals = [rng.randrange(base.order)]
     ts = []

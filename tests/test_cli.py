@@ -1,5 +1,7 @@
 import subprocess
 import sys
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
@@ -136,13 +138,15 @@ def test_corpus_check_determinism(capsys):
     assert "status: ok" in first
 
 
-def test_corpus_check_parallel_matches_serial(capsys, monkeypatch):
-    assert main(["corpus", "check"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("WORKBENCH_THREADS", "4")
-    assert main(["corpus", "check"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_package_data_ships_whole_corpus():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    globs = config["tool"]["setuptools"]["package-data"]["fusionwb"]
+    for path in DATA.rglob("*"):
+        if path.is_file():
+            name = path.relative_to(DATA.parent).as_posix()
+            assert any(fnmatch(name, g) for g in globs), name
 
 
 def test_console_entry_point():

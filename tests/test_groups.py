@@ -29,6 +29,7 @@ from fusionwb.groups import (
     is_isomorphic,
     normalizer,
     p_part,
+    prime_of,
     quotient_group,
     subgroup_as_group,
     subgroups,
@@ -59,6 +60,13 @@ def test_build_from_table_d8():
     D8 = dihedral8()
     again = Group(D8.table, name="D8copy")
     assert again == D8
+
+
+def test_prime_of():
+    assert prime_of(1) is None
+    assert prime_of(2) == 2 and prime_of(27) == 3
+    with pytest.raises(ValueError):
+        prime_of(12)
 
 
 def test_nonassociative_triple_is_named():

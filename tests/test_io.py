@@ -137,6 +137,12 @@ def test_presentation_round_trip_amalgam():
     assert fusion_equal(got, F)
 
 
+def test_presentation_with_trivial_s_is_refused():
+    # the file of a trivial S does not name its prime
+    with pytest.raises(ParseError):
+        parse_presentation("presentation kind=hnn\nsgroup order 1\n0\n")
+
+
 def test_presentation_rejects_edited_relators():
     C3 = cyclic(3)
     S = full_subgroup(C3)

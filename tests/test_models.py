@@ -243,6 +243,15 @@ def test_recover_robinson(robinson_s4):
         prev = got
 
 
+def test_recover_on_trivial_s_uses_the_model_prime():
+    C1 = cyclic(1)
+    S = full_subgroup(C1)
+    m = hnn_presentation(S, 2, [])
+    got = recover_fusion(m, S, 1)
+    assert got.p == 2
+    assert fusion_equal(got, fusion_from_group(S, C1, p=2))
+
+
 def test_recover_requires_matching_s(c3_model):
     _, _, m = c3_model
     with pytest.raises(MismatchedBase):
@@ -336,15 +345,22 @@ def test_word_from_syllables_roundtrip(c4_model):
     assert reduce_word(w).letters == w.letters
 
 
-def test_hnn_canonical_form_matches_word_equality(c4_model):
-    from fusionwb.models import _reduce_hnn
-    _, m = c4_model
-    rng = random.Random(23)
-    words = [random_word(m, rng, max_letters=6) for _ in range(80)]
-    canon = [_reduce_hnn(w, canonical=True).letters for w in words]
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            assert words_equal(u, v) == (canon[i] == canon[j])
+def test_hnn_canonical_form_matches_word_equality(c4_model, robinson_s4,
+                                                  s3_star_s3):
+    from fusionwb.models import _reduce
+    amalgam = robinson_presentation(s3_star_s3[1])
+    for m in (c4_model[1], amalgam, robinson_s4[2]):
+        rng = random.Random(23)
+        words = [random_word(m, rng, max_letters=6) for _ in range(60)]
+        for w in words[:30]:
+            # the same element spelled differently: a relator spliced in
+            k = rng.randint(0, len(w))
+            r = rng.choice(m.relators).letters
+            words.append(m.word(w.letters[:k] + r + w.letters[k:]))
+        canon = [_reduce(w, canonical=True).letters for w in words]
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
+                assert words_equal(u, v) == (canon[i] == canon[j])
 
 
 # ---------------------------------------------------------------------------
