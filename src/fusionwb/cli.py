@@ -44,7 +44,7 @@ from .stable import (
     is_nilpotent,
     poincare_series,
     quillen_limit_finite_group,
-    stable_basis,
+    stable_bases,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -230,8 +230,7 @@ def _run_stable(args, report):
     if args.action == "basis":
         F = load_fusion_spec(args.fusion).fusion()
         report.add(describe_fusion(F))
-        for d in range(args.max_degree + 1):
-            fams = stable_basis(F, d)
+        for d, fams in enumerate(stable_bases(F, args.max_degree)):
             report.add(f"degree {d}: dimension {len(fams)}")
             for k, fam in enumerate(fams):
                 for s in fam.sites:
@@ -248,7 +247,7 @@ def _run_stable(args, report):
     spec = load_fusion_spec(args.fusion)
     F = spec.fusion()
     G = load_group(args.group)
-    sdims = [len(stable_basis(F, d)) for d in range(args.max_degree + 1)]
+    sdims = poincare_series(F, args.max_degree)
     qdims = [quillen_limit_finite_group(G, spec.p, d).dimension
              for d in range(args.max_degree + 1)]
     report.add("stable  dims: " + " ".join(map(str, sdims)))

@@ -8,6 +8,10 @@ exponent tuples for the exterior and polynomial parts; eps stays zero at p=2.
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 from .errors import NotElementaryAbelian
 from .groups import elementary_basis
 
@@ -73,20 +77,90 @@ def cohomology_basis(site, d):
     """Monomials of total degree d, in decreasing lexicographic order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    n = site.rank
-    monos = []
-    if site.p == 2:
+    return list(_basis(site.rank, site.p, d))
+
+
+# The tables below depend only on (rank, p, degree), not on the site, so
+# they are built once per process and shared by every site and morphism.
+
+@functools.lru_cache(maxsize=None)
+def _basis(n, p, d):
+    if p == 2:
         zero = (0,) * n
-        monos = [(zero, alpha) for alpha in _compositions(d, n)]
-    else:
-        for k in range(min(n, d) + 1):
-            if (d - k) % 2:
-                continue
-            for eps in _eps_tuples(n, k):
-                for alpha in _compositions((d - k) // 2, n):
-                    monos.append((eps, alpha))
+        return tuple((zero, alpha) for alpha in _compositions(d, n))
+    monos = []
+    for k in range(min(n, d) + 1):
+        if (d - k) % 2:
+            continue
+        for eps in _eps_tuples(n, k):
+            for alpha in _compositions((d - k) // 2, n):
+                monos.append((eps, alpha))
     monos.sort(reverse=True)
-    return monos
+    return tuple(monos)
+
+
+@functools.lru_cache(maxsize=None)
+def _index(n, p, d):
+    return {mono: k for k, mono in enumerate(_basis(n, p, d))}
+
+
+def _bump(e, i, by):
+    return e[:i] + (e[i] + by,) + e[i + 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _peels(n, p, d):
+    """Each degree-d monomial as its first generator times the rest.
+
+    The first generator is the lowest exterior a_i if there is one (then
+    a_i times the rest is the monomial with sign +1), else the lowest x_i.
+    Returns, per kind present (True for exterior), the arrays: positions of
+    the monomials, index i of their generator, positions of the rests in
+    the basis of degree d minus the generator's degree.
+    """
+    groups = {}
+    for c, (eps, alpha) in enumerate(_basis(n, p, d)):
+        exterior = 1 in eps
+        if exterior:
+            i = eps.index(1)
+            rest = (_bump(eps, i, -1), alpha)
+        else:
+            i = next(t for t, e in enumerate(alpha) if e)
+            rest = (eps, _bump(alpha, i, -1))
+        rest_index = _index(n, p, d - _generator_degree(exterior, p))
+        groups.setdefault(exterior, []).append((c, i, rest_index[rest]))
+    return tuple((exterior, *(np.array(col, dtype=np.intp)
+                              for col in zip(*rows)))
+                 for exterior, rows in groups.items())
+
+
+def _generator_degree(exterior, p):
+    return 1 if exterior or p == 2 else 2
+
+
+@functools.lru_cache(maxsize=None)
+def _left_products(n, p, d, exterior):
+    """Left multiplication of the degree-d basis by each generator j.
+
+    Per j: the monomials with a nonzero product (an index, or every one),
+    the positions of the products in the basis one generator up, and their
+    signs.  a_j kills a monomial holding a_j and passes the a_t with t < j;
+    x_j is injective with sign +1.
+    """
+    basis = _basis(n, p, d)
+    up = _index(n, p, d + _generator_degree(exterior, p))
+    out = []
+    for j in range(n):
+        if not exterior:
+            dst = [up[(eps, _bump(alpha, j, 1))] for eps, alpha in basis]
+            out.append((slice(None), np.array(dst, dtype=np.intp), 1))
+            continue
+        src = [k for k, (eps, _) in enumerate(basis) if not eps[j]]
+        dst = [up[(_bump(basis[k][0], j, 1), basis[k][1])] for k in src]
+        sign = [-1 if sum(basis[k][0][:j]) % 2 else 1 for k in src]
+        out.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                    np.array(sign, dtype=np.int32)[:, None]))
+    return tuple(out)
 
 
 def _eps_tuples(n, k):
@@ -134,15 +208,6 @@ class CohoElement:
     def zero(cls, site):
         return cls(site, {})
 
-    @classmethod
-    def one(cls, site):
-        n = site.rank
-        return cls(site, {((0,) * n, (0,) * n): 1})
-
-    @classmethod
-    def monomial(cls, site, mono, coeff=1):
-        return cls(site, {mono: coeff})
-
     def is_zero(self):
         return not self.terms
 
@@ -154,12 +219,6 @@ class CohoElement:
         if len(degs) > 1:
             raise ValueError("element is not homogeneous")
         return degs.pop()
-
-    def add(self, other, scale=1):
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + scale * c
-        return CohoElement(self.site, terms)
 
     def scaled(self, c):
         return CohoElement(self.site,
@@ -178,12 +237,6 @@ class CohoElement:
                 key = (eps, alpha)
                 out[key] = out.get(key, 0) + sign * c1 * c2
         return CohoElement(self.site, out)
-
-    def power(self, k):
-        out = CohoElement.one(self.site)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
 
     def poly_projection(self):
         """Image in F_p[V]: all exterior coordinates set to zero."""
@@ -238,62 +291,67 @@ def hom_matrix(phi, site_w, site_v):
             for i in range(site_v.rank)]
 
 
+def restriction_matrix(phi, site_w, site_v, d):
+    """Images along phi: W -> V of every degree-d basis monomial of site_v.
+
+    Column c is the image of the c-th monomial of cohomology_basis(site_v,
+    d), in coordinates of cohomology_basis(site_w, d), as an int32 array
+    with entries in [0, p).  phi* is a ring map, so the image of a monomial
+    is phi*(g) times the image of the rest, for g its first generator:
+    phi*(a_i) = sum_j M[i][j] a_j and phi*(x_i) = sum_j M[i][j] x_j.  The
+    images of each degree are built once, a degree at a time, from those of
+    the degree one generator down.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    p = site_v.p
+    n_w, n_v = site_w.rank, site_v.rank
+    hom = np.array(hom_matrix(phi, site_w, site_v),
+                   dtype=np.int32).reshape(n_v, n_w)
+    images = [np.ones((1, 1), dtype=np.int32)]
+    for k in range(1, d + 1):
+        img = np.zeros((len(_basis(n_w, p, k)), len(_basis(n_v, p, k))),
+                       dtype=np.int32)
+        for exterior, cols, gens, rests in _peels(n_v, p, k):
+            below = k - _generator_degree(exterior, p)
+            rest_images = images[below][:, rests]
+            coeffs = hom[gens]
+            part = np.zeros((len(img), len(cols)), dtype=np.int32)
+            products = _left_products(n_w, p, below, exterior)
+            for j in np.flatnonzero(coeffs.any(axis=0)):
+                src, dst, sign = products[j]
+                part[dst] += sign * rest_images[src] * coeffs[:, j]
+            img[:, cols] = part
+        images.append(img % p)
+    return images[d]
+
+
 def restrict_element(phi, site_w, site_v, elem):
     """Pull a class on the target site back along phi: W -> V."""
     p = site_v.p
-    m = hom_matrix(phi, site_w, site_v)
-    n_w = site_w.rank
-    zero = (0,) * n_w
-    a_images = []
-    x_images = []
-    for i in range(site_v.rank):
-        a_terms = {}
-        x_terms = {}
-        for j in range(n_w):
-            if m[i][j] % p:
-                ej = tuple(1 if t == j else 0 for t in range(n_w))
-                aj = tuple(1 if t == j else 0 for t in range(n_w))
-                a_terms[(ej, zero)] = m[i][j]
-                x_terms[(zero, aj)] = m[i][j]
-        a_images.append(CohoElement(site_w, a_terms))
-        x_images.append(CohoElement(site_w, x_terms))
-    out = CohoElement.zero(site_w)
-    power_cache = {}
-    for (eps, alpha), coeff in elem.terms.items():
-        term = CohoElement.one(site_w)
-        for i, e in enumerate(eps):
-            if e:
-                term = term.mul(a_images[i])
-        for i, e in enumerate(alpha):
-            if e:
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = x_images[i].power(e)
-                term = term.mul(power_cache[key])
-        out = out.add(term, scale=coeff)
-    return out
+    by_degree = {}
+    for mono, c in elem.terms.items():
+        by_degree.setdefault(monomial_degree(mono, p), {})[mono] = c
+    terms = {}
+    for d, part in by_degree.items():
+        vec = np.array(CohoElement(site_v, part).coords_in(
+            _basis(site_v.rank, p, d)), dtype=np.int32)
+        image = restriction_matrix(phi, site_w, site_v, d) @ vec % p
+        terms.update(zip(_basis(site_w.rank, p, d), image.tolist()))
+    return CohoElement(site_w, terms)
 
 
 def restriction_map(phi, d, p=None):
     """Matrix of the degree-d restriction along phi, over F_p.
 
     phi : W -> V is a group monomorphism of elementary abelians; the returned
-    matrix sends coordinates in the degree-d basis of the V site to
-    coordinates in the degree-d basis of the W site.
+    matrix (a list of rows) sends coordinates in the degree-d basis of the V
+    site to coordinates in the degree-d basis of the W site.
     """
     if p is None:
         p = _site_prime(phi.source)
-    site_w = Site(phi.source, p)
-    site_v = Site(phi.target, p)
-    basis_v = cohomology_basis(site_v, d)
-    basis_w = cohomology_basis(site_w, d)
-    cols = []
-    for mono in basis_v:
-        image = restrict_element(phi, site_w, site_v,
-                                 CohoElement.monomial(site_v, mono))
-        cols.append(image.coords_in(basis_w))
-    return [[cols[c][r] for c in range(len(basis_v))]
-            for r in range(len(basis_w))]
+    return restriction_matrix(phi, Site(phi.source, p), Site(phi.target, p),
+                              d).tolist()
 
 
 def _site_prime(V):

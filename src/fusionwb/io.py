@@ -260,16 +260,23 @@ def serialize_presentation(pres):
 
 def parse_presentation(text):
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    m = re.fullmatch(r"presentation kind=(hnn|amalgam)", lines[0])
+
+    def line(idx):
+        if idx >= len(lines):
+            raise ParseError("presentation ends early")
+        return lines[idx]
+
+    m = re.fullmatch(r"presentation kind=(hnn|amalgam)", line(0))
     if not m:
         raise ParseError(f"bad presentation header: {lines[0]!r}")
     kind = m.group(1)
 
     def read_table(idx, header_re):
-        m = re.fullmatch(header_re, lines[idx])
+        m = re.fullmatch(header_re, line(idx))
         if not m:
             raise ParseError(f"expected table header, got {lines[idx]!r}")
         order = int(m.group(len(m.groups())))
+        line(idx + order)             # the table's last row
         rows = [tuple(int(x) for x in ln.split())
                 for ln in lines[idx + 1:idx + 1 + order]]
         return m, Group(rows), idx + 1 + order
@@ -292,7 +299,7 @@ def parse_presentation(text):
             idx += 1
         pres = hnn_presentation(S, p, phis)
     else:
-        m = re.fullmatch(r"sembed (\[[\d,]*\])", lines[idx])
+        m = re.fullmatch(r"sembed (\[[\d,]*\])", line(idx))
         if not m:
             raise ParseError(f"expected sembed line, got {lines[idx]!r}")
         s_embed = parse_elems(m.group(1))

@@ -1,48 +1,53 @@
-"""Dense row reduction and nullspaces over a prime field."""
+"""Dense row reduction and nullspaces over a prime field.
+
+Matrices are int32 numpy arrays.  Entries are kept in [0, p), and p is at
+most 509 (tables are capped at order 512), so (p - 1)^2 and every
+intermediate below fit in int32.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def rref(rows, ncols, p):
-    """Reduced row echelon form mod p; returns (rows, pivot column list)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form mod p; returns (rows, pivot column list).
+
+    rows is any nrows x ncols integer array or list of lists; the returned
+    rows are an int32 array holding only the nonzero rows.
+    """
+    m = np.asarray(rows, dtype=np.int32).reshape(len(rows), ncols) % p
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
+        if r == len(m):
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(inv * x) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivot = r + nz[0]
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        # the pivot row, like every row from r down, is zero left of c, so
+        # clearing column c changes only columns c..
+        col = m[:, c].copy()
+        col[r] = 0
+        nz = np.flatnonzero(col)
+        m[nz, c:] = (m[nz, c:] - np.outer(col[nz], m[r, c:])) % p
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    return m[:r], pivots
 
 
 def nullspace(rows, ncols, p):
-    """Canonical basis of the kernel: one vector per free column."""
+    """Canonical basis of the kernel: one vector per free column, as lists."""
     red, pivots = rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [0] * ncols
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][c]) % p
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=np.int32)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % p
+    return basis.tolist()
 
 
 def rank(rows, ncols, p):

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cohomology import (
     CohoElement,
     Site,
     cohomology_basis,
     restrict_element,
+    restriction_matrix,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
 from .groups import conjugation_hom, elementary_abelians, inclusion_hom
+from .linalg import nullspace
 
 MAX_DEGREE = 40
 
@@ -76,8 +80,6 @@ def quillen_morphisms(G, p):
 
 def _limit_basis(sites, homs, d, p):
     """Families (one class per site) compatible under every given morphism."""
-    from .linalg import nullspace
-
     sites = sorted(sites, key=lambda s: (s.V.order, s.key))
     bases = {s.key: cohomology_basis(s, d) for s in sites}
     offsets = {}
@@ -85,25 +87,23 @@ def _limit_basis(sites, homs, d, p):
     for s in sites:
         offsets[s.key] = total
         total += len(bases[s.key])
-    rows = []
+    # One block of equations per morphism phi: W -> V, saying that the
+    # restriction of the V component equals the W component.  An identity
+    # gives only zero rows.
+    blocks = [np.zeros((0, total), dtype=np.int32)]
     for phi, sw, sv in homs:
-        basis_v = bases[sv.key]
-        basis_w = bases[sw.key]
-        if not basis_w and not basis_v:
+        n_w = len(bases[sw.key])
+        if not n_w or (sw.key == sv.key and phi.images == sw.key):
             continue
-        images = [restrict_element(phi, sw, sv, CohoElement.monomial(sv, mono))
-                  for mono in basis_v]
-        for r, wmono in enumerate(basis_w):
-            row = [0] * total
-            for c, img in enumerate(images):
-                coeff = img.terms.get(wmono, 0)
-                if coeff:
-                    row[offsets[sv.key] + c] = coeff % p
-            row[offsets[sw.key] + r] = (row[offsets[sw.key] + r] - 1) % p
-            if any(row):
-                rows.append(row)
+        block = np.zeros((n_w, total), dtype=np.int32)
+        ov, ow = offsets[sv.key], offsets[sw.key]
+        block[:, ov:ov + len(bases[sv.key])] = restriction_matrix(
+            phi, sw, sv, d)
+        diag = np.arange(n_w)
+        block[diag, ow + diag] = (block[diag, ow + diag] - 1) % p
+        blocks.append(block[block.any(axis=1)])
     families = []
-    for vec in nullspace(rows, total, p):
+    for vec in nullspace(np.concatenate(blocks), total, p):
         comps = {}
         for s in sites:
             terms = {}
@@ -139,27 +139,38 @@ class StableFamily:
         return "\n".join(lines)
 
 
+def _stable_families(F, sites, homs, d):
+    sites, families = _limit_basis(sites, homs, d, F.p)
+    return [StableFamily(F, d, comps, tuple(sites)) for comps in families]
+
+
 def stable_basis(F, d, degree_cap=MAX_DEGREE):
     """Basis of the degree-d stable elements of F at the elementary-abelian level."""
     if d > degree_cap:
         raise DegreeBoundExceeded(f"degree {d} exceeds cap {degree_cap}")
     sites, homs, _ = fusion_ea_morphisms(F, generating=True)
-    sites, families = _limit_basis(sites, homs, d, F.p)
-    return [StableFamily(F, d, comps, tuple(sites)) for comps in families]
+    return _stable_families(F, sites, homs, d)
+
+
+def stable_bases(F, max_degree, degree_cap=MAX_DEGREE):
+    """stable_basis(F, d) for d = 0..max_degree, building the sites and
+    morphisms once; a list with one list of families per degree."""
+    if max_degree > degree_cap:
+        raise DegreeBoundExceeded(
+            f"degree {max_degree} exceeds cap {degree_cap}")
+    sites, homs, _ = fusion_ea_morphisms(F, generating=True)
+    return [_stable_families(F, sites, homs, d)
+            for d in range(max_degree + 1)]
 
 
 def stable_basis_all_morphisms(F, d):
     """Same limit over every fusion morphism; the brute-force cross-check."""
     sites, homs, _ = fusion_ea_morphisms(F, generating=False)
-    sites, families = _limit_basis(sites, homs, d, F.p)
-    return [StableFamily(F, d, comps, tuple(sites)) for comps in families]
+    return _stable_families(F, sites, homs, d)
 
 
 def poincare_series(F, max_degree, degree_cap=MAX_DEGREE):
-    if max_degree > degree_cap:
-        raise DegreeBoundExceeded(
-            f"degree {max_degree} exceeds cap {degree_cap}")
-    return [len(stable_basis(F, d, degree_cap)) for d in range(max_degree + 1)]
+    return [len(fams) for fams in stable_bases(F, max_degree, degree_cap)]
 
 
 def family_product(f1, f2):

@@ -66,6 +66,23 @@ def test_robinson_then_verify(tmp_path, capsys):
     assert code == 0
 
 
+def test_truncated_presentation_exit_two(tmp_path, capsys):
+    full = tmp_path / "r.pres"
+    assert main(["model", "robinson", str(DATA / "d8_s4.datum"),
+                 "--out", str(full)]) == 0
+    lines = [ln for ln in full.read_text().splitlines() if ln.strip()]
+    assert lines[1].startswith("sgroup order ")
+    end_of_sgroup = 2 + int(lines[1].split()[-1])
+    cut = tmp_path / "cut.pres"
+    for text in ("", "\n".join(lines[:end_of_sgroup]) + "\n"):
+        cut.write_text(text)
+        capsys.readouterr()
+        code = main(["model", "verify", "--presentation", str(cut),
+                     "--datum", str(DATA / "d8_s4.datum"), "--radius", "1"])
+        assert code == 2
+        assert "presentation ends early" in capsys.readouterr().err
+
+
 def test_stable_compare_verb(capsys):
     code = main(["stable", "compare", "--group", str(DATA / "a4.grp"),
                  "--fusion", str(DATA / "v4_rho.fus"), "--max-degree", "8"])

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from elimination_oracle import reference_nullspace, reference_rref
 
 from fusionwb.catalog import (
     alternating4,
@@ -82,7 +83,7 @@ def invariant_dimension(matrices, d, nvars, p):
             row[idx[m]] = (row[idx[m]] - 1) % p
             if any(row):
                 rows.append(row)
-    return len(nullspace(rows, len(monos), p))
+    return len(reference_nullspace(rows, len(monos), p))
 
 
 def gl2_f2_matrices():
@@ -114,6 +115,43 @@ def test_nullspace_canonical():
     rows = [[1, 1, 0], [0, 0, 1]]
     basis = nullspace(rows, 3, 3)
     assert basis == [[2, 1, 0]]
+
+
+def _random_systems(rng, p):
+    """Dense, low-rank and degenerate systems, as (rows, ncols)."""
+    cases = [([], 0), ([], 4), ([[], [], []], 0), ([[0] * 5] * 4, 5)]
+    for nrows, ncols in ((3, 5), (5, 5), (9, 4), (12, 7), (30, 6)):
+        for _ in range(4):
+            cases.append(([[rng.randrange(p) for _ in range(ncols)]
+                           for _ in range(nrows)], ncols))
+        # rank at most 2, with some columns zeroed: columns with no pivot
+        left = [[rng.randrange(p) for _ in range(2)] for _ in range(nrows)]
+        right = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                  for _ in range(ncols)] for _ in range(2)]
+        cases.append(([[sum(a * b for a, b in zip(row, col))
+                        for col in zip(*right)] for row in left], ncols))
+        # entries outside [0, p), and all-zero rows between the others
+        cases.append(([[rng.randrange(-2 * p, 3 * p) for _ in range(ncols)]
+                       if k % 3 else [0] * ncols for k in range(nrows)],
+                      ncols))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elimination_matches_reference(p):
+    rng = random.Random(1000 + p)
+    for rows, ncols in _random_systems(rng, p):
+        red, pivots = rref(rows, ncols, p)
+        ref_red, ref_pivots = reference_rref(rows, ncols, p)
+        assert pivots == ref_pivots
+        assert red.tolist() == ref_red
+        assert rank(rows, ncols, p) == len(ref_pivots)
+        basis = nullspace(rows, ncols, p)
+        assert basis == reference_nullspace(rows, ncols, p)
+        assert len(basis) == ncols - len(pivots)
+        for v in basis:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +245,11 @@ def test_restriction_of_rho_is_transpose():
     assert m2 == [[0, 0, 1], [0, 1, 0], [1, 1, 1]]
 
 
-def test_restriction_functoriality_composable_pairs():
-    V4 = klein_four()
-    A4 = alternating4()
-    F = fusion_from_group(sylow_p(A4, 2), A4)
+def _check_composable_pairs(F, degrees):
+    """Restriction along psi o phi is R_phi R_psi for every composable pair
+    of fusion morphisms; returns the number of pairs checked per degree."""
     _, homs, _ = fusion_ea_morphisms(F, generating=False)
-    p = 2
-    d = 3
+    p = F.p
 
     def matmul(a, b):
         if not a or not b:
@@ -221,17 +257,51 @@ def test_restriction_functoriality_composable_pairs():
         return [[sum(a[i][t] * b[t][j] for t in range(len(b))) % p
                  for j in range(len(b[0]))] for i in range(len(a))]
 
-    checked = 0
-    for phi, _, _ in homs:
-        for psi, _, _ in homs:
-            if psi.source != phi.target:
-                continue
-            lhs = restriction_map(psi.compose(phi), d, p=p)
-            rhs = matmul(restriction_map(phi, d, p=p),
-                         restriction_map(psi, d, p=p))
-            assert lhs == rhs
-            checked += 1
-    assert checked > 10
+    for d in degrees:
+        mats = [restriction_map(phi, d, p=p) for phi, _, _ in homs]
+        checked = 0
+        for (phi, _, _), m_phi in zip(homs, mats):
+            for (psi, _, _), m_psi in zip(homs, mats):
+                if psi.source != phi.target:
+                    continue
+                assert restriction_map(psi.compose(phi), d, p=p) == \
+                    matmul(m_phi, m_psi)
+                checked += 1
+    return checked
+
+
+def test_restriction_functoriality_composable_pairs():
+    A4 = alternating4()
+    F = fusion_from_group(sylow_p(A4, 2), A4)
+    assert _check_composable_pairs(F, [3]) > 10
+
+
+def _linear_automorphism(S, p, mat):
+    """The automorphism of S acting by mat on the coordinates of the basis
+    of Site(S, p)."""
+    site = Site(S, p)
+    elem_of = {v: x for x, v in site.coords.items()}
+    n = site.rank
+    return InjHom(S, S, [
+        elem_of[tuple(sum(mat[i][j] * site.coords[x][j] for j in range(n)) % p
+                      for i in range(n))]
+        for x in S.elements])
+
+
+def test_restriction_functoriality_odd_p():
+    # C3 x C3 with Q8 < GL2(3): its elements are not monomial, so the image
+    # of a1 a2 is a sum of products a_j a_k whose reordering carries signs
+    S = full_subgroup(elementary(3, 2))
+    gens = [_linear_automorphism(S, 3, m)
+            for m in ([[0, 2], [1, 0]], [[1, 1], [1, 2]])]
+    F = generate_fusion(S, 3, gens)
+    assert len(F.homsets[(S.elements, S.elements)]) == 8
+    assert _check_composable_pairs(F, range(6)) > 100
+    ident = InjHom(S, S, S.elements)
+    for d in range(6):
+        n = len(cohomology_basis(Site(S, 3), d))
+        assert restriction_map(ident, d, p=3) == \
+            [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
