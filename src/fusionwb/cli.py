@@ -17,7 +17,7 @@ from .fusion import fusion_equal, fusion_from_group, is_saturated
 from .groups import (
     elementary_abelians,
     full_subgroup,
-    subgroups,
+    lattice,
     sylow_p,
 )
 from .io import (
@@ -141,12 +141,12 @@ def _run_group(args, report):
     if args.action == "info":
         report.add(f"group {G.name}: order {G.order}")
         report.add(f"abelian: {'yes' if G.is_abelian() else 'no'}")
-        report.add(f"subgroups: {len(subgroups(G))}")
+        report.add(f"subgroups: {len(lattice(G).subgroups)}")
         for p in sorted(G.order_factors):
             eas = elementary_abelians(G, p)
             report.add(f"elementary abelian {p}-subgroups: {len(eas)}")
     elif args.action == "subgroups":
-        for P in subgroups(G):
+        for P in lattice(G).subgroups:
             report.add(format_elems(P.elements))
     elif args.action == "sylow":
         P = sylow_p(G, args.prime)

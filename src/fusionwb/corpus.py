@@ -27,10 +27,10 @@ from .groups import (
     elementary_abelians,
     full_subgroup,
     is_isomorphic,
+    lattice,
     subgroup_as_group,
     normalizer,
     p_part,
-    subgroups,
     sylow_p,
 )
 from .io import (
@@ -122,13 +122,12 @@ def load_corpus(directory=None):
 
 
 def _check_group(name, G):
-    subs = subgroups(G)
-    keys = {P.elements for P in subs}
-    for P in subs:
+    lat = lattice(G)
+    for P in lat.subgroups:
         for g in G.elements():
-            if conjugate_subgroup(G, g, P).elements not in keys:
+            if conjugate_subgroup(G, g, P).elements not in lat.by_key:
                 raise AssertionError(f"{name}: conjugate of subgroup missing")
-    for P in subs:
+    for P in lat.subgroups:
         C, N = centralizer(G, P), normalizer(G, P)
         if not N.contains_subgroup(C):
             raise AssertionError(f"{name}: centralizer escapes normalizer")
@@ -137,12 +136,12 @@ def _check_group(name, G):
         if P.order != p_part(G.order, p):
             raise AssertionError(f"{name}: Sylow {p}-subgroup has wrong order")
         for V in elementary_abelians(G, p):
-            if V.elements not in keys:
+            if V.elements not in lat.by_key:
                 raise AssertionError(f"{name}: elementary abelian not listed")
             for x in V.elements:
                 if x and G.element_order(x) != p:
                     raise AssertionError(f"{name}: exponent violation")
-    return f"ok {name}: {len(subs)} subgroups"
+    return f"ok {name}: {len(lat.subgroups)} subgroups"
 
 
 def corpus_check(directory=None, seed=DEFAULT_SEED):

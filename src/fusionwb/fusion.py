@@ -18,19 +18,19 @@ from .groups import (
     conjugation_hom,
     full_subgroup,
     group_from_elements,
+    lattice,
     normalizer,
     p_part,
     prime_of,
     quotient_group,
     subgroup_as_group,
-    subgroups,
 )
 
 
 class FusionSystem:
     """Category of injective homomorphisms between subgroups of S."""
 
-    def __init__(self, S, p, homsets, validate=True):
+    def __init__(self, S, p, homsets):
         if S.elements != tuple(range(S.parent.order)):
             raise ValueError("S must be the full subgroup of its own p-group")
         inferred = prime_of(S.order)
@@ -39,8 +39,8 @@ class FusionSystem:
         self.S = S
         self.p = p
         self.group = S.parent
-        self.subgroups = tuple(subgroups(S.parent))
-        self._by_key = {P.elements: P for P in self.subgroups}
+        self.lattice = lattice(S.parent)
+        self.subgroups = self.lattice.subgroups
         self.homsets = {}
         for P in self.subgroups:
             for Q in self.subgroups:
@@ -48,19 +48,13 @@ class FusionSystem:
                 self.homsets[(P.elements, Q.elements)] = tuple(
                     sorted(homs, key=lambda h: h.images))
         self._classes = None
-        if validate:
-            self._check_category()
+        self._check_category()
 
     def subgroup(self, elements):
-        return self._by_key[tuple(elements)]
+        return self.lattice.by_key[tuple(elements)]
 
     def hom(self, P, Q):
         return self.homsets[(P.elements, Q.elements)]
-
-    def isos(self, P, Q):
-        if P.order != Q.order:
-            return ()
-        return self.hom(P, Q)
 
     def morphisms(self):
         for key in sorted(self.homsets):
@@ -91,10 +85,10 @@ class FusionSystem:
                 if core.inverse().images not in seen[(img, key[0])]:
                     raise ValueError(f"missing inverse of {h!r}")
                 # restrictions to subgroups of the source
-                for P2 in self.subgroups:
-                    if P2.order < len(key[0]) and set(P2.elements) <= set(key[0]):
-                        if h.restrict(P2).images not in seen[(P2.elements, key[1])]:
-                            raise ValueError(f"missing restriction of {h!r}")
+                for P2 in self.lattice.below[key[0]]:
+                    restricted = h.restrict(P2).images
+                    if restricted not in seen[(P2.elements, key[1])]:
+                        raise ValueError(f"missing restriction of {h!r}")
         for P in self.subgroups:
             for Q in self.subgroups:
                 for h1 in self.homsets[(P.elements, Q.elements)]:
@@ -107,30 +101,18 @@ class FusionSystem:
                                     f"at {h2!r} o {h1!r}")
 
     def conjugacy_classes(self):
-        """Partition of the subgroups under F-isomorphism."""
-        if self._classes is not None:
-            return self._classes
-        parent = {P.elements: P.elements for P in self.subgroups}
+        """Partition of the subgroups under F-isomorphism.
 
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for P in self.subgroups:
-            for Q in self.subgroups:
-                if P.order == Q.order and P.elements < Q.elements:
-                    if any(h.image_elements() == Q.elements
-                           for h in self.hom(P, Q)):
-                        parent[find(Q.elements)] = find(P.elements)
-        buckets = {}
-        for P in self.subgroups:
-            buckets.setdefault(find(P.elements), []).append(P)
-        classes = [tuple(sorted(v, key=lambda P: P.elements))
-                   for v in buckets.values()]
-        classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
-        self._classes = tuple(classes)
+        The class of P is the set of images of the morphisms P -> S; classes
+        and their members come in lattice order.
+        """
+        if self._classes is None:
+            classes = {}
+            for P in self.subgroups:
+                keys = sorted({h.image_elements()
+                               for h in self.hom(P, self.S)})
+                classes.setdefault(keys[0], tuple(map(self.subgroup, keys)))
+            self._classes = tuple(classes.values())
         return self._classes
 
     def class_of(self, P):
@@ -168,6 +150,27 @@ def aut_s_images(F, P):
     return out
 
 
+def conjugation_homs(G, emb, subs):
+    """Every c_g : P -> Q with g in G, for P and Q in subs.
+
+    subs are subgroups of one group that the dict emb embeds into G, and
+    c_g(x) = emb^-1(g emb(x) g^-1).  The maps come P first, then Q (both in
+    subs order), then in the order of the first g that gives each.
+    """
+    back = {y: x for x, y in emb.items()}
+    found = {P.elements: {} for P in subs}     # images -> their set
+    for g in G.elements():
+        c = {x: back.get(G.conj(g, y)) for x, y in emb.items()}
+        for P in subs:
+            images = tuple(c[x] for x in P.elements)
+            if None not in images and images not in found[P.elements]:
+                found[P.elements][images] = frozenset(images)
+    return [InjHom(P, Q, images, _trusted=True)
+            for P in subs for Q in subs
+            for images, image_set in found[P.elements].items()
+            if image_set <= Q.as_set()]
+
+
 def fusion_from_group(S, G, p=None):
     """The transporter fusion system F_S(G) on a Sylow p-subgroup S <= G."""
     if p is None:
@@ -178,27 +181,12 @@ def fusion_from_group(S, G, p=None):
         raise NotSylow(
             f"|S| = {S.order} is not the {p}-part of |G| = {G.order}")
     Sgroup = subgroup_as_group(S, name=f"Syl_{p}({G.name})")
-    emb = S.elements                      # S-group index -> G index
-    back = {x: i for i, x in enumerate(emb)}
-    Sfull = full_subgroup(Sgroup)
     homsets = {}
-    for P in subgroups(Sgroup):
-        for Q in subgroups(Sgroup):
-            qset = {emb[y] for y in Q.elements}
-            maps = set()
-            for g in G.elements():
-                images = []
-                for x in P.elements:
-                    y = G.conj(g, emb[x])
-                    if y not in qset:
-                        images = None
-                        break
-                    images.append(back[y])
-                if images is not None:
-                    maps.add(tuple(images))
-            homsets[(P.elements, Q.elements)] = [
-                InjHom(P, Q, images) for images in sorted(maps)]
-    return FusionSystem(Sfull, p, homsets)
+    for h in conjugation_homs(G, dict(enumerate(S.elements)),
+                              lattice(Sgroup).subgroups):
+        homsets.setdefault((h.source.elements, h.target.elements),
+                           []).append(h)
+    return FusionSystem(full_subgroup(Sgroup), p, homsets)
 
 
 def generate_fusion(S, p, generators):
@@ -210,12 +198,8 @@ def generate_fusion(S, p, generators):
     G = S.parent
     if S.elements != tuple(range(G.order)):
         raise ValueError("S must be the full subgroup of its p-group")
-    subs = subgroups(G)
-    by_key = {P.elements: P for P in subs}
-    contained_in = {P.elements: [Q for Q in subs if Q.contains_subgroup(P)]
-                    for P in subs}
-    sub_of = {P.elements: [Q for Q in subs if P.contains_subgroup(Q)]
-              for P in subs}
+    lat = lattice(G)
+    subs = lat.subgroups
 
     homs = {(P.elements, Q.elements): {} for P in subs for Q in subs}
     queue = deque()
@@ -226,25 +210,20 @@ def generate_fusion(S, p, generators):
             homs[key][h.images] = h
             queue.append(h)
 
-    for P in subs:
-        for Q in subs:
-            for g in transporter(G, P, Q):
-                add(conjugation_hom(P, Q, g))
+    for h in conjugation_homs(G, {x: x for x in G.elements()}, subs):
+        add(h)
     for phi in generators:
         if phi.source.parent != G or phi.target.parent != G:
             raise ValueError("generator does not live on S")
-        add(InjHom(by_key[phi.source.elements],
-                   by_key[phi.target.elements], phi.images))
+        add(InjHom(lat.by_key[phi.source.elements],
+                   lat.by_key[phi.target.elements], phi.images))
 
     while queue:
         h = queue.popleft()
         skey, tkey = h.source.elements, h.target.elements
-        for P2 in sub_of[skey]:
-            if P2.elements != skey:
-                add(h.restrict(P2))
-        core = h.corestrict()
-        img = by_key[core.target.elements]
-        core = InjHom(h.source, img, h.images)
+        for P2 in lat.below[skey]:
+            add(h.restrict(P2))
+        core = InjHom(h.source, lat.by_key[h.image_elements()], h.images)
         add(core)
         add(core.inverse())
         for R in subs:
@@ -426,9 +405,7 @@ def orbit_homset(F, P, Q):
 def strongly_closed(F, T):
     """No F-morphism carries a subgroup of T outside T."""
     tset = T.as_set()
-    for P in F.subgroups:
-        if not T.contains_subgroup(P):
-            continue
+    for P in F.lattice.below[T.elements] + [T]:
         for Q in F.subgroups:
             for h in F.hom(P, Q):
                 if not set(h.images) <= tset:

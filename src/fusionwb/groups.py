@@ -65,6 +65,7 @@ class Group:
         self._inv = tuple(inv)
         self._hash = hash(self.table)
         self._element_orders = None
+        self._lattice = None
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -325,6 +326,29 @@ def subgroups(G):
                     nxt.append(k)
         frontier = nxt
     return [Subgroup(G, h) for h in sorted(found, key=lambda h: (len(h), h))]
+
+
+class Lattice:
+    """G's subgroups in (size, elements) order, with containment.
+
+    below[key] lists the proper subgroups of the subgroup with element
+    tuple key, above[key] the subgroups containing it, itself included.
+    """
+
+    def __init__(self, G):
+        subs = self.subgroups = tuple(subgroups(G))
+        self.by_key = {P.elements: P for P in subs}
+        self.below = {P.elements: [Q for Q in subs if Q.order < P.order
+                                   and P.contains_subgroup(Q)] for P in subs}
+        self.above = {P.elements: [Q for Q in subs if Q.contains_subgroup(P)]
+                      for P in subs}
+
+
+def lattice(G):
+    """G's Lattice, built on first use and kept on G."""
+    if G._lattice is None:
+        G._lattice = Lattice(G)
+    return G._lattice
 
 
 def centralizer(G, P):
@@ -630,10 +654,6 @@ class InjHom:
     def __repr__(self):
         return (f"InjHom({list(self.source.elements)} -> "
                 f"{list(self.target.elements)}; {list(self.images)})")
-
-
-def identity_hom(P):
-    return InjHom(P, P, P.elements)
 
 
 def inclusion_hom(P, Q):

@@ -138,6 +138,8 @@ def serialize_fusion_spec(spec):
 
 def parse_fusion_spec(text, base_dir=None):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("fusion file is empty")
     m = re.fullmatch(r"fusion p=(\d+) S=(\S+)", lines[0])
     if not m:
         raise ParseError(f"bad fusion header: {lines[0]!r}")
@@ -179,6 +181,8 @@ class DatumSpec:
 def parse_datum(text, base_dir=None):
     base = Path(base_dir or ".")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("datum file is empty")
     m = re.fullmatch(r"alperin p=(\d+) fusion=(\S+)", lines[0])
     if not m:
         raise ParseError(f"bad datum header: {lines[0]!r}")
@@ -228,7 +232,12 @@ def _fusion_from_ref(ref, p, base):
 # presentation files
 
 
+_TRIVIAL_S = "sgroup order 1: a trivial S does not name its prime"
+
+
 def serialize_presentation(pres):
+    if pres.s_group.order == 1:
+        raise ValueError(_TRIVIAL_S)
     lines = [f"presentation kind={pres.kind}",
              f"sgroup order {pres.s_group.order}"]
     for row in pres.s_group.table:
@@ -284,7 +293,7 @@ def parse_presentation(text):
     _, sgroup, idx = read_table(1, r"sgroup order (\d+)")
     p = prime_of(sgroup.order)
     if p is None:
-        raise ParseError("sgroup order 1: a trivial S does not name its prime")
+        raise ParseError(_TRIVIAL_S)
     if kind == "hnn":
         S = full_subgroup(sgroup)
         phis = []

@@ -27,7 +27,7 @@ from .errors import (
     RadiusBoundExceeded,
     WorkbenchError,
 )
-from .fusion import fusion_equal, generate_fusion, out_f
+from .fusion import conjugation_homs, fusion_equal, generate_fusion, out_f
 from .groups import (
     Group,
     InjHom,
@@ -35,11 +35,11 @@ from .groups import (
     centralizer,
     full_subgroup,
     is_isomorphic,
+    lattice,
     normalizer,
     p_part,
     quotient_group,
     subgroup_center,
-    subgroups,
     sylow_p,
 )
 
@@ -447,28 +447,10 @@ def p_core(G, p):
 
 def _pullback_morphisms(F, entry):
     """F_{N_S(P)}(L) pulled back through iota, as morphisms on S-subgroups."""
-    N = normalizer(F.group, entry.P)
-    L, iota = entry.L, entry.iota
-    back = {iota.image_of(x): x for x in N.elements}
-    inside = [A for A in F.subgroups if N.contains_subgroup(A)]
-    out = []
-    for A in inside:
-        imgA = [iota.image_of(x) for x in A.elements]
-        for B in inside:
-            imgB = {iota.image_of(x) for x in B.elements}
-            seen = set()
-            for g in L.elements():
-                images = []
-                for y in imgA:
-                    z = L.conj(g, y)
-                    if z not in imgB:
-                        images = None
-                        break
-                    images.append(back[z])
-                if images is not None and tuple(images) not in seen:
-                    seen.add(tuple(images))
-                    out.append(InjHom(A, B, images))
-    return out
+    iota = entry.iota
+    key = iota.source.elements           # N_S(P)
+    inside = F.lattice.below[key] + [F.subgroup(key)]
+    return conjugation_homs(entry.L, dict(zip(key, iota.images)), inside)
 
 
 def validate_alperin_datum(datum):
@@ -596,7 +578,7 @@ def recover_fusion(pres, S, radius):
     base = S.parent
     ball = ball_enumerate(pres, radius)
     morphisms = []
-    subs = subgroups(base)
+    lat = lattice(base)
     for w in ball:
         winv = w.inverse()
         conj = {0: 0}
@@ -604,14 +586,12 @@ def recover_fusion(pres, S, radius):
             y = base_element_of(w.concat(pres.s_word([x])).concat(winv))
             if y is not None:
                 conj[x] = y
-        for P in subs:
+        for P in lat.subgroups:
             if any(x not in conj for x in P.elements):
                 continue
             images = [conj[x] for x in P.elements]
-            img_set = set(images)
-            for Q in subs:
-                if img_set <= Q.as_set():
-                    morphisms.append(InjHom(P, Q, images))
+            for Q in lat.above[tuple(sorted(images))]:
+                morphisms.append(InjHom(P, Q, images))
     return generate_fusion(S, pres.p, morphisms)
 
 

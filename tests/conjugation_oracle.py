@@ -1,0 +1,86 @@
+"""Reference loops for conjugation maps and F-conjugacy classes.
+
+The library computes every c_g : P -> Q with one enumerator
+(fusion.conjugation_homs), and reads the F-class of P off the images of
+the morphisms P -> S.  The tests keep the loops these replaced, one per
+(P, Q, g) triple with the subgroups searched afresh, and a union-find over
+pairs of subgroups, as the independent oracles for them.
+"""
+
+from fusionwb.groups import InjHom, normalizer, subgroups, subgroup_as_group
+
+
+def reference_transporter_homsets(S, G, p):
+    """Homsets of F_S(G) keyed by (P, Q) element tuples, images sorted."""
+    Sgroup = subgroup_as_group(S, name=f"Syl_{p}({G.name})")
+    emb = S.elements                      # S-group index -> G index
+    back = {x: i for i, x in enumerate(emb)}
+    homsets = {}
+    for P in subgroups(Sgroup):
+        for Q in subgroups(Sgroup):
+            qset = {emb[y] for y in Q.elements}
+            maps = set()
+            for g in G.elements():
+                images = []
+                for x in P.elements:
+                    y = G.conj(g, emb[x])
+                    if y not in qset:
+                        images = None
+                        break
+                    images.append(back[y])
+                if images is not None:
+                    maps.add(tuple(images))
+            homsets[(P.elements, Q.elements)] = [
+                InjHom(P, Q, images) for images in sorted(maps)]
+    return homsets
+
+
+def reference_pullback_morphisms(F, entry):
+    """F_{N_S(P)}(L) pulled back through iota, as morphisms on S-subgroups."""
+    N = normalizer(F.group, entry.P)
+    L, iota = entry.L, entry.iota
+    back = {iota.image_of(x): x for x in N.elements}
+    inside = [A for A in F.subgroups if N.contains_subgroup(A)]
+    out = []
+    for A in inside:
+        imgA = [iota.image_of(x) for x in A.elements]
+        for B in inside:
+            imgB = {iota.image_of(x) for x in B.elements}
+            seen = set()
+            for g in L.elements():
+                images = []
+                for y in imgA:
+                    z = L.conj(g, y)
+                    if z not in imgB:
+                        images = None
+                        break
+                    images.append(back[z])
+                if images is not None and tuple(images) not in seen:
+                    seen.add(tuple(images))
+                    out.append(InjHom(A, B, images))
+    return out
+
+
+def reference_classes(F):
+    """Partition of the subgroups under F-isomorphism, by union-find."""
+    parent = {P.elements: P.elements for P in F.subgroups}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for P in F.subgroups:
+        for Q in F.subgroups:
+            if P.order == Q.order and P.elements < Q.elements:
+                if any(h.image_elements() == Q.elements
+                       for h in F.hom(P, Q)):
+                    parent[find(Q.elements)] = find(P.elements)
+    buckets = {}
+    for P in F.subgroups:
+        buckets.setdefault(find(P.elements), []).append(P)
+    classes = [tuple(sorted(v, key=lambda P: P.elements))
+               for v in buckets.values()]
+    classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
+    return tuple(classes)

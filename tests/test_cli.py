@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from fnmatch import fnmatch
@@ -81,6 +82,20 @@ def test_truncated_presentation_exit_two(tmp_path, capsys):
                      "--datum", str(DATA / "d8_s4.datum"), "--radius", "1"])
         assert code == 2
         assert "presentation ends early" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["fusion", "saturate", "--fusion"], "fusion file is empty"),
+    (["model", "hnn"], "fusion file is empty"),
+    (["model", "robinson"], "datum file is empty"),
+])
+def test_empty_input_file_exit_two(tmp_path, capsys, argv, what):
+    for text in ("", "\n  \n"):
+        empty = tmp_path / "empty"
+        empty.write_text(text)
+        capsys.readouterr()
+        assert main(argv + [str(empty)]) == 2
+        assert what in capsys.readouterr().err
 
 
 def test_stable_compare_verb(capsys):
@@ -173,6 +188,22 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "1 0 1 1 1 1 2" in proc.stdout
+
+
+def test_module_entry_point_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionwb", "group", "info",
+         str(DATA / "d8.grp")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "subgroups: 10" in proc.stdout
+    bad = subprocess.run([sys.executable, "-m", "fusionwb", "no-such-verb"],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
 
 
 def test_report_out_file(tmp_path, capsys):

@@ -138,9 +138,13 @@ def test_presentation_round_trip_amalgam():
 
 
 def test_presentation_with_trivial_s_is_refused():
-    # the file of a trivial S does not name its prime
+    # the file of a trivial S does not name its prime, so the parser
+    # refuses it and the serializer does not write it
     with pytest.raises(ParseError):
         parse_presentation("presentation kind=hnn\nsgroup order 1\n0\n")
+    pres = hnn_presentation(full_subgroup(cyclic(1)), 2, [])
+    with pytest.raises(ValueError, match="trivial S does not name its prime"):
+        serialize_presentation(pres)
 
 
 def test_presentation_rejects_edited_relators():

@@ -1,0 +1,155 @@
+"""The cached subgroup lattice and the one conjugation-map enumerator."""
+
+import pytest
+
+from conjugation_oracle import (
+    reference_classes,
+    reference_pullback_morphisms,
+    reference_transporter_homsets,
+)
+from fusionwb import groups
+from fusionwb.catalog import (
+    alternating4,
+    cyclic,
+    direct_product,
+    klein_four,
+    symmetric,
+)
+from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
+from fusionwb.fusion import (
+    conjugation_homs,
+    fusion_from_group,
+    generate_fusion,
+    is_saturated,
+)
+from fusionwb.groups import InjHom, full_subgroup, lattice, sylow_p
+from fusionwb.io import load_fusion_spec
+from fusionwb.models import (
+    AlperinDatum,
+    AlperinEntry,
+    _pullback_morphisms,
+    validate_alperin_datum,
+)
+
+CORPUS = load_corpus()
+
+
+def _pairs():
+    """Every corpus pair, plus three larger Sylow subgroups."""
+    out = [(CORPUS.groups[g], p) for _, g, p in CORPUS.pairs]
+    S4xC2 = direct_product(symmetric(4), cyclic(2))
+    S3xS3 = direct_product(symmetric(3), symmetric(3))
+    return out + [(S4xC2, 2), (S3xS3, 2), (S3xS3, 3)]
+
+
+def test_lattice_is_built_once_and_kept_on_the_group():
+    G = symmetric(4)
+    assert lattice(G) is lattice(G)
+    F = fusion_from_group(sylow_p(G, 2), G, p=2)
+    assert F.lattice is lattice(F.group)
+    assert F.subgroups is F.lattice.subgroups
+
+
+def test_subgroup_search_runs_once_per_group(monkeypatch):
+    searched = []
+    search = groups.subgroups
+
+    def counting(G):
+        searched.append(G)
+        return search(G)
+
+    monkeypatch.setattr(groups, "subgroups", counting)
+    G = symmetric(4)
+    F = fusion_from_group(sylow_p(G, 2), G, p=2)
+    assert is_saturated(F).saturated
+    generate_fusion(F.S, 2, list(F.morphisms()))
+    assert searched == [F.group]
+
+
+@pytest.mark.parametrize("name", CORPUS.names)
+def test_below_and_above_match_brute_force(name):
+    G = CORPUS.groups[name]
+    lat = lattice(G)
+    subs = groups.subgroups(G)
+    assert [P.elements for P in lat.subgroups] == [P.elements for P in subs]
+    for P in subs:
+        assert lat.by_key[P.elements].elements == P.elements
+        below = [Q.elements for Q in subs
+                 if Q != P and set(Q.elements) <= set(P.elements)]
+        above = [Q.elements for Q in subs
+                 if set(P.elements) <= set(Q.elements)]
+        assert [Q.elements for Q in lat.below[P.elements]] == below
+        assert [Q.elements for Q in lat.above[P.elements]] == above
+
+
+@pytest.mark.parametrize("G, p", _pairs(),
+                         ids=lambda x: str(getattr(x, "name", x)))
+def test_conjugation_homs_match_the_transporter_loop(G, p):
+    S = sylow_p(G, p)
+    ref = reference_transporter_homsets(S, G, p)
+    F = fusion_from_group(S, G, p=p)
+    for key, homs in ref.items():
+        assert [h.images for h in F.homsets[key]] == [h.images for h in homs]
+    homs = conjugation_homs(G, dict(enumerate(S.elements)), F.subgroups)
+    keys = []
+    for h in homs:
+        key = (h.source.elements, h.target.elements)
+        if not keys or keys[-1] != key:
+            keys.append(key)
+    assert keys == [key for key, homs in ref.items() if homs]
+    assert len(homs) == sum(len(v) for v in ref.values())
+
+
+@pytest.mark.parametrize("G, p", _pairs(),
+                         ids=lambda x: str(getattr(x, "name", x)))
+def test_transporter_classes_match_union_find(G, p):
+    F = fusion_from_group(sylow_p(G, p), G, p=p)
+    assert F.conjugacy_classes() == reference_classes(F)
+
+
+@pytest.mark.parametrize("name", ["c3_inversion", "v4_gl2", "v4_involution",
+                                  "v4_rho"])
+def test_generated_classes_match_union_find(name):
+    F = load_fusion_spec(corpus_dir() / f"{name}.fus").fusion()
+    assert F.conjugacy_classes() == reference_classes(F)
+
+
+@pytest.fixture(scope="module")
+def datums():
+    _, d8_s4 = standard_robinson_datum(symmetric(4))
+    S3 = symmetric(3)
+    F3 = fusion_from_group(sylow_p(S3, 3), S3, p=3)
+    iota = InjHom(F3.S, full_subgroup(S3), sylow_p(S3, 3).elements)
+    s3_s3 = AlperinDatum(F3, [AlperinEntry(F3.S, S3, iota)] * 2)
+    # the trivial system on V4 against L = A4: the order-3 automorphism
+    # pulls back and is not in F
+    V4 = klein_four()
+    FV = fusion_from_group(full_subgroup(V4), V4, p=2)
+    A4 = alternating4()
+    iota = InjHom(FV.S, full_subgroup(A4), sylow_p(A4, 2).elements)
+    v4_a4 = AlperinDatum(FV, [AlperinEntry(FV.S, A4, iota)])
+    L = direct_product(V4, cyclic(3))
+    iota = InjHom(FV.S, full_subgroup(L), [0, 3, 6, 9])
+    v4_c3 = AlperinDatum(FV, [AlperinEntry(FV.S, L, iota)])
+    return {"d8_s4": d8_s4, "s3_s3": s3_s3, "v4_a4": v4_a4, "v4_c3": v4_c3}
+
+
+@pytest.mark.parametrize("name", ["d8_s4", "s3_s3", "v4_a4", "v4_c3"])
+def test_pullback_matches_the_old_loop(datums, name):
+    datum = datums[name]
+    for entry in datum.entries:
+        got = _pullback_morphisms(datum.F, entry)
+        want = reference_pullback_morphisms(datum.F, entry)
+        assert got == want
+
+
+def test_subfusion_witness_is_the_first_pulled_back_map(datums):
+    datum = datums["v4_a4"]
+    F = datum.F
+    pulled = reference_pullback_morphisms(F, datum.entries[0])
+    first_bad = next(h for h in pulled
+                     if h not in F.hom(h.source, h.target))
+    report = validate_alperin_datum(datum)
+    witness = [f for f in report.failures if f.clause == "SubfusionFailure"]
+    assert [f.detail for f in witness] == [
+        f"pulled-back morphism {first_bad!r} is not in F"]
