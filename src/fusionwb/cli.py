@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 when a computation answers "no" (not saturated,
 fusions differ, dimensions disagree, family not nilpotent, invalid datum),
-2 on unusable input (bad flags, unreadable or malformed files).
+2 on unusable input (bad flags, unreadable or malformed files), 3 on a
+broken internal invariant (NotACategory: a bug in the workbench).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corpus import corpus_check
-from .errors import UsageError, WorkbenchError
+from .errors import NotACategory, UsageError, WorkbenchError
 from .fusion import fusion_equal, fusion_from_group, is_saturated
 from .groups import (
     elementary_abelians,
@@ -286,6 +287,9 @@ def main(argv=None):
     except DatumInvalid as exc:
         print(str(exc))
         return 1
+    except NotACategory as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -315,11 +315,13 @@ def _check_functoriality(F, d=3):
     """Restriction matrices compose contravariantly on composable pairs."""
     _, homs, _ = fusion_ea_morphisms(F, generating=False)
     mats = [restriction_matrix(phi, sw, sv, d) for phi, sw, sv in homs]
-    for (phi, sw, _), r_phi in zip(homs, mats):
+    for (phi, sw, sv), r_phi in zip(homs, mats):
         for (psi, _, su), r_psi in zip(homs, mats):
-            if psi.source != phi.target:
+            if psi.source != sv.V:
                 continue
-            r_comp = restriction_matrix(psi.compose(phi), sw, su, d)
+            comp = InjHom(sw.V, F.S, [psi.image_of(y) for y in phi.images],
+                          _trusted=True)
+            r_comp = restriction_matrix(comp, sw, su, d)
             if not np.array_equal(r_phi @ r_psi % F.p, r_comp):
                 raise AssertionError("functoriality violated")
 

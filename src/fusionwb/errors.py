@@ -46,6 +46,10 @@ class DegreeBoundExceeded(WorkbenchError):
     """A cohomological degree above the configured cap was requested."""
 
 
+class NotACategory(WorkbenchError):
+    """A built fusion system breaks a category axiom: a workbench bug."""
+
+
 class NotElementaryAbelian(WorkbenchError):
     """A site or morphism endpoint is not elementary abelian."""
 

@@ -1,8 +1,8 @@
 """Fusion systems on a finite p-group as explicit categories of morphisms.
 
-A system is stored over a standalone copy of S (the p-group itself), with one
-homset per ordered pair of subgroups.  Morphism sets are kept in full, as
-functions on elements, deduplicated and sorted for reproducibility.
+A system lives on a standalone copy of S (the p-group itself) and stores
+Hom_F(P, S) for each subgroup P, as functions on elements sorted by images;
+Hom_F(P, Q) is the part of it with image in Q.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import MismatchedBase, NotSylow
+from .errors import MismatchedBase, NotACategory, NotSylow
 from .groups import (
     InjHom,
     Subgroup,
@@ -41,12 +41,10 @@ class FusionSystem:
         self.group = S.parent
         self.lattice = lattice(S.parent)
         self.subgroups = self.lattice.subgroups
-        self.homsets = {}
-        for P in self.subgroups:
-            for Q in self.subgroups:
-                homs = homsets.get((P.elements, Q.elements), ())
-                self.homsets[(P.elements, Q.elements)] = tuple(
-                    sorted(homs, key=lambda h: h.images))
+        self.homsets = {
+            P.elements: tuple(sorted(homsets.get(P.elements, ()),
+                                     key=lambda h: h.images))
+            for P in self.subgroups}
         self._classes = None
         self._check_category()
 
@@ -54,51 +52,48 @@ class FusionSystem:
         return self.lattice.by_key[tuple(elements)]
 
     def hom(self, P, Q):
-        return self.homsets[(P.elements, Q.elements)]
+        """Hom_F(P, Q): the maps in Hom_F(P, S) with image in Q, into Q."""
+        return tuple(InjHom(P, Q, h.images, _trusted=True)
+                     for h in self.homsets[P.elements]
+                     if Q.as_set().issuperset(h.images))
 
     def morphisms(self):
         for key in sorted(self.homsets):
             yield from self.homsets[key]
 
     def _check_category(self):
+        """Raise NotACategory unless each Hom(P, S) holds maps P -> S only,
+        c_g|P for every g in S, and with each h its inverse onto h(P), its
+        restrictions and h2 o h for every h2 in Hom(h(P), S).  With the
+        restrictions present, that covers every composable pair."""
+        G = self.group
+        for P in self.subgroups:
+            for h in self.homsets[P.elements]:
+                if h.source != P or h.target != self.S:
+                    raise NotACategory(
+                        f"{h!r} is stored as a map {list(P.elements)} -> S")
         seen = {key: {h.images for h in homs}
                 for key, homs in self.homsets.items()}
         for P in self.subgroups:
-            for Q in self.subgroups:
-                key = (P.elements, Q.elements)
-                for h in self.homsets[key]:
-                    if h.source != P or h.target != Q:
-                        raise ValueError("homset entry under the wrong pair")
-                # conjugations from S must all be present
-                for g in transporter(self.group, P, Q):
-                    c = conjugation_hom(P, Q, g)
-                    if c.images not in seen[key]:
-                        raise ValueError(
-                            f"missing S-conjugation {c!r}")
-        for key in sorted(self.homsets):
-            for h in self.homsets[key]:
-                # isomorphism-onto-image factor and its inverse
-                core = h.corestrict()
-                img = core.target.elements
-                if core.images not in seen[(key[0], img)]:
-                    raise ValueError(f"missing corestriction of {h!r}")
-                if core.inverse().images not in seen[(img, key[0])]:
-                    raise ValueError(f"missing inverse of {h!r}")
-                # restrictions to subgroups of the source
-                for P2 in self.lattice.below[key[0]]:
-                    restricted = h.restrict(P2).images
-                    if restricted not in seen[(P2.elements, key[1])]:
-                        raise ValueError(f"missing restriction of {h!r}")
-        for P in self.subgroups:
-            for Q in self.subgroups:
-                for h1 in self.homsets[(P.elements, Q.elements)]:
-                    for R in self.subgroups:
-                        for h2 in self.homsets[(Q.elements, R.elements)]:
-                            comp = h2.compose(h1)
-                            if comp.images not in seen[(P.elements, R.elements)]:
-                                raise ValueError(
-                                    f"homsets not closed under composition "
-                                    f"at {h2!r} o {h1!r}")
+            have = seen[P.elements]
+            for g in G.elements():
+                if tuple(G.conj(g, x) for x in P.elements) not in have:
+                    raise NotACategory(f"missing S-conjugation "
+                                       f"{conjugation_hom(P, self.S, g)!r}")
+            for h in self.homsets[P.elements]:
+                img = h.image_elements()
+                back = dict(zip(h.images, P.elements))
+                if tuple(back[y] for y in img) not in seen.get(img, ()):
+                    raise NotACategory(f"missing inverse of {h!r}")
+                for P2 in self.lattice.below[P.elements]:
+                    if (tuple(h.image_of(x) for x in P2.elements)
+                            not in seen[P2.elements]):
+                        raise NotACategory(f"missing restriction of {h!r}")
+                for h2 in self.homsets.get(img, ()):
+                    if tuple(h2.image_of(y) for y in h.images) not in have:
+                        raise NotACategory(
+                            f"homsets not closed under composition "
+                            f"at {h2!r} o {h!r}")
 
     def conjugacy_classes(self):
         """Partition of the subgroups under F-isomorphism.
@@ -110,7 +105,7 @@ class FusionSystem:
             classes = {}
             for P in self.subgroups:
                 keys = sorted({h.image_elements()
-                               for h in self.hom(P, self.S)})
+                               for h in self.homsets[P.elements]})
                 classes.setdefault(keys[0], tuple(map(self.subgroup, keys)))
             self._classes = tuple(classes.values())
         return self._classes
@@ -122,7 +117,7 @@ class FusionSystem:
         raise ValueError("not a subgroup of S")
 
     def aut_set(self, P):
-        return self.homsets[(P.elements, P.elements)]
+        return self.hom(P, P)
 
     def __eq__(self, other):
         if not isinstance(other, FusionSystem):
@@ -142,29 +137,25 @@ def transporter(G, P, Q):
             if all(G.conj(g, x) in qset for x in P.elements)]
 
 
-def aut_s_images(F, P):
-    """Image tuples of the S-conjugation automorphisms of P."""
-    out = set()
-    for g in normalizer(F.group, P).elements:
-        out.add(tuple(F.group.conj(g, x) for x in P.elements))
-    return out
-
-
-def conjugation_homs(G, emb, subs):
-    """Every c_g : P -> Q with g in G, for P and Q in subs.
-
-    subs are subgroups of one group that the dict emb embeds into G, and
-    c_g(x) = emb^-1(g emb(x) g^-1).  The maps come P first, then Q (both in
-    subs order), then in the order of the first g that gives each.
-    """
+def _conjugation_images(G, emb, subs):
+    """P.elements -> {images of c_g|P: their set}, over g in G, in the order
+    of the first g that gives each; c_g(x) = emb^-1(g emb(x) g^-1) for subs
+    subgroups of one group that the dict emb embeds into G."""
     back = {y: x for x, y in emb.items()}
-    found = {P.elements: {} for P in subs}     # images -> their set
+    found = {P.elements: {} for P in subs}
     for g in G.elements():
         c = {x: back.get(G.conj(g, y)) for x, y in emb.items()}
         for P in subs:
             images = tuple(c[x] for x in P.elements)
             if None not in images and images not in found[P.elements]:
                 found[P.elements][images] = frozenset(images)
+    return found
+
+
+def conjugation_homs(G, emb, subs):
+    """Every c_g : P -> Q with g in G, for P and Q in subs: P first, then Q
+    (both in subs order), then in _conjugation_images order."""
+    found = _conjugation_images(G, emb, subs)
     return [InjHom(P, Q, images, _trusted=True)
             for P in subs for Q in subs
             for images, image_set in found[P.elements].items()
@@ -181,60 +172,59 @@ def fusion_from_group(S, G, p=None):
         raise NotSylow(
             f"|S| = {S.order} is not the {p}-part of |G| = {G.order}")
     Sgroup = subgroup_as_group(S, name=f"Syl_{p}({G.name})")
-    homsets = {}
-    for h in conjugation_homs(G, dict(enumerate(S.elements)),
-                              lattice(Sgroup).subgroups):
-        homsets.setdefault((h.source.elements, h.target.elements),
-                           []).append(h)
-    return FusionSystem(full_subgroup(Sgroup), p, homsets)
+    top = full_subgroup(Sgroup)
+    subs = lattice(Sgroup).subgroups
+    found = _conjugation_images(G, dict(enumerate(S.elements)), subs)
+    return FusionSystem(top, p, {
+        P.elements: [InjHom(P, top, images, _trusted=True)
+                     for images in found[P.elements]]
+        for P in subs})
 
 
 def generate_fusion(S, p, generators):
     """Least fusion system on S containing the given morphisms.
 
-    Seeds all S-conjugations, then closes under composition, restriction,
-    corestriction to the image, and inverses of isomorphisms.
+    Seeds the S-conjugations, then closes the maps into S under restriction,
+    inverse onto the image, and h2 o h for each h2 in Hom(h(P), S) present
+    when h is taken.  A later h2 is covered too: h^-1 is present when h2^-1
+    is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h.
     """
     G = S.parent
     if S.elements != tuple(range(G.order)):
         raise ValueError("S must be the full subgroup of its p-group")
     lat = lattice(G)
-    subs = lat.subgroups
-
-    homs = {(P.elements, Q.elements): {} for P in subs for Q in subs}
+    homs = {P.elements: {} for P in lat.subgroups}   # images -> P -> S map
     queue = deque()
 
-    def add(h):
-        key = (h.source.elements, h.target.elements)
-        if h.images not in homs[key]:
-            homs[key][h.images] = h
+    def add(P, images):
+        if images not in homs[P.elements]:
+            h = InjHom(P, S, images, _trusted=True)
+            homs[P.elements][images] = h
             queue.append(h)
 
-    for h in conjugation_homs(G, {x: x for x in G.elements()}, subs):
-        add(h)
+    found = _conjugation_images(G, {x: x for x in G.elements()}, lat.subgroups)
+    for P in lat.subgroups:
+        for images in found[P.elements]:
+            add(P, images)
     for phi in generators:
         if phi.source.parent != G or phi.target.parent != G:
             raise ValueError("generator does not live on S")
-        add(InjHom(lat.by_key[phi.source.elements],
-                   lat.by_key[phi.target.elements], phi.images))
+        P = lat.by_key[phi.source.elements]
+        add(P, InjHom(P, lat.by_key[phi.target.elements], phi.images).images)
 
     while queue:
         h = queue.popleft()
-        skey, tkey = h.source.elements, h.target.elements
-        for P2 in lat.below[skey]:
-            add(h.restrict(P2))
-        core = InjHom(h.source, lat.by_key[h.image_elements()], h.images)
-        add(core)
-        add(core.inverse())
-        for R in subs:
-            for images in list(homs[(tkey, R.elements)]):
-                add(homs[(tkey, R.elements)][images].compose(h))
-        for P0 in subs:
-            for images in list(homs[(P0.elements, skey)]):
-                add(h.compose(homs[(P0.elements, skey)][images]))
+        P = h.source
+        img = h.image_elements()
+        for P2 in lat.below[P.elements]:
+            add(P2, tuple(h.image_of(x) for x in P2.elements))
+        back = dict(zip(h.images, P.elements))
+        add(lat.by_key[img], tuple(back[y] for y in img))
+        for h2 in list(homs[img].values()):
+            add(P, tuple(h2.image_of(y) for y in h.images))
 
-    packed = {key: list(d.values()) for key, d in homs.items()}
-    return FusionSystem(full_subgroup(G), p, packed)
+    return FusionSystem(S, p, {key: list(d.values())
+                               for key, d in homs.items()})
 
 
 @dataclass(frozen=True)
@@ -283,50 +273,41 @@ def is_saturated(F):
     """Check the Sylow and extension axioms; failures become witnesses."""
     G = F.group
     witnesses = []
-    norms = {P.elements: normalizer(G, P).order for P in F.subgroups}
+    norms = {P.elements: normalizer(G, P) for P in F.subgroups}
     cents = {P.elements: centralizer(G, P).order for P in F.subgroups}
+    aut_s = {key: {tuple(G.conj(g, x) for x in key) for g in N.elements}
+             for key, N in norms.items()}     # images of Aut_S(P)
+    max_c = {}
     for cls in F.conjugacy_classes():
-        max_n = max(norms[P.elements] for P in cls)
-        max_c = max(cents[P.elements] for P in cls)
+        max_n = max(norms[P.elements].order for P in cls)
+        top_c = max(cents[P.elements] for P in cls)
         for P in cls:
-            if norms[P.elements] != max_n:
+            max_c[P.elements] = top_c
+            if norms[P.elements].order != max_n:
                 continue
-            if cents[P.elements] != max_c:
+            if cents[P.elements] != top_c:
                 witnesses.append(CentralizedFailure(P))
-            aut_s = len(aut_s_images(F, P))
-            aut_f = len(F.aut_set(P))
-            if aut_s != p_part(aut_f, F.p):
-                witnesses.append(SylowFailure(P, aut_s, aut_f))
-    # extension axiom
-    Skey = F.S.elements
+            n_s, n_f = len(aut_s[P.elements]), len(F.aut_set(P))
+            if n_s != p_part(n_f, F.p):
+                witnesses.append(SylowFailure(P, n_s, n_f))
+    # extension axiom: phi onto a fully centralized image extends to N_phi,
+    # the g in N_S(P) with phi c_g phi^-1 in Aut_S(phi(P))
     for P in F.subgroups:
-        for phi in F.homsets[(P.elements, Skey)]:
-            img = phi.image_subgroup()
-            if cents[img.elements] != max(
-                    cents[Q.elements] for Q in F.class_of(img)):
+        for phi in F.homsets[P.elements]:
+            img = phi.image_elements()
+            if cents[img] != max_c[img]:
                 continue
-            n_phi = _n_phi(F, phi)
+            back = dict(zip(phi.images, P.elements))
+            n_phi = F.subgroup(
+                g for g in norms[P.elements].elements
+                if tuple(phi.image_of(G.conj(g, back[y])) for y in img)
+                in aut_s[img])
             extended = any(
                 all(ext.image_of(x) == phi.image_of(x) for x in P.elements)
-                for ext in F.homsets[(n_phi.elements, Skey)])
+                for ext in F.homsets[n_phi.elements])
             if not extended:
                 witnesses.append(ExtensionFailure(phi, n_phi))
     return SaturationReport(not witnesses, witnesses)
-
-
-def _n_phi(F, phi):
-    """N_phi = {g in N_S(P) : phi c_g phi^-1 is an S-conjugation of phi(P)}."""
-    G = F.group
-    P = phi.source
-    img = phi.image_subgroup()
-    aut_s_img = aut_s_images(F, img)
-    members = []
-    back = {phi.image_of(x): x for x in P.elements}
-    for g in normalizer(G, P).elements:
-        conj = tuple(phi.image_of(G.conj(g, back[y])) for y in img.elements)
-        if conj in aut_s_img:
-            members.append(g)
-    return Subgroup(G, members)
 
 
 def conjugacy_classes(F):
@@ -405,12 +386,9 @@ def orbit_homset(F, P, Q):
 def strongly_closed(F, T):
     """No F-morphism carries a subgroup of T outside T."""
     tset = T.as_set()
-    for P in F.lattice.below[T.elements] + [T]:
-        for Q in F.subgroups:
-            for h in F.hom(P, Q):
-                if not set(h.images) <= tset:
-                    return False
-    return True
+    return all(tset.issuperset(h.images)
+               for P in F.lattice.below[T.elements] + [T]
+               for h in F.homsets[P.elements])
 
 
 def _require_same_base(F1, F2):
@@ -421,17 +399,16 @@ def _require_same_base(F1, F2):
 def is_subfusion(F1, F2):
     """Every morphism of F1 is a morphism of F2."""
     _require_same_base(F1, F2)
-    for key in F1.homsets:
+    for key, homs in F1.homsets.items():
         have = {h.images for h in F2.homsets[key]}
-        if any(h.images not in have for h in F1.homsets[key]):
+        if any(h.images not in have for h in homs):
             return False
     return True
 
 
 def fusion_equal(F1, F2):
     _require_same_base(F1, F2)
-    for key in F1.homsets:
-        if ([h.images for h in F1.homsets[key]]
-                != [h.images for h in F2.homsets[key]]):
+    for key, homs in F1.homsets.items():
+        if [h.images for h in homs] != [h.images for h in F2.homsets[key]]:
             return False
     return True

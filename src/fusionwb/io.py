@@ -455,7 +455,8 @@ def load_family(F, path):
 
 
 def describe_fusion(F):
-    n_morphisms = sum(len(v) for v in F.homsets.values())
+    n_morphisms = sum(len(F.lattice.above[h.image_elements()])
+                      for h in F.morphisms())
     return (f"fusion system on {F.group.name} (order {F.group.order}, "
             f"p={F.p}): {len(F.subgroups)} subgroups, "
             f"{n_morphisms} morphisms")

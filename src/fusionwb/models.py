@@ -493,8 +493,8 @@ def validate_alperin_datum(datum):
             failures.append(DatumFailure(i, "OuterQuotientFailure", str(exc)))
         pulled = _pullback_morphisms(F, e)
         for h in pulled:
-            allowed = {m.images for m in F.hom(h.source, h.target)}
-            if h.images not in allowed:
+            stored = F.homsets[h.source.elements]      # Hom_F(P, S)
+            if h.images not in {m.images for m in stored}:
                 failures.append(DatumFailure(
                     i, "SubfusionFailure",
                     f"pulled-back morphism {h!r} is not in F"))
@@ -589,9 +589,7 @@ def recover_fusion(pres, S, radius):
         for P in lat.subgroups:
             if any(x not in conj for x in P.elements):
                 continue
-            images = [conj[x] for x in P.elements]
-            for Q in lat.above[tuple(sorted(images))]:
-                morphisms.append(InjHom(P, Q, images))
+            morphisms.append(InjHom(P, S, [conj[x] for x in P.elements]))
     return generate_fusion(S, pres.p, morphisms)
 
 

@@ -48,15 +48,22 @@ def _index_p_inclusions(sites, p):
 
 
 def fusion_ea_morphisms(F, generating=True):
-    """Morphisms between elementary abelian sites: a generating set, or all."""
+    """Morphisms between elementary abelian sites: a generating set, or all.
+
+    A morphism W -> V is a stored h : W -> S paired with a site V >= h(W),
+    only V = h(W) in a generating set; restriction reads only h's values.
+    """
     sites = fusion_sites(F)
     by_key = {s.key: s for s in sites}
     homs = _index_p_inclusions(sites, F.p) if generating else []
     for sw in sites:
+        into = {}                       # site key -> maps with image in it
+        for h in F.homsets[sw.key]:
+            above = F.lattice.above[h.image_elements()]  # h(W) comes first
+            for Q in above[:1] if generating else above:
+                into.setdefault(Q.elements, []).append(h)
         for sv in sites:
-            if generating and sw.V.order != sv.V.order:
-                continue
-            for h in F.homsets[(sw.V.elements, sv.V.elements)]:
+            for h in into.get(sv.key, ()):
                 homs.append((h, sw, sv))
     return sites, homs, by_key
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionwb import fusion
 from fusionwb.cli import main, run
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import UsageError
@@ -154,6 +155,26 @@ def test_usage_error_exit_two(capsys):
 
 def test_missing_file_exit_two(capsys):
     assert main(["group", "info", "/nonexistent.grp"]) == 2
+
+
+def test_broken_category_exit_three(monkeypatch, capsys):
+    # a transporter system missing one automorphism of S is not a category;
+    # that is a bug in the workbench, not unusable input
+    real = fusion._conjugation_images
+
+    def drop_one(G, emb, subs):
+        found = real(G, emb, subs)
+        found[subs[-1].elements].popitem()
+        return found
+
+    monkeypatch.setattr(fusion, "_conjugation_images", drop_one)
+    code = main(["fusion", "saturate", "--group", str(DATA / "s4.grp"),
+                 "--prime", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: NotACategory: missing S-conjugation")
 
 
 def test_run_raises_usage_error():

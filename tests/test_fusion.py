@@ -56,12 +56,14 @@ def f_s4():
 
 def test_transporter_fusion_on_c2_self():
     F = inner_fusion(cyclic(2), 2)
-    for (pk, qk), homs in F.homsets.items():
-        if set(pk) <= set(qk):
-            # a single identity/inclusion map
-            assert [h.images for h in homs] == [pk]
-        else:
-            assert homs == ()
+    for P in F.subgroups:
+        for Q in F.subgroups:
+            homs = F.hom(P, Q)
+            if set(P.elements) <= set(Q.elements):
+                # a single identity/inclusion map
+                assert [h.images for h in homs] == [P.elements]
+            else:
+                assert homs == ()
 
 
 def test_a4_automizer_count_against_transporter_oracle(f_a4):
@@ -234,16 +236,16 @@ def test_hom_s_contained_and_factorization(f_s4):
     for P in F.subgroups:
         inner = {tuple(F.group.conj(g, x) for x in P.elements)
                  for g in transporter(F.group, P, S)}
-        have = {h.images for h in F.homsets[(P.elements, S.elements)]}
+        have = {h.images for h in F.hom(P, S)}
         assert inner <= have
-    for key in sorted(F.homsets):
-        for h in F.homsets[key]:
-            img = h.image_subgroup()
-            core = {m.images for m in F.homsets[(key[0], img.elements)]}
-            assert h.images in core
-            incl = inclusion_hom(img, F.subgroup(key[1]))
-            assert incl.images in {m.images
-                                   for m in F.homsets[(img.elements, key[1])]}
+    for P in F.subgroups:
+        for Q in F.subgroups:
+            for h in F.hom(P, Q):
+                img = h.image_subgroup()
+                core = {m.images for m in F.hom(P, img)}
+                assert h.images in core
+                incl = inclusion_hom(img, Q)
+                assert incl.images in {m.images for m in F.hom(img, Q)}
 
 
 def test_sl23_fusion_essentials():

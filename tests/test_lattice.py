@@ -88,8 +88,9 @@ def test_conjugation_homs_match_the_transporter_loop(G, p):
     S = sylow_p(G, p)
     ref = reference_transporter_homsets(S, G, p)
     F = fusion_from_group(S, G, p=p)
-    for key, homs in ref.items():
-        assert [h.images for h in F.homsets[key]] == [h.images for h in homs]
+    for (pk, qk), homs in ref.items():
+        assert ([h.images for h in F.hom(F.subgroup(pk), F.subgroup(qk))]
+                == [h.images for h in homs])
     homs = conjugation_homs(G, dict(enumerate(S.elements)), F.subgroups)
     keys = []
     for h in homs:

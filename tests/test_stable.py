@@ -248,7 +248,9 @@ def test_restriction_of_rho_is_transpose():
 def _check_composable_pairs(F, degrees):
     """Restriction along psi o phi is R_phi R_psi for every composable pair
     of fusion morphisms; returns the number of pairs checked per degree."""
-    _, homs, _ = fusion_ea_morphisms(F, generating=False)
+    # each stored map W -> S, as the map W -> V into its site
+    homs = [(InjHom(sw.V, sv.V, phi.images), sw, sv)
+            for phi, sw, sv in fusion_ea_morphisms(F, generating=False)[1]]
     p = F.p
 
     def matmul(a, b):
@@ -295,7 +297,7 @@ def test_restriction_functoriality_odd_p():
     gens = [_linear_automorphism(S, 3, m)
             for m in ([[0, 2], [1, 0]], [[1, 1], [1, 2]])]
     F = generate_fusion(S, 3, gens)
-    assert len(F.homsets[(S.elements, S.elements)]) == 8
+    assert len(F.aut_set(S)) == 8
     assert _check_composable_pairs(F, range(6)) > 100
     ident = InjHom(S, S, S.elements)
     for d in range(6):
