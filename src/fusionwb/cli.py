@@ -9,6 +9,7 @@ broken internal invariant (NotACategory: a bug in the workbench).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,13 +45,29 @@ from .stable import (
     MAX_DEGREE,
     is_nilpotent,
     poincare_series,
-    quillen_limit_finite_group,
+    quillen_limits,
     stable_bases,
 )
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
+
+
+def prime(text):
+    """argparse type of --prime."""
+    p = int(text)
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"must be a prime, not {text}")
+    return p
+
+
+def nonnegative(text):
+    """argparse type of --max-degree and --radius."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+    return n
 
 
 def build_parser():
@@ -65,13 +82,13 @@ def build_parser():
     gg.add_argument("file")
     gy = gs.add_parser("sylow")
     gy.add_argument("file")
-    gy.add_argument("--prime", type=int, required=True)
+    gy.add_argument("--prime", type=prime, required=True)
 
     f = sub.add_parser("fusion", help="build and check fusion systems")
     fs = f.add_subparsers(dest="action", required=True)
     ft = fs.add_parser("saturate")
     ft.add_argument("--group")
-    ft.add_argument("--prime", type=int)
+    ft.add_argument("--prime", type=prime)
     ft.add_argument("--fusion")
     ft.add_argument("--out")
 
@@ -85,10 +102,10 @@ def build_parser():
     mr.add_argument("--out")
     mv = ms.add_parser("verify")
     mv.add_argument("--presentation", required=True)
-    mv.add_argument("--radius", type=int, default=3)
+    mv.add_argument("--radius", type=nonnegative, default=3)
     mv.add_argument("--fusion")
     mv.add_argument("--group")
-    mv.add_argument("--prime", type=int)
+    mv.add_argument("--prime", type=prime)
     mv.add_argument("--datum")
     mv.add_argument("--out")
 
@@ -96,16 +113,16 @@ def build_parser():
     ss = s.add_subparsers(dest="action", required=True)
     sb = ss.add_parser("basis")
     sb.add_argument("--fusion", required=True)
-    sb.add_argument("--max-degree", type=int, default=6)
+    sb.add_argument("--max-degree", type=nonnegative, default=6)
     sb.add_argument("--out")
     sp = ss.add_parser("poincare")
     sp.add_argument("--fusion", required=True)
-    sp.add_argument("--max-degree", type=int, default=12)
+    sp.add_argument("--max-degree", type=nonnegative, default=12)
     sp.add_argument("--out")
     sc = ss.add_parser("compare")
     sc.add_argument("--group", required=True)
     sc.add_argument("--fusion", required=True)
-    sc.add_argument("--max-degree", type=int, default=8)
+    sc.add_argument("--max-degree", type=nonnegative, default=8)
     sc.add_argument("--out")
     sn = ss.add_parser("nilpotent")
     sn.add_argument("--family", required=True)
@@ -249,8 +266,8 @@ def _run_stable(args, report):
     F = spec.fusion()
     G = load_group(args.group)
     sdims = poincare_series(F, args.max_degree)
-    qdims = [quillen_limit_finite_group(G, spec.p, d).dimension
-             for d in range(args.max_degree + 1)]
+    qdims = [q.dimension for q in
+             quillen_limits(G, spec.p, range(args.max_degree + 1))]
     report.add("stable  dims: " + " ".join(map(str, sdims)))
     report.add("quillen dims: " + " ".join(map(str, qdims)))
     if sdims == qdims:

@@ -339,23 +339,3 @@ def restrict_element(phi, site_w, site_v, elem):
         image = restriction_matrix(phi, site_w, site_v, d) @ vec % p
         terms.update(zip(_basis(site_w.rank, p, d), image.tolist()))
     return CohoElement(site_w, terms)
-
-
-def restriction_map(phi, d, p=None):
-    """Matrix of the degree-d restriction along phi, over F_p.
-
-    phi : W -> V is a group monomorphism of elementary abelians; the returned
-    matrix (a list of rows) sends coordinates in the degree-d basis of the V
-    site to coordinates in the degree-d basis of the W site.
-    """
-    if p is None:
-        p = _site_prime(phi.source)
-    return restriction_matrix(phi, Site(phi.source, p), Site(phi.target, p),
-                              d).tolist()
-
-
-def _site_prime(V):
-    if V.order == 1:
-        raise NotElementaryAbelian(
-            "cannot infer the prime of a trivial subgroup; pass p explicitly")
-    return V.parent.element_order(V.elements[1])

@@ -66,7 +66,7 @@ from .stable import (
     fusion_ea_morphisms,
     is_nilpotent,
     poincare_series,
-    quillen_limit_finite_group,
+    quillen_limits,
     stable_basis,
     stable_basis_all_morphisms,
 )
@@ -258,8 +258,7 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
             raise AssertionError(f"Dickson dimensions differ: {dims}")
         FA = generate_fusion(SV, 2, [rho])
         A4 = corpus.groups["A4"]
-        qa = [quillen_limit_finite_group(A4, 2, d).dimension
-              for d in range(9)]
+        qa = [q.dimension for q in quillen_limits(A4, 2, range(9))]
         sa = poincare_series(FA, 8)
         if qa != sa:
             raise AssertionError("A4 Quillen limit differs from F_{V4}(A4)")

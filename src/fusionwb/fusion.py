@@ -310,10 +310,6 @@ def is_saturated(F):
     return SaturationReport(not witnesses, witnesses)
 
 
-def conjugacy_classes(F):
-    return F.conjugacy_classes()
-
-
 def fully_normalized(F, P):
     n = normalizer(F.group, P).order
     return all(normalizer(F.group, Q).order <= n for Q in F.class_of(P))
@@ -357,30 +353,6 @@ def out_f(F, P):
     Q, _ = quotient_group(A, inn)
     Q.name = f"Out_F({list(P.elements)})"
     return Q
-
-
-def orbit_homset(F, P, Q):
-    """Orbits of Hom_F(P,Q) under postcomposition with Inn(Q)."""
-    G = F.group
-    remaining = {h.images: h for h in F.hom(P, Q)}
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {}
-        stack = [remaining[start]]
-        while stack:
-            h = stack.pop()
-            if h.images in orbit:
-                continue
-            orbit[h.images] = h
-            for q in Q.elements:
-                moved = tuple(G.conj(q, y) for y in h.images)
-                if moved not in orbit:
-                    stack.append(InjHom(P, Q, moved))
-        for images in orbit:
-            remaining.pop(images, None)
-        orbits.append([orbit[k] for k in sorted(orbit)])
-    return orbits
 
 
 def strongly_closed(F, T):

@@ -31,6 +31,9 @@ def _factorize(n):
 
 
 def p_part(n, p):
+    """The largest power of p dividing n."""
+    if p < 2:
+        raise ValueError(f"no p-part for p = {p}")
     m = 1
     while n % p == 0:
         m *= p
@@ -298,10 +301,6 @@ def closure(G, seed):
     return tuple(sorted(elems))
 
 
-def trivial_subgroup(G):
-    return Subgroup(G, (0,))
-
-
 def full_subgroup(G):
     return Subgroup(G, range(G.order))
 
@@ -367,10 +366,6 @@ def normalizer(G, P):
     return Subgroup(G, elems)
 
 
-def center(G):
-    return centralizer(G, full_subgroup(G))
-
-
 def subgroup_center(P):
     """Z(P) as a subgroup of P's parent."""
     t = P.parent.table
@@ -408,7 +403,26 @@ def sylow_p(G, p, all_conjugates=False):
 
 
 def elementary_abelians(G, p):
-    """All subgroups isomorphic to (C_p)^k, k >= 0, sorted."""
+    """All subgroups isomorphic to (C_p)^k, k >= 0, sorted by (size, elements).
+
+    When |G| is a power of p they are the subgroups of lattice(G) of
+    exponent p that are abelian; any other G gets a search of its own,
+    far cheaper than a lattice that nothing else asks for.
+    """
+    if p_part(G.order, p) != G.order:
+        return _elementary_abelian_search(G, p)
+    t = np.array(G.table)
+    out = []
+    for V in lattice(G).subgroups:
+        if all(G.element_order(x) == p for x in V.elements[1:]):
+            sub = t[np.ix_(V.elements, V.elements)]
+            if (sub == sub.T).all():
+                out.append(V)
+    return out
+
+
+def _elementary_abelian_search(G, p):
+    """elementary_abelians by closing commuting elements of order p."""
     order_p = [x for x in G.elements() if x != 0 and G.element_order(x) == p]
     t = G.table
     found = {(0,)}

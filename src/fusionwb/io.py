@@ -30,7 +30,7 @@ from .models import (
     amalgam_presentation,
     hnn_presentation,
 )
-from .stable import StableFamily, fusion_sites
+from .stable import StableFamily, elementary_sites
 
 
 class ParseError(WorkbenchError):
@@ -370,7 +370,7 @@ def serialize_family(fam):
 
 
 def parse_family(F, text):
-    sites = fusion_sites(F)
+    sites = elementary_sites(F.group, F.p)
     by_key = {s.key: s for s in sites}
     comps = {}
     for ln in text.splitlines():

@@ -48,7 +48,3 @@ def nullspace(rows, ncols, p):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-red[:, free].T) % p
     return basis.tolist()
-
-
-def rank(rows, ncols, p):
-    return len(rref(rows, ncols, p)[1])

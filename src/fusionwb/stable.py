@@ -23,71 +23,62 @@ from .cohomology import (
     restriction_matrix,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
-from .groups import conjugation_hom, elementary_abelians, inclusion_hom
+from .fusion import _conjugation_images
+from .groups import InjHom, elementary_abelians, inclusion_hom
 from .linalg import nullspace
 
 MAX_DEGREE = 40
 
 
-def fusion_sites(F):
-    return [Site(V, F.p) for V in elementary_abelians(F.group, F.p)]
-
-
-def group_sites(G, p):
+def elementary_sites(G, p):
+    """A Site on each elementary abelian p-subgroup of G, in (size,
+    elements) order."""
     return [Site(V, p) for V in elementary_abelians(G, p)]
 
 
-def _index_p_inclusions(sites, p):
+def _site_morphisms(sites, images_of, p, generating):
+    """(sites, morphisms W -> V as (map, W, V) triples, sites by key).
+
+    images_of[W key] lists the image tuples of maps out of W, each image a
+    site.  A generating set is the index-p inclusions, then each image
+    tuple paired with the site it spans; the set of all morphisms pairs it
+    with every site above that one instead.
+    """
+    above = {sw.key: [sv for sv in sites[i:] if sv.V.contains_subgroup(sw.V)]
+             for i, sw in enumerate(sites)}
     homs = []
+    if generating:
+        homs = [(inclusion_hom(sw.V, sv.V), sw, sv)
+                for sw in sites for sv in above[sw.key]
+                if sv.V.order == p * sw.V.order]
     for sw in sites:
-        for sv in sites:
-            if (sv.V.order == p * sw.V.order
-                    and sv.V.contains_subgroup(sw.V)):
-                homs.append((inclusion_hom(sw.V, sv.V), sw, sv))
-    return homs
+        for images in images_of[sw.key]:
+            targets = above[tuple(sorted(images))]
+            for sv in targets[:1] if generating else targets:
+                homs.append((InjHom(sw.V, sv.V, images, _trusted=True),
+                             sw, sv))
+    return sites, homs, {s.key: s for s in sites}
 
 
 def fusion_ea_morphisms(F, generating=True):
-    """Morphisms between elementary abelian sites: a generating set, or all.
-
-    A morphism W -> V is a stored h : W -> S paired with a site V >= h(W),
-    only V = h(W) in a generating set; restriction reads only h's values.
-    """
-    sites = fusion_sites(F)
-    by_key = {s.key: s for s in sites}
-    homs = _index_p_inclusions(sites, F.p) if generating else []
-    for sw in sites:
-        into = {}                       # site key -> maps with image in it
-        for h in F.homsets[sw.key]:
-            above = F.lattice.above[h.image_elements()]  # h(W) comes first
-            for Q in above[:1] if generating else above:
-                into.setdefault(Q.elements, []).append(h)
-        for sv in sites:
-            for h in into.get(sv.key, ()):
-                homs.append((h, sw, sv))
-    return sites, homs, by_key
+    """Morphisms between elementary abelian sites, from the stored maps
+    Hom_F(W, S): a generating set, or all."""
+    sites = elementary_sites(F.group, F.p)
+    images_of = {s.key: [h.images for h in F.homsets[s.key]] for s in sites}
+    return _site_morphisms(sites, images_of, F.p, generating)
 
 
 def quillen_morphisms(G, p):
     """Index-p inclusions plus all conjugation isomorphisms between sites."""
-    sites = group_sites(G, p)
-    by_key = {s.key: s for s in sites}
-    homs = _index_p_inclusions(sites, p)
-    for sw in sites:
-        seen = set()
-        for g in G.elements():
-            images = tuple(G.conj(g, x) for x in sw.V.elements)
-            if images in seen:
-                continue
-            seen.add(images)
-            target = by_key[tuple(sorted(images))]
-            homs.append((conjugation_hom(sw.V, target.V, g), sw, target))
-    return sites, homs, by_key
+    sites = elementary_sites(G, p)
+    # the sites' elements are closed under conjugation
+    found = _conjugation_images(G, {x: x for s in sites for x in s.key},
+                                [s.V for s in sites])
+    return _site_morphisms(sites, found, p, generating=True)
 
 
 def _limit_basis(sites, homs, d, p):
     """Families (one class per site) compatible under every given morphism."""
-    sites = sorted(sites, key=lambda s: (s.V.order, s.key))
     bases = {s.key: cohomology_basis(s, d) for s in sites}
     offsets = {}
     total = 0
@@ -120,7 +111,17 @@ def _limit_basis(sites, homs, d, p):
                     terms[mono] = coeff
             comps[s.key] = CohoElement(s, terms)
         families.append(comps)
-    return sites, families
+    return families
+
+
+def _limits(build, p, degrees, degree_cap):
+    """_limit_basis at each of degrees, over the (sites, homs, ...) that
+    build() returns, built once."""
+    top = max(degrees, default=0)
+    if top > degree_cap:
+        raise DegreeBoundExceeded(f"degree {top} exceeds cap {degree_cap}")
+    sites, homs, _ = build()
+    return sites, [_limit_basis(sites, homs, d, p) for d in degrees]
 
 
 @dataclass
@@ -146,34 +147,27 @@ class StableFamily:
         return "\n".join(lines)
 
 
-def _stable_families(F, sites, homs, d):
-    sites, families = _limit_basis(sites, homs, d, F.p)
-    return [StableFamily(F, d, comps, tuple(sites)) for comps in families]
+def _stable_series(F, degrees, generating=True, degree_cap=MAX_DEGREE):
+    sites, limits = _limits(lambda: fusion_ea_morphisms(F, generating),
+                            F.p, degrees, degree_cap)
+    return [[StableFamily(F, d, comps, tuple(sites)) for comps in families]
+            for d, families in zip(degrees, limits)]
 
 
 def stable_basis(F, d, degree_cap=MAX_DEGREE):
     """Basis of the degree-d stable elements of F at the elementary-abelian level."""
-    if d > degree_cap:
-        raise DegreeBoundExceeded(f"degree {d} exceeds cap {degree_cap}")
-    sites, homs, _ = fusion_ea_morphisms(F, generating=True)
-    return _stable_families(F, sites, homs, d)
+    return _stable_series(F, [d], degree_cap=degree_cap)[0]
 
 
 def stable_bases(F, max_degree, degree_cap=MAX_DEGREE):
     """stable_basis(F, d) for d = 0..max_degree, building the sites and
     morphisms once; a list with one list of families per degree."""
-    if max_degree > degree_cap:
-        raise DegreeBoundExceeded(
-            f"degree {max_degree} exceeds cap {degree_cap}")
-    sites, homs, _ = fusion_ea_morphisms(F, generating=True)
-    return [_stable_families(F, sites, homs, d)
-            for d in range(max_degree + 1)]
+    return _stable_series(F, range(max_degree + 1), degree_cap=degree_cap)
 
 
 def stable_basis_all_morphisms(F, d):
     """Same limit over every fusion morphism; the brute-force cross-check."""
-    sites, homs, _ = fusion_ea_morphisms(F, generating=False)
-    return _stable_families(F, sites, homs, d)
+    return _stable_series(F, [d], generating=False)[0]
 
 
 def poincare_series(F, max_degree, degree_cap=MAX_DEGREE):
@@ -195,9 +189,7 @@ def family_power(fam, k):
 
 def check_family(fam):
     """Verify compatibility under every fusion morphism between sites."""
-    F = fam.F
-    sites, homs, _ = fusion_ea_morphisms(F, generating=False)
-    by_key = {s.key: s for s in sites}
+    sites, homs, _ = fusion_ea_morphisms(fam.F, generating=False)
     for key, comp in fam.components.items():
         if comp.site.key != key:
             raise IncompatibleFamily("component stored under the wrong site")
@@ -205,8 +197,7 @@ def check_family(fam):
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
     for phi, sw, sv in homs:
-        got = restrict_element(phi, by_key[sw.key], by_key[sv.key],
-                               fam.components[sv.key])
+        got = restrict_element(phi, sw, sv, fam.components[sv.key])
         want = fam.components[sw.key]
         if got.terms != want.terms:
             raise IncompatibleFamily(
@@ -231,10 +222,15 @@ class QuillenLimit:
     sites: tuple
 
 
+def quillen_limits(G, p, degrees, degree_cap=MAX_DEGREE):
+    """The same limit over the Quillen category of a finite group, at each
+    of degrees, building the sites and morphisms once."""
+    sites, limits = _limits(lambda: quillen_morphisms(G, p), p, degrees,
+                            degree_cap)
+    return [QuillenLimit(G, p, d, len(families), families, tuple(sites))
+            for d, families in zip(degrees, limits)]
+
+
 def quillen_limit_finite_group(G, p, d, degree_cap=MAX_DEGREE):
-    """The same limit over the Quillen category of a finite group."""
-    if d > degree_cap:
-        raise DegreeBoundExceeded(f"degree {d} exceeds cap {degree_cap}")
-    sites, homs, _ = quillen_morphisms(G, p)
-    sites, families = _limit_basis(sites, homs, d, p)
-    return QuillenLimit(G, p, d, len(families), families, tuple(sites))
+    """quillen_limits at the one degree d."""
+    return quillen_limits(G, p, [d], degree_cap)[0]

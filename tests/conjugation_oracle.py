@@ -1,13 +1,22 @@
 """Reference loops for conjugation maps and F-conjugacy classes.
 
 The library computes every c_g : P -> Q with one enumerator
-(fusion.conjugation_homs), and reads the F-class of P off the images of
-the morphisms P -> S.  The tests keep the loops these replaced, one per
-(P, Q, g) triple with the subgroups searched afresh, and a union-find over
-pairs of subgroups, as the independent oracles for them.
+(fusion.conjugation_homs), reads the F-class of P off the images of the
+morphisms P -> S, and builds the morphisms between elementary abelian
+sites with one builder (stable._site_morphisms).  The tests keep the loops
+these replaced, one per (P, Q, g) triple with the subgroups searched
+afresh, a union-find over pairs of subgroups, and a conjugation loop per
+site, as the independent oracles for them.
 """
 
-from fusionwb.groups import InjHom, normalizer, subgroups, subgroup_as_group
+from fusionwb.groups import (
+    InjHom,
+    conjugation_hom,
+    inclusion_hom,
+    normalizer,
+    subgroups,
+    subgroup_as_group,
+)
 
 
 def reference_transporter_homsets(S, G, p):
@@ -84,3 +93,48 @@ def reference_classes(F):
                for v in buckets.values()]
     classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
     return tuple(classes)
+
+
+def _index_p_inclusions(sites, p):
+    homs = []
+    for sw in sites:
+        for sv in sites:
+            if (sv.V.order == p * sw.V.order
+                    and sv.V.contains_subgroup(sw.V)):
+                homs.append((inclusion_hom(sw.V, sv.V), sw, sv))
+    return homs
+
+
+def reference_fusion_ea_morphisms(F, sites, generating=True):
+    """Morphisms between elementary abelian sites: a generating set, or all.
+
+    A morphism W -> V is a stored h : W -> S paired with a site V >= h(W),
+    only V = h(W) in a generating set; restriction reads only h's values.
+    """
+    homs = _index_p_inclusions(sites, F.p) if generating else []
+    for sw in sites:
+        into = {}                       # site key -> maps with image in it
+        for h in F.homsets[sw.key]:
+            above = F.lattice.above[h.image_elements()]  # h(W) comes first
+            for Q in above[:1] if generating else above:
+                into.setdefault(Q.elements, []).append(h)
+        for sv in sites:
+            for h in into.get(sv.key, ()):
+                homs.append((h, sw, sv))
+    return homs
+
+
+def reference_quillen_morphisms(G, p, sites):
+    """Index-p inclusions plus all conjugation isomorphisms between sites."""
+    by_key = {s.key: s for s in sites}
+    homs = _index_p_inclusions(sites, p)
+    for sw in sites:
+        seen = set()
+        for g in G.elements():
+            images = tuple(G.conj(g, x) for x in sw.V.elements)
+            if images in seen:
+                continue
+            seen.add(images)
+            target = by_key[tuple(sorted(images))]
+            homs.append((conjugation_hom(sw.V, target.V, g), sw, target))
+    return homs

@@ -153,6 +153,47 @@ def test_usage_error_exit_two(capsys):
     assert main(["no-such-verb"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "sylow", str(DATA / "s4.grp"), "--prime", "0"],
+    ["group", "sylow", str(DATA / "s4.grp"), "--prime", "4"],
+    ["stable", "basis", "--fusion", str(DATA / "v4_gl2.fus"),
+     "--max-degree", "-1"],
+    ["stable", "poincare", "--fusion", str(DATA / "v4_gl2.fus"),
+     "--max-degree", "-1"],
+    ["stable", "compare", "--group", str(DATA / "a4.grp"),
+     "--fusion", str(DATA / "v4_rho.fus"), "--max-degree", "-1"],
+], ids=["sylow-prime-0", "sylow-prime-4", "basis-degree", "poincare-degree",
+        "compare-degree"])
+def test_bad_numeric_flag_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
+def test_negative_radius_exit_two(tmp_path, capsys):
+    pres = tmp_path / "m.pres"
+    assert main(["model", "hnn", str(DATA / "c3_inversion.fus"),
+                 "--out", str(pres)]) == 0
+    capsys.readouterr()
+    assert main(["model", "verify", "--presentation", str(pres),
+                 "--fusion", str(DATA / "c3_inversion.fus"),
+                 "--radius", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 0, not -1" in captured.err
+
+
+def test_prime_one_exit_two_at_once():
+    # in a subprocess with a timeout: p = 1 once sent p_part into a loop
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionwb", "fusion", "saturate",
+         "--group", str(DATA / "s4.grp"), "--prime", "1"],
+        capture_output=True, text=True, env=_checkout_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "must be a prime, not 1" in proc.stderr
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["group", "info", "/nonexistent.grp"]) == 2
 
@@ -211,11 +252,16 @@ def test_console_entry_point():
     assert "1 0 1 1 1 1 2" in proc.stdout
 
 
-def test_module_entry_point_from_a_checkout():
+def _checkout_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_module_entry_point_from_a_checkout():
+    env = _checkout_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fusionwb", "group", "info",
          str(DATA / "d8.grp")],

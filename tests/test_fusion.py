@@ -14,7 +14,6 @@ from fusionwb.fusion import (
     SylowFailure,
     aut_group,
     centric_subgroups,
-    conjugacy_classes,
     fully_centralized,
     fully_normalized,
     fusion_equal,
@@ -22,7 +21,6 @@ from fusionwb.fusion import (
     generate_fusion,
     is_saturated,
     is_subfusion,
-    orbit_homset,
     out_f,
     strongly_closed,
     transporter,
@@ -147,7 +145,7 @@ def test_non_saturated_witness_exact():
 
 
 def test_conjugacy_and_normalized_predicates(f_a4):
-    classes = conjugacy_classes(f_a4)
+    classes = f_a4.conjugacy_classes()
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 1, 3]
     assert fully_normalized(f_a4, f_a4.S)
@@ -202,16 +200,6 @@ def test_aut_group_structure(f_s4):
              and len(f_s4.aut_set(P)) == 6)
     A, _ = aut_group(f_s4, V)
     assert is_isomorphic(A, symmetric(3))
-
-
-def test_orbit_homset_partition(f_s4):
-    for P in f_s4.subgroups:
-        for Q in f_s4.subgroups:
-            homs = f_s4.hom(P, Q)
-            orbits = orbit_homset(f_s4, P, Q)
-            assert sum(len(o) for o in orbits) == len(homs)
-            seen = [h.images for o in orbits for h in o]
-            assert sorted(seen) == sorted(h.images for h in homs)
 
 
 def test_strongly_closed(f_a4):

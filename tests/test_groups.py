@@ -34,7 +34,6 @@ from fusionwb.groups import (
     subgroup_as_group,
     subgroups,
     sylow_p,
-    trivial_subgroup,
 )
 
 
@@ -127,8 +126,7 @@ def test_subgroups_closed_under_conjugation():
 
 def test_centralizer_of_center_is_whole_group():
     D8 = dihedral8()
-    from fusionwb.groups import center
-    Z = center(D8)
+    Z = centralizer(D8, full_subgroup(D8))
     assert Z.order == 2
     assert centralizer(D8, Z) == full_subgroup(D8)
 
@@ -273,7 +271,7 @@ def test_subgroup_lagrange_and_closure_validation():
         Subgroup(D8, (0, 1, 2))     # not closed
     with pytest.raises(ValueError):
         Subgroup(D8, (1, 3))        # no identity
-    assert trivial_subgroup(D8).order == 1
+    assert Subgroup(D8, (0,)).order == 1
 
 
 def test_direct_product_and_elementary():
@@ -281,6 +279,12 @@ def test_direct_product_and_elementary():
     assert is_isomorphic(G, cyclic(6))
     E = elementary(3, 2)
     assert E.order == 9 and E.exponent_divides(3)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_p_part_refuses_p_below_two(p):
+    with pytest.raises(ValueError):
+        p_part(12, p)
 
 
 def test_named_group_catalog_orders():

@@ -1,20 +1,26 @@
-"""The cached subgroup lattice and the one conjugation-map enumerator."""
+"""The cached subgroup lattice and the one conjugation-map enumerator,
+and the elementary abelian sites and site morphisms read off them."""
 
 import pytest
 
 from conjugation_oracle import (
     reference_classes,
+    reference_fusion_ea_morphisms,
     reference_pullback_morphisms,
+    reference_quillen_morphisms,
     reference_transporter_homsets,
 )
 from fusionwb import groups
 from fusionwb.catalog import (
     alternating4,
     cyclic,
+    dihedral8,
     direct_product,
+    elementary,
     klein_four,
     symmetric,
 )
+from fusionwb.cohomology import Site
 from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
 from fusionwb.fusion import (
     conjugation_homs,
@@ -24,6 +30,7 @@ from fusionwb.fusion import (
 )
 from fusionwb.groups import InjHom, full_subgroup, lattice, sylow_p
 from fusionwb.io import load_fusion_spec
+from fusionwb.stable import fusion_ea_morphisms, quillen_morphisms
 from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
@@ -154,3 +161,89 @@ def test_subfusion_witness_is_the_first_pulled_back_map(datums):
     witness = [f for f in report.failures if f.clause == "SubfusionFailure"]
     assert [f.detail for f in witness] == [
         f"pulled-back morphism {first_bad!r} is not in F"]
+
+
+def _p_groups():
+    """Every corpus p-group, plus C2^5, D8xD8 and C3^3."""
+    out = [(G, next(iter(G.order_factors))) for G in CORPUS.groups.values()
+           if len(G.order_factors) == 1]
+    D8xD8 = direct_product(dihedral8(), dihedral8())
+    return out + [(elementary(2, 5), 2), (D8xD8, 2), (elementary(3, 3), 3)]
+
+
+@pytest.mark.parametrize("G, p", _p_groups(),
+                         ids=lambda x: str(getattr(x, "name", x)))
+def test_elementary_abelians_of_a_p_group_match_the_search(G, p):
+    search = groups._elementary_abelian_search
+    got = groups.elementary_abelians(G, p)
+    assert [V.elements for V in got] == [V.elements for V in search(G, p)]
+    assert all(V is lattice(G).by_key[V.elements] for V in got)
+    q = next(q for q in (2, 3, 5) if G.order % q)
+    assert ([V.elements for V in groups.elementary_abelians(G, q)]
+            == [V.elements for V in search(G, q)] == [(0,)])
+
+
+def test_elementary_abelians_search_only_off_p_groups(monkeypatch):
+    searched = []
+    search = groups._elementary_abelian_search
+
+    def counting(G, p):
+        searched.append((G.name, p))
+        return search(G, p)
+
+    monkeypatch.setattr(groups, "_elementary_abelian_search", counting)
+    G = symmetric(4)
+    groups.elementary_abelians(G, 2)
+    groups.elementary_abelians(G, 3)
+    assert searched == [(G.name, 2), (G.name, 3)]
+    assert G._lattice is None
+    S = groups.subgroup_as_group(sylow_p(G, 2))
+    groups.elementary_abelians(S, 2)
+    assert len(searched) == 2
+
+
+def _triples(homs):
+    return [(phi.images, sw.key, sv.key) for phi, sw, sv in homs]
+
+
+def _quillen_groups():
+    S4xC2 = direct_product(symmetric(4), cyclic(2))
+    return [(G, p) for G in (alternating4(), symmetric(4), S4xC2, symmetric(5))
+            for p in sorted(G.order_factors)]
+
+
+@pytest.mark.parametrize("G, p", _quillen_groups(),
+                         ids=lambda x: str(getattr(x, "name", x)))
+def test_quillen_morphisms_match_the_per_site_loop(G, p):
+    sites, homs, _ = quillen_morphisms(G, p)
+    ref_sites = [Site(V, p) for V in groups._elementary_abelian_search(G, p)]
+    assert [s.key for s in sites] == [s.key for s in ref_sites]
+    assert _triples(homs) == _triples(
+        reference_quillen_morphisms(G, p, ref_sites))
+
+
+def _transporter(G):
+    return fusion_from_group(sylow_p(G, 2), G, p=2)
+
+
+SYSTEMS = {
+    **{name: lambda name=name: load_fusion_spec(
+        corpus_dir() / f"{name}.fus").fusion()
+       for name in ("c3_inversion", "v4_gl2", "v4_involution", "v4_rho")},
+    "S4": lambda: _transporter(symmetric(4)),
+    "D8xC2": lambda: _transporter(direct_product(dihedral8(), cyclic(2))),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_fusion_ea_morphisms_match_the_old_builder(name):
+    F = SYSTEMS[name]()
+    ref_sites = [Site(V, F.p)
+                 for V in groups._elementary_abelian_search(F.group, F.p)]
+    for generating in (True, False):
+        sites, homs, _ = fusion_ea_morphisms(F, generating)
+        assert [s.key for s in sites] == [s.key for s in ref_sites]
+        ref = reference_fusion_ea_morphisms(F, ref_sites, generating)
+        # the same morphisms; within a source site they now come by images
+        assert sorted(_triples(homs)) == sorted(_triples(ref))
+        assert len(homs) == len(ref)
