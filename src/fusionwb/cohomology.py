@@ -282,48 +282,58 @@ def format_monomial(mono, p):
 
 
 def hom_matrix(phi, site_w, site_v):
-    """Columns are coordinates of phi(w_j) in the target site's basis."""
-    cols = []
-    for w in site_w.basis:
-        cols.append(site_v.coords[phi.image_of(w)])
-    # M[i][j] = coefficient of v_i in phi(w_j)
-    return [[cols[j][i] for j in range(site_w.rank)]
-            for i in range(site_v.rank)]
+    """Columns are coordinates of phi(w_j) in the target site's basis.
+
+    M[i][j] = coefficient of v_i in phi(w_j), as an int32 rank_V x rank_W
+    array.
+    """
+    cols = [site_v.coords[phi.image_of(w)] for w in site_w.basis]
+    return np.array(cols, dtype=np.int32).reshape(site_w.rank, site_v.rank).T
 
 
-def restriction_matrix(phi, site_w, site_v, d):
-    """Images along phi: W -> V of every degree-d basis monomial of site_v.
+def restriction_matrices(homs, n_w, n_v, p, d):
+    """Images of every degree-d basis monomial of a rank-n_v site along each
+    of a stack of maps from a rank-n_w site.
 
-    Column c is the image of the c-th monomial of cohomology_basis(site_v,
-    d), in coordinates of cohomology_basis(site_w, d), as an int32 array
-    with entries in [0, p).  phi* is a ring map, so the image of a monomial
-    is phi*(g) times the image of the rest, for g its first generator:
-    phi*(a_i) = sum_j M[i][j] a_j and phi*(x_i) = sum_j M[i][j] x_j.  The
-    images of each degree are built once, a degree at a time, from those of
-    the degree one generator down.
+    homs is an (m, n_v, n_w) stack of hom matrices (see hom_matrix) with
+    entries in [0, p).  Returns the (m, B_w, B_v) int32 stack of images,
+    entries in [0, p): column c of image k is the image of the c-th
+    monomial of the degree-d basis of the target, in coordinates of the
+    degree-d basis of the source.  phi* is a ring map, so the image of a
+    monomial is phi*(g) times the image of the rest, for g its first
+    generator: phi*(a_i) = sum_j M[i][j] a_j and phi*(x_i) = sum_j M[i][j]
+    x_j.  The images of each degree are built once, a degree at a time,
+    from those of the degree one generator down, for the whole stack at
+    once.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    p = site_v.p
-    n_w, n_v = site_w.rank, site_v.rank
-    hom = np.array(hom_matrix(phi, site_w, site_v),
-                   dtype=np.int32).reshape(n_v, n_w)
-    images = [np.ones((1, 1), dtype=np.int32)]
+    m = len(homs)
+    homs = np.asarray(homs, dtype=np.int32).reshape(m, n_v, n_w)
+    images = [np.ones((m, 1, 1), dtype=np.int32)]
     for k in range(1, d + 1):
-        img = np.zeros((len(_basis(n_w, p, k)), len(_basis(n_v, p, k))),
+        img = np.zeros((m, len(_basis(n_w, p, k)), len(_basis(n_v, p, k))),
                        dtype=np.int32)
         for exterior, cols, gens, rests in _peels(n_v, p, k):
             below = k - _generator_degree(exterior, p)
-            rest_images = images[below][:, rests]
-            coeffs = hom[gens]
-            part = np.zeros((len(img), len(cols)), dtype=np.int32)
+            rest_images = images[below][:, :, rests]
+            coeffs = homs[:, gens]
+            part = np.zeros((m, img.shape[1], len(cols)), dtype=np.int32)
             products = _left_products(n_w, p, below, exterior)
-            for j in np.flatnonzero(coeffs.any(axis=0)):
+            for j in np.flatnonzero(coeffs.any(axis=(0, 1))):
                 src, dst, sign = products[j]
-                part[dst] += sign * rest_images[src] * coeffs[:, j]
-            img[:, cols] = part
+                part[:, dst] += (sign * rest_images[:, src]
+                                 * coeffs[:, None, :, j])
+            img[:, :, cols] = part
         images.append(img % p)
     return images[d]
+
+
+def restriction_matrix(phi, site_w, site_v, d):
+    """Images along phi: W -> V of every degree-d basis monomial of site_v:
+    restriction_matrices on the one hom matrix of phi."""
+    return restriction_matrices(hom_matrix(phi, site_w, site_v)[None],
+                                site_w.rank, site_v.rank, site_v.p, d)[0]
 
 
 def restrict_element(phi, site_w, site_v, elem):

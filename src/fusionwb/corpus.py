@@ -21,6 +21,7 @@ from .fusion import (
 )
 from .groups import (
     InjHom,
+    _elementary_abelian_search,
     Subgroup,
     centralizer,
     conjugate_subgroup,
@@ -135,7 +136,14 @@ def _check_group(name, G):
         P = sylow_p(G, p)
         if P.order != p_part(G.order, p):
             raise AssertionError(f"{name}: Sylow {p}-subgroup has wrong order")
-        for V in elementary_abelians(G, p):
+        found = elementary_abelians(G, p)
+        # a p-group's list is read off the lattice, so check it against
+        # the search that other groups get
+        if P.order == G.order and [V.elements for V in found] != [
+                V.elements for V in _elementary_abelian_search(G, p)]:
+            raise AssertionError(
+                f"{name}: elementary abelians differ from the search")
+        for V in found:
             if V.elements not in lat.by_key:
                 raise AssertionError(f"{name}: elementary abelian not listed")
             for x in V.elements:

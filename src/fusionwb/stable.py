@@ -19,8 +19,9 @@ from .cohomology import (
     CohoElement,
     Site,
     cohomology_basis,
-    restrict_element,
-    restriction_matrix,
+    hom_matrix,
+    monomial_degree,
+    restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
 from .fusion import _conjugation_images
@@ -77,31 +78,62 @@ def quillen_morphisms(G, p):
     return _site_morphisms(sites, found, p, generating=True)
 
 
-def _limit_basis(sites, homs, d, p):
-    """Families (one class per site) compatible under every given morphism."""
+def _restrictions(homs, d, p):
+    """The degree-d restriction matrices along homs, (phi, W, V) triples,
+    by (rank_W, rank_V) shape: the positions in homs of the morphisms of
+    that shape, and the stack of their matrices in the same order.
+
+    The kernel runs once per shape, on the distinct hom matrices of that
+    shape; morphisms with equal matrices share an image.
+    """
+    shapes = {}
+    for k, (phi, sw, sv) in enumerate(homs):
+        mat = hom_matrix(phi, sw, sv)
+        positions, distinct, which = shapes.setdefault(
+            (sw.rank, sv.rank), ([], {}, []))
+        positions.append(k)
+        which.append(distinct.setdefault(mat.tobytes(),
+                                         (len(distinct), mat))[0])
+    return [(np.array(positions),
+             restriction_matrices([mat for _, mat in distinct.values()],
+                                  *shape, p, d)[which])
+            for shape, (positions, distinct, which) in shapes.items()]
+
+
+def _constraints(sites, homs, d, p):
+    """(bases, offsets, total, nonzero rows of the limit's linear system).
+
+    One block of equations per morphism phi: W -> V, in the order of homs,
+    saying that the restriction of the V component equals the W component.
+    An identity gives only zero rows, so it is skipped.
+    """
     bases = {s.key: cohomology_basis(s, d) for s in sites}
     offsets = {}
     total = 0
     for s in sites:
         offsets[s.key] = total
         total += len(bases[s.key])
-    # One block of equations per morphism phi: W -> V, saying that the
-    # restriction of the V component equals the W component.  An identity
-    # gives only zero rows.
-    blocks = [np.zeros((0, total), dtype=np.int32)]
-    for phi, sw, sv in homs:
-        n_w = len(bases[sw.key])
-        if not n_w or (sw.key == sv.key and phi.images == sw.key):
-            continue
-        block = np.zeros((n_w, total), dtype=np.int32)
-        ov, ow = offsets[sv.key], offsets[sw.key]
-        block[:, ov:ov + len(bases[sv.key])] = restriction_matrix(
-            phi, sw, sv, d)
-        diag = np.arange(n_w)
-        block[diag, ow + diag] = (block[diag, ow + diag] - 1) % p
-        blocks.append(block[block.any(axis=1)])
+    homs = [(phi, sw, sv) for phi, sw, sv in homs if bases[sw.key]
+            and not (sw.key == sv.key and phi.images == sw.key)]
+    starts = np.cumsum([0] + [len(bases[sw.key]) for _, sw, _ in homs])
+    system = np.zeros((starts[-1], total), dtype=np.int32)
+    ow = np.array([offsets[sw.key] for _, sw, _ in homs], dtype=np.intp)
+    ov = np.array([offsets[sv.key] for _, _, sv in homs], dtype=np.intp)
+    for positions, images in _restrictions(homs, d, p):
+        _, n_w, n_v = images.shape
+        rows = starts[positions, None] + np.arange(n_w)
+        cols = ov[positions, None] + np.arange(n_v)
+        system[rows[:, :, None], cols[:, None, :]] = images
+        diag = ow[positions, None] + np.arange(n_w)
+        system[rows, diag] = (system[rows, diag] - 1) % p
+    return bases, offsets, total, system[system.any(axis=1)]
+
+
+def _limit_basis(sites, homs, d, p):
+    """Families (one class per site) compatible under every given morphism."""
+    bases, offsets, total, system = _constraints(sites, homs, d, p)
     families = []
-    for vec in nullspace(np.concatenate(blocks), total, p):
+    for vec in nullspace(system, total, p):
         comps = {}
         for s in sites:
             terms = {}
@@ -181,6 +213,9 @@ def family_product(f1, f2):
 
 
 def family_power(fam, k):
+    """The k-th cup power of fam, for k >= 1."""
+    if k < 1:
+        raise ValueError(f"power must be at least 1, not {k}")
     out = fam
     for _ in range(k - 1):
         out = family_product(out, fam)
@@ -196,12 +231,27 @@ def check_family(fam):
     missing = [s.key for s in sites if s.key not in fam.components]
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
-    for phi, sw, sv in homs:
-        got = restrict_element(phi, sw, sv, fam.components[sv.key])
-        want = fam.components[sw.key]
-        if got.terms != want.terms:
-            raise IncompatibleFamily(
-                f"restriction along {phi!r} disagrees at {list(sw.key)}")
+    p = fam.F.p
+    degrees = sorted({monomial_degree(mono, p)
+                      for comp in fam.components.values()
+                      for mono in comp.terms})
+    first_bad = len(homs)
+    for d in degrees:
+        vec = {key: comp.coords_in(cohomology_basis(comp.site, d))
+               for key, comp in fam.components.items()}
+        for positions, images in _restrictions(homs, d, p):
+            on_v = np.array([vec[homs[k][2].key] for k in positions],
+                            dtype=np.int32)
+            on_w = np.array([vec[homs[k][1].key] for k in positions],
+                            dtype=np.int32)
+            got = np.einsum("kij,kj->ki", images, on_v) % p
+            bad = positions[(got != on_w).any(axis=1)]
+            if bad.size:
+                first_bad = min(first_bad, bad[0])
+    if first_bad < len(homs):
+        phi, sw, _ = homs[first_bad]
+        raise IncompatibleFamily(
+            f"restriction along {phi!r} disagrees at {list(sw.key)}")
     return True
 
 

@@ -247,7 +247,7 @@ def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fusionwb.cli", "stable", "poincare",
          "--fusion", str(DATA / "v4_gl2.fus"), "--max-degree", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0
     assert "1 0 1 1 1 1 2" in proc.stdout
 

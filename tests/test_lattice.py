@@ -10,7 +10,7 @@ from conjugation_oracle import (
     reference_quillen_morphisms,
     reference_transporter_homsets,
 )
-from fusionwb import groups
+from fusionwb import corpus, groups
 from fusionwb.catalog import (
     alternating4,
     cyclic,
@@ -200,6 +200,17 @@ def test_elementary_abelians_search_only_off_p_groups(monkeypatch):
     S = groups.subgroup_as_group(sylow_p(G, 2))
     groups.elementary_abelians(S, 2)
     assert len(searched) == 2
+
+
+def test_corpus_check_cross_checks_the_elementary_abelians(monkeypatch):
+    real = groups.elementary_abelians
+    monkeypatch.setattr(corpus, "elementary_abelians",
+                        lambda G, p: real(G, p)[:-1])
+    report = corpus.corpus_check()
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("group-invariants: ")
+    assert report.failures[0].endswith(
+        ": elementary abelians differ from the search")
 
 
 def _triples(homs):

@@ -1,8 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from elimination_oracle import reference_nullspace, reference_rref
+from restriction_oracle import (
+    reference_constraints,
+    reference_restriction,
+    reference_restriction_matrix,
+)
 
 from fusionwb.catalog import (
     alternating4,
@@ -16,7 +22,10 @@ from fusionwb.cohomology import (
     CohoElement,
     Site,
     cohomology_basis,
+    _basis,
     format_monomial,
+    restrict_element,
+    restriction_matrices,
     restriction_matrix,
 )
 from fusionwb.errors import (
@@ -40,8 +49,11 @@ from fusionwb.stable import (
     family_product,
     fusion_ea_morphisms,
     is_nilpotent,
+    _constraints,
+    _restrictions,
     poincare_series,
     quillen_limit_finite_group,
+    quillen_morphisms,
     stable_basis,
     stable_basis_all_morphisms,
 )
@@ -313,6 +325,127 @@ def test_restriction_functoriality_odd_p():
 
 
 # ---------------------------------------------------------------------------
+# the batched restriction kernel against the per-morphism reference
+
+
+def _random_homs(rng, n_w, n_v, p):
+    """A zero matrix, one with two equal columns (not injective when
+    n_w > 1) and two uniform ones, as an (m, n_v, n_w) list."""
+    def uniform():
+        return [[rng.randrange(p) for _ in range(n_w)] for _ in range(n_v)]
+    repeated = [row[:1] * n_w for row in uniform()]
+    return [[[0] * n_w for _ in range(n_v)], repeated, uniform(), uniform()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batched_restriction_matches_reference(p):
+    rng = random.Random(7 * p)
+    for n_w, n_v in itertools.product(range(1, 5), repeat=2):
+        homs = _random_homs(rng, n_w, n_v, p)
+        for d in range(7):
+            got = restriction_matrices(np.array(homs), n_w, n_v, p, d)
+            shape = (len(_basis(n_w, p, d)), len(_basis(n_v, p, d)))
+            assert got.shape == (len(homs), *shape)
+            assert got.dtype == np.int32
+            for hom, image in zip(homs, got):
+                assert np.array_equal(
+                    image, reference_restriction(hom, n_w, n_v, p, d))
+
+
+def test_batched_restriction_of_an_empty_batch():
+    for p, d in ((2, 3), (3, 4)):
+        got = restriction_matrices(np.zeros((0, 2, 3), dtype=np.int32),
+                                   3, 2, p, d)
+        assert got.shape == (0, len(_basis(3, p, d)), len(_basis(2, p, d)))
+    with pytest.raises(ValueError):
+        restriction_matrices(np.zeros((0, 2, 3)), 3, 2, 2, -1)
+
+
+def _automizer_system(p, rank, mats):
+    S = full_subgroup(elementary(p, rank))
+    return generate_fusion(S, p, [_linear_automorphism(S, p, m)
+                                  for m in mats])
+
+
+# The generators of the c2e4_shift and c3e2_q8 inputs of the benchmark:
+# a 4-cycle of the coordinates of C2^4, and Q8 < GL2(3) on C3^2.
+KERNEL_SYSTEMS = {
+    "c2e4_shift": lambda: _automizer_system(
+        2, 4, [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]),
+    "c3e2_q8": lambda: _automizer_system(
+        3, 2, [[[0, 2], [1, 0]], [[1, 1], [1, 2]]]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_restriction_on_generating_morphisms(name):
+    F = KERNEL_SYSTEMS[name]()
+    sites, homs, _ = fusion_ea_morphisms(F)
+    assert len(homs) > 20
+    for d in range(4):
+        want = [reference_restriction_matrix(phi, sw, sv, d)
+                for phi, sw, sv in homs]
+        for (phi, sw, sv), ref in zip(homs, want):
+            assert np.array_equal(restriction_matrix(phi, sw, sv, d), ref)
+        seen = []
+        for positions, images in _restrictions(homs, d, F.p):
+            seen.extend(positions.tolist())
+            for k, image in zip(positions, images):
+                assert np.array_equal(image, want[k])
+        assert sorted(seen) == list(range(len(homs)))
+        assert np.array_equal(_constraints(sites, homs, d, F.p)[3],
+                              reference_constraints(sites, homs, d, F.p))
+
+
+def test_constraints_match_the_per_morphism_assembly():
+    V4 = klein_four()
+    S = full_subgroup(V4)
+    S4 = symmetric(4)
+    cases = [fusion_ea_morphisms(generate_fusion(
+                 S, 2, [InjHom(S, S, [0, 2, 3, 1]), InjHom(S, S, [0, 2, 1, 3])]),
+                 generating=False),
+             fusion_ea_morphisms(fusion_from_group(sylow_p(S4, 2), S4)),
+             quillen_morphisms(S4, 2), quillen_morphisms(S4, 3)]
+    for sites, homs, _ in cases:
+        p = sites[0].p
+        for d in range(6):
+            assert np.array_equal(_constraints(sites, homs, d, p)[3],
+                                  reference_constraints(sites, homs, d, p))
+
+
+def test_check_family_names_the_first_failing_morphism():
+    F = KERNEL_SYSTEMS["c3e2_q8"]()
+    homs = fusion_ea_morphisms(F, generating=False)[1]
+    rng = random.Random(3)
+    rejected = 0
+    for d in range(7):
+        for fam in stable_basis(F, d):
+            assert check_family(fam)
+            for _ in range(3):
+                # put a random class on one site of the family
+                site = rng.choice(fam.sites)
+                comps = dict(fam.components)
+                comps[site.key] = CohoElement(
+                    site, {mono: rng.randrange(3)
+                           for mono in cohomology_basis(site, d)})
+                bad = StableFamily(F, d, comps, fam.sites)
+                first = next(
+                    ((phi, sw) for phi, sw, sv in homs
+                     if restrict_element(phi, sw, sv, comps[sv.key]).terms
+                     != comps[sw.key].terms), None)
+                if first is None:
+                    assert check_family(bad)
+                    continue
+                phi, sw = first
+                with pytest.raises(IncompatibleFamily) as err:
+                    check_family(bad)
+                assert str(err.value) == (
+                    f"restriction along {phi!r} disagrees at {list(sw.key)}")
+                rejected += 1
+    assert rejected > 3
+
+
+# ---------------------------------------------------------------------------
 # stable bases
 
 
@@ -483,6 +616,14 @@ def test_p2_nilpotent_iff_zero():
                                    for s in stable_basis(F, 0)[0].sites},
                             stable_basis(F, 0)[0].sites)
         assert is_nilpotent(zero)
+
+
+def test_family_power_needs_a_positive_exponent(f33):
+    fam = stable_basis(f33, 2)[0]
+    assert family_power(fam, 1) is fam
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            family_power(fam, k)
 
 
 def test_incompatible_family_rejected(f33):
