@@ -20,7 +20,7 @@ from .cohomology import (
     Site,
     cohomology_basis,
     hom_matrix,
-    monomial_degree,
+    restrict_element,
     restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
@@ -81,23 +81,14 @@ def quillen_morphisms(G, p):
 def _restrictions(homs, d, p):
     """The degree-d restriction matrices along homs, (phi, W, V) triples,
     by (rank_W, rank_V) shape: the positions in homs of the morphisms of
-    that shape, and the stack of their matrices in the same order.
-
-    The kernel runs once per shape, on the distinct hom matrices of that
-    shape; morphisms with equal matrices share an image.
-    """
+    that shape, and the stack of their matrices in the same order."""
     shapes = {}
     for k, (phi, sw, sv) in enumerate(homs):
-        mat = hom_matrix(phi, sw, sv)
-        positions, distinct, which = shapes.setdefault(
-            (sw.rank, sv.rank), ([], {}, []))
+        positions, mats = shapes.setdefault((sw.rank, sv.rank), ([], []))
         positions.append(k)
-        which.append(distinct.setdefault(mat.tobytes(),
-                                         (len(distinct), mat))[0])
-    return [(np.array(positions),
-             restriction_matrices([mat for _, mat in distinct.values()],
-                                  *shape, p, d)[which])
-            for shape, (positions, distinct, which) in shapes.items()]
+        mats.append(hom_matrix(phi, sw, sv))
+    return [(np.array(positions), restriction_matrices(mats, *shape, p, d))
+            for shape, (positions, mats) in shapes.items()]
 
 
 def _constraints(sites, homs, d, p):
@@ -231,27 +222,12 @@ def check_family(fam):
     missing = [s.key for s in sites if s.key not in fam.components]
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
-    p = fam.F.p
-    degrees = sorted({monomial_degree(mono, p)
-                      for comp in fam.components.values()
-                      for mono in comp.terms})
-    first_bad = len(homs)
-    for d in degrees:
-        vec = {key: comp.coords_in(cohomology_basis(comp.site, d))
-               for key, comp in fam.components.items()}
-        for positions, images in _restrictions(homs, d, p):
-            on_v = np.array([vec[homs[k][2].key] for k in positions],
-                            dtype=np.int32)
-            on_w = np.array([vec[homs[k][1].key] for k in positions],
-                            dtype=np.int32)
-            got = np.einsum("kij,kj->ki", images, on_v) % p
-            bad = positions[(got != on_w).any(axis=1)]
-            if bad.size:
-                first_bad = min(first_bad, bad[0])
-    if first_bad < len(homs):
-        phi, sw, _ = homs[first_bad]
-        raise IncompatibleFamily(
-            f"restriction along {phi!r} disagrees at {list(sw.key)}")
+    for phi, sw, sv in homs:
+        got = restrict_element(phi, sw, sv, fam.components[sv.key])
+        want = fam.components[sw.key]
+        if got.terms != want.terms:
+            raise IncompatibleFamily(
+                f"restriction along {phi!r} disagrees at {list(sw.key)}")
     return True
 
 
