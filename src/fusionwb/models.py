@@ -10,9 +10,10 @@ each generator spells.  A letter of factor i >= 2 is the path e_i x e_i^-1
 through the tree edge e_i, which is not a generator.
 
 One engine reduces words in both models: a stack-based pinch loop gives the
-reduced path, pushing coset parts leftward through the edge subgroups gives
-its normal form (Lyndon-Schupp, *Combinatorial Group Theory*, Ch. IV), and an
-emitter spells either path back in letters.  A reduced path that crosses an
+reduced path, pushing coset parts leftward through the edge subgroups, by a
+coset transversal tabulated once per edge half, gives its normal form
+(Lyndon-Schupp, *Combinatorial Group Theory*, Ch. IV), and an emitter spells
+either path back in letters.  A reduced path that crosses an
 edge is never trivial, which is what makes the identity test sound.
 """
 
@@ -73,13 +74,27 @@ class Edge:
 class _Half(NamedTuple):
     """One direction of a graph edge, from vertex `depart` to vertex `arrive`.
 
-    `sub` maps the edge subgroup at `arrive` to its copy at `depart`.
+    `sub` maps the edge subgroup at `arrive` to its copy at `depart`, and
+    `transversal[s]`, for each s of the vertex group at `arrive`, is the pair
+    (rep, pushed) with rep = min(a * s), a in the edge subgroup, the
+    representative of the coset of s, and pushed = sub[s * rep^-1], the part
+    of s that crosses to `depart`.
     """
 
     depart: int
     arrive: int
     sub: dict
     letter: tuple | None      # (generator, exponent); None on a tree edge
+    transversal: tuple
+
+
+def _transversal(L, sub):
+    """The `_Half.transversal` table of an edge subgroup `sub` of L."""
+    table = []
+    for s in range(L.order):
+        rep = min(L.table[a][s] for a in sub)
+        table.append((rep, sub[L.table[s][L.inv(rep)]]))
+    return tuple(table)
 
 
 class Presentation:
@@ -109,9 +124,11 @@ class Presentation:
         halves, self.paths, tree = [], {}, {}
         for j, (inner, outer, phi, back, gid) in enumerate(graph_edges):
             halves.append(_Half(outer, inner, phi,
-                                None if gid is None else (gid, -1)))
+                                None if gid is None else (gid, -1),
+                                _transversal(vertices[inner], phi)))
             halves.append(_Half(inner, outer, back,
-                                None if gid is None else (gid, 1)))
+                                None if gid is None else (gid, 1),
+                                _transversal(vertices[outer], back)))
             if gid is None:
                 tree[inner] = j
             else:
@@ -183,12 +200,12 @@ class ModelWord:
 # reduction on the graph of groups
 
 
-def _reduced_path(word):
-    """Syllables s_0..s_k and halves h_1..h_k of the word's pinch-free path."""
-    halves = word.model.halves
-    paths = word.model.paths
-    svals, ts = [0], []
-    for letter in word.letters:
+def _extend(m, svals, ts, letters):
+    """Append the steps of `letters` to the pinch-free path with syllables
+    s_0..s_k and halves h_1..h_k, in place; the path stays pinch-free."""
+    halves = m.halves
+    paths = m.paths
+    for letter in letters:
         for h, table, x in paths[letter]:
             if h is not None:
                 if ts and ts[-1] == h ^ 1 and svals[-1] in halves[h ^ 1].sub:
@@ -201,21 +218,24 @@ def _reduced_path(word):
                     svals.append(0)
             if x:
                 svals[-1] = table[svals[-1]][x]
+
+
+def _reduced_path(word):
+    """Syllables s_0..s_k and halves h_1..h_k of the word's pinch-free path."""
+    svals, ts = [0], []
+    _extend(word.model, svals, ts, word.letters)
     return svals, ts
 
 
 def _canonical(m, svals, ts):
-    """Push coset parts leftward: each s_j becomes min(a * s_j), a in the
-    edge subgroup before it, and the part it drops crosses that edge."""
+    """Push coset parts leftward: each s_j becomes its coset representative
+    in the edge subgroup before it, and the part it drops crosses that edge."""
+    halves, vertices = m.halves, m.vertices
     for j in range(len(ts), 0, -1):
-        half = m.halves[ts[j - 1]]
-        here = m.vertices[half.arrive]
-        s = svals[j]
-        rep = min(here.table[a][s] for a in half.sub)
-        carried = here.table[s][here.inv(rep)]   # s = carried * rep
-        svals[j] = rep
-        there = m.vertices[half.depart].table
-        svals[j - 1] = there[svals[j - 1]][half.sub[carried]]
+        half = halves[ts[j - 1]]
+        svals[j], pushed = half.transversal[svals[j]]
+        there = vertices[half.depart].table
+        svals[j - 1] = there[svals[j - 1]][pushed]
 
 
 def _emit(m, svals, ts):
@@ -548,36 +568,49 @@ def _alphabet(pres):
     return letters
 
 
-def ball_enumerate(pres, radius):
-    """Normal forms of all elements spelled by <= radius letters."""
+def _check_radius(radius):
+    if radius < 0:
+        raise ValueError(f"radius {radius} is negative")
     if radius > MAX_RADIUS:
         raise RadiusBoundExceeded(f"radius {radius} exceeds {MAX_RADIUS}")
+
+
+def ball_enumerate(pres, radius):
+    """Normal forms of all elements spelled by <= radius letters.
+
+    Each element of the frontier is kept as its canonical path, which is
+    pinch-free, so appending one letter's steps to a copy and canonicalizing
+    gives the normal form of the longer word."""
+    _check_radius(radius)
     alphabet = _alphabet(pres)
-    empty = ModelWord(pres, ())
-    reps = {(): empty}
+    empty = ((0,), ())
+    reps = {empty: ModelWord(pres, ())}
     frontier = [empty]
     for _ in range(radius):
         nxt = []
-        for w in frontier:
+        for svals, ts in frontier:
             for letter in alphabet:
-                cand = _reduce(ModelWord(pres, w.letters + (letter,)),
-                               canonical=True)
-                if cand.letters not in reps:
-                    reps[cand.letters] = cand
-                    nxt.append(cand)
+                cs, ct = list(svals), list(ts)
+                _extend(pres, cs, ct, (letter,))
+                _canonical(pres, cs, ct)
+                key = (tuple(cs), tuple(ct))
+                if key not in reps:
+                    reps[key] = ModelWord(pres, _emit(pres, cs, ct))
+                    nxt.append(key)
         frontier = nxt
     return sorted(reps.values(), key=lambda w: (len(w.letters), w.letters))
 
 
 def recover_fusion(pres, S, radius):
     """Conjugation fusion on S seen inside the model, out to the given radius."""
-    if radius > MAX_RADIUS:
-        raise RadiusBoundExceeded(f"radius {radius} exceeds {MAX_RADIUS}")
+    _check_radius(radius)
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")
     base = S.parent
     ball = ball_enumerate(pres, radius)
-    morphisms = []
+    # (P, images) -> P, in the order the maps are first seen; each distinct
+    # map is checked once, when its InjHom is built
+    maps = {}
     lat = lattice(base)
     for w in ball:
         winv = w.inverse()
@@ -589,7 +622,9 @@ def recover_fusion(pres, S, radius):
         for P in lat.subgroups:
             if any(x not in conj for x in P.elements):
                 continue
-            morphisms.append(InjHom(P, S, [conj[x] for x in P.elements]))
+            maps.setdefault(
+                (P.elements, tuple(conj[x] for x in P.elements)), P)
+    morphisms = [InjHom(P, S, images) for (_, images), P in maps.items()]
     return generate_fusion(S, pres.p, morphisms)
 
 

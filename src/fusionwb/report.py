@@ -34,7 +34,7 @@ class RunReport:
         try:
             yield
         except Exception as exc:          # noqa: BLE001 - surfaced as failure
-            self.fail(f"{name}: {exc}")
+            self.fail(f"{name}: {type(exc).__name__}: {exc}")
         finally:
             elapsed = time.perf_counter() - t0
             self.timings.append((name, elapsed, budget))

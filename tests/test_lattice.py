@@ -209,6 +209,7 @@ def test_corpus_check_cross_checks_the_elementary_abelians(monkeypatch):
     report = corpus.corpus_check()
     assert len(report.failures) == 1
     assert report.failures[0].startswith("group-invariants: ")
+    assert "group-invariants: AssertionError: " in report.failures[0]
     assert report.failures[0].endswith(
         ": elementary abelians differ from the search")
 

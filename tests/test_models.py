@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from ball_oracle import reference_ball, reference_reduce
 
 from fusionwb.catalog import (
     cyclic,
@@ -20,13 +21,18 @@ from fusionwb.fusion import (
 from fusionwb.groups import (
     InjHom,
     Subgroup,
+    build_group_from_permutations,
     full_subgroup,
+    lattice,
+    normalizer,
+    subgroup_as_group,
     sylow_p,
 )
 from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
     DatumInvalid,
+    _reduce,
     ball_enumerate,
     base_element_of,
     hnn_presentation,
@@ -169,6 +175,14 @@ def test_ball_radius_cap(c3_model):
     _, _, m = c3_model
     with pytest.raises(RadiusBoundExceeded):
         ball_enumerate(m, 9)
+
+
+def test_negative_radius_refused(c3_model):
+    S, _, m = c3_model
+    with pytest.raises(ValueError):
+        ball_enumerate(m, -1)
+    with pytest.raises(ValueError):
+        recover_fusion(m, S, -1)
 
 
 def test_ball_radius_one(c3_model):
@@ -347,7 +361,6 @@ def test_word_from_syllables_roundtrip(c4_model):
 
 def test_hnn_canonical_form_matches_word_equality(c4_model, robinson_s4,
                                                   s3_star_s3):
-    from fusionwb.models import _reduce
     amalgam = robinson_presentation(s3_star_s3[1])
     for m in (c4_model[1], amalgam, robinson_s4[2]):
         rng = random.Random(23)
@@ -425,3 +438,102 @@ def test_infinite_amalgam_alternating_words_nontrivial(s3_star_s3):
         power = power.concat(w)
     assert not is_identity(w.concat(w.inverse()).concat(w))
     assert is_identity(w.concat(w.inverse()))
+
+
+# ---------------------------------------------------------------------------
+# the tabulated transversal and the incremental ball against the oracle of
+# tests/ball_oracle.py: a from-scratch reduction per word, min over the edge
+# subgroup per syllable
+
+
+def _l3_2_amalgam():
+    """F_{D8}(L3(2)) as the amalgam of D8 and N_L(V) for both Klein fours."""
+    def shift(x):
+        return 7 if x == 7 else (x + 1) % 7
+
+    def invert(x):
+        return 0 if x == 7 else 7 if x == 0 else -pow(x, -1, 7) % 7
+
+    G = build_group_from_permutations(
+        [tuple(f(x) for x in range(8)) for f in (shift, invert)], name="L3(2)")
+    F = fusion_from_group(sylow_p(G, 2), G, p=2)
+    Sgroup, emb = F.group, sylow_p(G, 2).elements
+    entries = [AlperinEntry(F.S, Sgroup, InjHom(F.S, F.S, F.S.elements))]
+    for V in lattice(Sgroup).subgroups:
+        if V.order != 4 or any(Sgroup.element_order(x) > 2
+                               for x in V.elements):
+            continue
+        NG = normalizer(G, Subgroup(G, [emb[x] for x in V.elements]))
+        pos = {x: i for i, x in enumerate(NG.elements)}
+        N = normalizer(Sgroup, V)
+        L = subgroup_as_group(NG)
+        entries.append(AlperinEntry(V, L, InjHom(
+            N, full_subgroup(L), [pos[emb[x]] for x in N.elements])))
+    return robinson_presentation(AlperinDatum(F, entries))
+
+
+def _d8_partial_letters():
+    """HNN extension of D8 by an involution swap and a Klein-four map."""
+    D8 = dihedral8()
+    S = full_subgroup(D8)
+    lat = lattice(D8)
+    twos = [P for P in lat.subgroups if P.order == 2]
+    V = next(P for P in lat.subgroups if P.order == 4
+             and all(D8.element_order(x) <= 2 for x in P.elements))
+    x0, x1, x2, x3 = V.elements
+    return hnn_presentation(S, 2, [InjHom(twos[0], S, twos[-1].elements),
+                                   InjHom(V, S, (x0, x2, x1, x3))])
+
+
+@pytest.fixture(scope="module")
+def oracle_models(c3_model, c4_model, robinson_s4, s3_star_s3):
+    V4 = klein_four()
+    S = full_subgroup(V4)
+    v4_two = hnn_presentation(S, 2, [InjHom(S, S, [0, 2, 3, 1]),
+                                     InjHom(S, S, [0, 2, 1, 3])])
+    # name -> (model, largest radius checked against the oracle ball)
+    return {
+        "hnn_c3": (c3_model[2], 4),
+        "hnn_c4": (c4_model[1], 4),
+        "hnn_v4_two": (v4_two, 4),
+        "hnn_d8_partial": (_d8_partial_letters(), 4),
+        "amalgam_d8_s4": (robinson_s4[2], 4),
+        "amalgam_s3_s3": (robinson_presentation(s3_star_s3[1]), 4),
+        "amalgam_l3_2": (_l3_2_amalgam(), 3),
+    }
+
+
+ORACLE_MODELS = ("hnn_c3", "hnn_c4", "hnn_v4_two", "hnn_d8_partial",
+                 "amalgam_d8_s4", "amalgam_s3_s3", "amalgam_l3_2")
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_transversal_tables(oracle_models, name):
+    m, _ = oracle_models[name]
+    for half in m.halves:
+        L = m.vertices[half.arrive]
+        back = {y: x for x, y in half.sub.items()}
+        assert len(half.transversal) == L.order
+        for s, (rep, pushed) in enumerate(half.transversal):
+            carried = back[pushed]          # in the edge subgroup at arrive
+            assert L.table[carried][rep] == s
+            assert rep == min(L.table[a][s] for a in half.sub)
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_ball_matches_oracle(oracle_models, name):
+    m, top = oracle_models[name]
+    for r in range(top + 1):
+        got = [w.letters for w in ball_enumerate(m, r)]
+        assert got == [w.letters for w in reference_ball(m, r)]
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_reduce_matches_oracle(oracle_models, name):
+    m, _ = oracle_models[name]
+    rng = random.Random(2011)
+    for _ in range(200):
+        w = random_word(m, rng, max_letters=12)
+        for canonical in (False, True):
+            assert (_reduce(w, canonical=canonical).letters
+                    == reference_reduce(w, canonical=canonical).letters)
