@@ -232,6 +232,8 @@ class Subgroup:
         elems = tuple(sorted(set(int(x) for x in elements)))
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity 0")
+        if elems[-1] >= parent.order:
+            raise ValueError(f"element {elems[-1]} is not in the group")
         eset = frozenset(elems)
         t = parent.table
         for x in elems:

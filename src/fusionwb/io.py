@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .cohomology import CohoElement
 from .errors import WorkbenchError
-from .fusion import fusion_from_group, generate_fusion
+from .fusion import FusionSystem, fusion_from_group, generate_fusion
 from .groups import (
     Group,
     InjHom,
@@ -26,7 +26,6 @@ from .groups import (
 from .models import (
     AlperinDatum,
     AlperinEntry,
-    Edge,
     amalgam_presentation,
     hnn_presentation,
 )
@@ -243,23 +242,22 @@ def serialize_presentation(pres):
     for row in pres.s_group.table:
         lines.append(" ".join(str(x) for x in row))
     if pres.kind == "hnn":
-        for st in pres.stables:
-            images = [st.phi[x] for x in st.source.elements]
-            lines.append(f"stable {st.name} src="
-                         f"{format_elems(st.source.elements)} "
-                         f"images={format_elems(images)}")
+        for _, _, phi, _, gid in pres.graph_edges:
+            src = sorted(phi)
+            lines.append(f"stable {pres.generators[gid]} "
+                         f"src={format_elems(src)} "
+                         f"images={format_elems(phi[x] for x in src)}")
     else:
         lines.append(f"sembed {format_elems(pres.s_embed)}")
-        for fi, L in enumerate(pres.factors, start=1):
+        for fi, L in enumerate(pres.vertices, start=1):
             lines.append(f"factor {fi} order {L.order}")
             for row in L.table:
                 lines.append(" ".join(str(x) for x in row))
-        for fi in sorted(pres.edges):
-            edge = pres.edges[fi]
-            left = sorted(edge.left)
-            right = [edge.left[x] for x in left]
-            lines.append(f"attach factor={fi} left={format_elems(left)} "
-                         f"right={format_elems(right)}")
+        for inner, _, _, back, _ in pres.graph_edges:
+            left = sorted(back)
+            lines.append(f"attach factor={inner + 1} "
+                         f"left={format_elems(left)} "
+                         f"right={format_elems(back[x] for x in left)}")
     for g in pres.generators:
         lines.append(f"gen {g}")
     for rel in pres.relators:
@@ -303,8 +301,12 @@ def parse_presentation(text):
                 lines[idx])
             if not m:
                 raise ParseError(f"bad stable line: {lines[idx]!r}")
-            src = Subgroup(sgroup, parse_elems(m.group(2)))
-            phis.append(InjHom(src, S, parse_elems(m.group(3))))
+            try:
+                src = Subgroup(sgroup, parse_elems(m.group(2)))
+                phis.append(InjHom(src, S, parse_elems(m.group(3))))
+            except ValueError as exc:
+                raise ParseError(f"invalid stable line {lines[idx]!r}: "
+                                 f"{exc}") from exc
             idx += 1
         pres = hnn_presentation(S, p, phis)
     else:
@@ -317,6 +319,9 @@ def parse_presentation(text):
         while idx < len(lines) and lines[idx].startswith("factor "):
             m, L, idx = read_table(idx, r"factor (\d+) order (\d+)")
             factors.append(L)
+        if not factors:
+            raise ParseError("an amalgam needs a first factor")
+        _check_map(full_subgroup(sgroup), factors[0], s_embed, "sembed")
         edges = {}
         while idx < len(lines) and lines[idx].startswith("attach "):
             m = re.fullmatch(
@@ -325,11 +330,25 @@ def parse_presentation(text):
             if not m:
                 raise ParseError(f"bad attach line: {lines[idx]!r}")
             fi = int(m.group(1))
+            if not 2 <= fi <= len(factors) or fi in edges:
+                raise ParseError(f"attach factor={fi}: no unattached factor "
+                                 f"{fi} among 2..{len(factors)}")
             left = parse_elems(m.group(2))
             right = parse_elems(m.group(3))
-            edges[fi] = Edge(fi, dict(zip(left, right)),
-                             dict(zip(right, left)))
+            edges[fi] = dict(zip(left, right))
+            if not len(left) == len(right) == len(edges[fi]):
+                raise ParseError(f"attach factor={fi}: left and right must "
+                                 f"list the same number of distinct elements")
+            try:
+                H = Subgroup(factors[0], left)
+            except ValueError as exc:
+                raise ParseError(f"attach factor={fi}: left is not a subgroup "
+                                 f"of factor 1: {exc}") from exc
+            _check_map(H, factors[fi - 1], [edges[fi][x] for x in H.elements],
+                       f"attach factor={fi}")
             idx += 1
+        if len(edges) != len(factors) - 1:
+            raise ParseError("every factor but the first needs an attach line")
         pres = amalgam_presentation(factors, edges, sgroup, s_embed, p)
     # remaining lines must agree with the regenerated text
     declared_gens = [ln[4:] for ln in lines[idx:] if ln.startswith("gen ")]
@@ -341,6 +360,15 @@ def parse_presentation(text):
     if declared_rels != have:
         raise ParseError("relator lines disagree with the structural data")
     return pres
+
+
+def _check_map(H, L, images, what):
+    """Refuse a map that is not an injective homomorphism from H into L."""
+    try:
+        InjHom(H, full_subgroup(L), images)
+    except ValueError as exc:
+        raise ParseError(f"{what} is not an injective homomorphism: "
+                         f"{exc}") from exc
 
 
 def load_presentation(path):

@@ -3,11 +3,12 @@
 Two constructions are emitted: an iterated HNN extension of S (one stable
 letter per generating morphism) and an iterated amalgam of finite groups over
 the S-normalizers prescribed by an Alperin datum.  Both are fundamental groups
-of graphs of groups (Serre, *Trees*), and each presentation carries its graph:
-the vertex groups ((S,) for the HNN extension, (L_1, ..., L_k) for the
-amalgam), one edge per stable letter or per amalgam edge, and the path that
-each generator spells.  A letter of factor i >= 2 is the path e_i x e_i^-1
-through the tree edge e_i, which is not a generator.
+of graphs of groups (Serre, *Trees*), and a presentation is its graph: the
+vertex groups ((S,) for the HNN extension, (L_1, ..., L_k) for the amalgam)
+with the generator naming each vertex element, and one edge per stable letter
+or per amalgam edge.  The relators, the alphabet and the path that each
+generator spells are read off the graph.  A letter of factor i >= 2 is the
+path e_i x e_i^-1 through the tree edge e_i, which is not a generator.
 
 One engine reduces words in both models: a stack-based pinch loop gives the
 reduced path, pushing coset parts leftward through the edge subgroups, by a
@@ -51,26 +52,6 @@ MAX_RADIUS = 8
 # presentations and words
 
 
-@dataclass(frozen=True)
-class StableLetter:
-    """HNN stable letter t with relation t^-1 u t = phi(u) on u in P."""
-
-    name: str
-    name_index: int           # generator index of t
-    source: Subgroup          # P <= S
-    phi: dict                 # element of P -> element of S
-    image: frozenset          # phi(P)
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Identification of N_S(P_i) inside factor 1 and factor i."""
-
-    factor: int
-    left: dict                # element of L_1 -> element of L_i
-    right: dict               # element of L_i -> element of L_1
-
-
 class _Half(NamedTuple):
     """One direction of a graph edge, from vertex `depart` to vertex `arrive`.
 
@@ -100,7 +81,7 @@ def _transversal(L, sub):
 class Presentation:
     """A finitely presented group model of kind 'hnn' or 'amalgam'."""
 
-    def __init__(self, kind, generators, letter_info, p, s_group, s_embed,
+    def __init__(self, kind, generators, p, s_group, s_embed,
                  vertices, vertex_letters, graph_edges, name="G"):
         """`vertex_letters[v]` maps each element of `vertices[v]` but 1 to its
         generator.  `graph_edges` lists (inner, outer, phi, back, generator) with
@@ -108,8 +89,6 @@ class Presentation:
         the inverse of phi, and generator None for a tree edge."""
         self.kind = kind
         self.generators = tuple(generators)
-        self.letter_info = tuple(letter_info)
-        self.relators = ()
         self.name = name
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
         self.p = p
@@ -121,8 +100,9 @@ class Presentation:
         # steps, each crossing its half, then multiplying at the arrival
         self.vertices = tuple(vertices)
         self.vertex_letters = tuple(vertex_letters)
+        self.graph_edges = tuple(graph_edges)
         halves, self.paths, tree = [], {}, {}
-        for j, (inner, outer, phi, back, gid) in enumerate(graph_edges):
+        for j, (inner, outer, phi, back, gid) in enumerate(self.graph_edges):
             halves.append(_Half(outer, inner, phi,
                                 None if gid is None else (gid, -1),
                                 _transversal(vertices[inner], phi)))
@@ -143,14 +123,27 @@ class Presentation:
                     self.paths[gid, exp] = (
                         ((None, root, y),) if v == 0 else
                         ((2 * tree[v], L.table, y), (2 * tree[v] + 1, root, 0)))
-        # hnn payload
-        self.stables = ()
-        self.s_letter = {}
-        # amalgam payload
-        self.factors = ()
-        self.factor_letter = ()
-        self.edges = {}
-        self.attachments = ()
+        self.relators = tuple(ModelWord(self, r) for r in self._relators())
+
+    def _relators(self):
+        """x y (xy)^-1 over each vertex group, then t^-1 u t phi(u)^-1 on
+        each generator edge and x back(x)^-1 on each tree edge."""
+        for L, letters in zip(self.vertices, self.vertex_letters):
+            for a in range(L.order):
+                for b in range(L.order):
+                    yield tuple((letters[x], 1)
+                                for x in (a, b, L.inv(L.table[a][b])) if x)
+        for inner, outer, phi, back, gid in self.graph_edges:
+            # vertex_letters has no letter for 1, so .get gives None there
+            at, to = self.vertex_letters[inner], self.vertex_letters[outer]
+            L = self.vertices[outer]
+            for x in sorted(back if gid is None else phi):
+                if gid is None:
+                    steps = ((to.get(x), 1), (at.get(back[x]), -1))
+                else:
+                    steps = ((gid, -1), (at.get(x), 1), (gid, 1),
+                             (to.get(L.inv(phi[x])), 1))
+                yield tuple(step for step in steps if step[0] is not None)
 
     def word(self, letters):
         return ModelWord(self, tuple(letters))
@@ -302,95 +295,33 @@ def hnn_presentation(S, p, phis):
     if p_part(base.order, p) != base.order:
         raise ValueError(f"|S| = {base.order} is not a power of {p}")
     names = [f"g{k}" for k in range(1, base.order)]
-    info = [("s", k) for k in range(1, base.order)]
-    s_letter = {k: k - 1 for k in range(1, base.order)}
-    stables, edges = [], []
+    edges = []
     for i, phi in enumerate(phis, start=1):
         if phi.source.parent != base or phi.target.parent != base:
             raise ValueError("morphism does not live on S")
+        forward = dict(zip(phi.source.elements, phi.images))
+        edges.append((0, 0, forward, {y: x for x, y in forward.items()},
+                      len(names)))
         names.append(f"t{i}")
-        info.append(("stable", i - 1))
-        st = StableLetter(
-            name=f"t{i}",
-            name_index=len(names) - 1,
-            source=phi.source,
-            phi={x: phi.image_of(x) for x in phi.source.elements},
-            image=frozenset(phi.images))
-        stables.append(st)
-        edges.append((0, 0, st.phi, {y: x for x, y in st.phi.items()},
-                      st.name_index))
-    pres = Presentation("hnn", names, info, p, base, range(base.order),
-                        (base,), (s_letter,), edges, name=f"HNN({base.name})")
-    pres.s_letter = s_letter
-    pres.stables = tuple(stables)
-    relators = []
-    for a in range(base.order):
-        for b in range(base.order):
-            letters = []
-            for x in (a, b, base.inv(base.table[a][b])):
-                if x != 0:
-                    letters.append((s_letter[x], 1))
-            relators.append(ModelWord(pres, tuple(letters)))
-    for k, st in enumerate(stables):
-        tid = base.order - 1 + k
-        for u in st.source.elements:
-            letters = [(tid, -1)]
-            if u != 0:
-                letters.append((s_letter[u], 1))
-            letters.append((tid, 1))
-            v = base.inv(st.phi[u])
-            if v != 0:
-                letters.append((s_letter[v], 1))
-            relators.append(ModelWord(pres, tuple(letters)))
-    pres.relators = tuple(relators)
-    pres.attachments = tuple((st.source, dict(st.phi)) for st in stables)
-    return pres
+    return Presentation("hnn", names, p, base, range(base.order), (base,),
+                        ({k: k - 1 for k in range(1, base.order)},), edges,
+                        name=f"HNN({base.name})")
 
 
 def amalgam_presentation(factors, edges, s_group, s_embed, p, name="Amalgam"):
-    """Star amalgam of finite factors over identified subgroups of factor 1."""
+    """Star amalgam of finite factors over identified subgroups of factor 1;
+    `edges[i]` maps the identified subgroup of factor 1 into factor i."""
     if not factors or sorted(edges) != list(range(2, len(factors) + 1)):
         raise ValueError("an amalgam needs a first factor and one attachment "
                          "for each further factor")
-    names, info = [], []
-    factor_letter = []
+    names, letters = [], []
     for fi, L in enumerate(factors, start=1):
-        lmap = {}
-        for k in range(1, L.order):
-            lmap[k] = len(names)
-            names.append(f"L{fi}.g{k}")
-            info.append(("factor", fi, k))
-        factor_letter.append(lmap)
-    tree = [(fi - 1, 0, edges[fi].right, edges[fi].left, None)
-            for fi in sorted(edges)]
-    pres = Presentation("amalgam", names, info, p, s_group, s_embed,
-                        factors, factor_letter, tree, name=name)
-    pres.factors = tuple(factors)
-    pres.factor_letter = tuple(factor_letter)
-    pres.edges = dict(edges)
-    relators = []
-    for fi, L in enumerate(factors, start=1):
-        lmap = factor_letter[fi - 1]
-        for a in range(L.order):
-            for b in range(L.order):
-                letters = []
-                for x in (a, b, L.inv(L.table[a][b])):
-                    if x != 0:
-                        letters.append((lmap[x], 1))
-                relators.append(ModelWord(pres, tuple(letters)))
-    for fi in sorted(pres.edges):
-        edge = pres.edges[fi]
-        lmap = factor_letter[fi - 1]
-        for x1 in sorted(edge.left):
-            letters = []
-            if x1 != 0:
-                letters.append((factor_letter[0][x1], 1))
-            xi = edge.left[x1]
-            if xi != 0:
-                letters.append((lmap[xi], -1))
-            relators.append(ModelWord(pres, tuple(letters)))
-    pres.relators = tuple(relators)
-    return pres
+        letters.append({k: len(names) + k - 1 for k in range(1, L.order)})
+        names.extend(f"L{fi}.g{k}" for k in range(1, L.order))
+    tree = [(fi - 1, 0, {y: x for x, y in edges[fi].items()}, dict(edges[fi]),
+             None) for fi in sorted(edges)]
+    return Presentation("amalgam", names, p, s_group, s_embed, factors,
+                        letters, tree, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +471,13 @@ def robinson_presentation(datum):
     edges = {}
     for fi, e in enumerate(datum.entries[1:], start=2):
         N = normalizer(F.group, e.P)
-        left = {iota1.image_of(x): e.iota.image_of(x) for x in N.elements}
-        right = {v: k for k, v in left.items()}
-        edges[fi] = Edge(fi, left, right)
-    pres = amalgam_presentation(
+        edges[fi] = {iota1.image_of(x): e.iota.image_of(x) for x in N.elements}
+    return amalgam_presentation(
         [e.L for e in datum.entries], edges,
         s_group=F.group,
         s_embed=[iota1.image_of(x) for x in F.S.elements],
         p=F.p,
         name="Robinson(" + ",".join(e.L.name for e in datum.entries) + ")")
-    pres.attachments = tuple(
-        (e.P, normalizer(F.group, e.P)) for e in datum.entries)
-    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +486,11 @@ def robinson_presentation(datum):
 
 def _alphabet(pres):
     """Every generator, and the inverse of every stable letter."""
+    stable = {edge[4] for edge in pres.graph_edges}
     letters = []
-    for gid, info in enumerate(pres.letter_info):
+    for gid in range(len(pres.generators)):
         letters.append((gid, 1))
-        if info[0] == "stable":
+        if gid in stable:
             letters.append((gid, -1))
     return letters
 
@@ -640,18 +567,26 @@ def word_from_syllables(pres, svals, ts):
 
 def random_pinch_free_word(pres, rng, max_stables=4):
     """A random pinch-free HNN word containing at least one stable letter."""
+    stable = [j for j, edge in enumerate(pres.graph_edges)
+              if edge[4] is not None]
+    if not stable:
+        raise ValueError(f"{pres.name} has no stable letter, and a "
+                         f"pinch-free HNN word needs one")
     base = pres.s_group
     k = rng.randint(1, max_stables)
     svals = [rng.randrange(base.order)]
     ts = []
     for _ in range(k):
-        i = rng.randrange(len(pres.stables))
+        i = stable[rng.randrange(len(stable))]
         e = rng.choice((1, -1))
         if ts:
             ip, ep = ts[-1]
             if ip == i and ep == -e:
-                bad = (pres.stables[i].phi.keys() if ep == -1
-                       else pres.stables[i].image)
+                # the syllable pinches if it lies in the edge subgroup that
+                # the last letter arrived in: phi's domain after t^-1, its
+                # image after t
+                _, _, phi, back, _ = pres.graph_edges[i]
+                bad = phi if ep == -1 else back
                 good = [x for x in base.elements() if x not in bad]
                 if good:
                     svals[-1] = rng.choice(good)

@@ -7,8 +7,10 @@ byte-identical output; wall-clock timings are rendered separately for stderr.
 from __future__ import annotations
 
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass
@@ -34,7 +36,9 @@ class RunReport:
         try:
             yield
         except Exception as exc:          # noqa: BLE001 - surfaced as failure
-            self.fail(f"{name}: {type(exc).__name__}: {exc}")
+            origin = traceback.extract_tb(exc.__traceback__)[-1]
+            self.fail(f"{name}: {type(exc).__name__}: {exc} "
+                      f"({Path(origin.filename).name}:{origin.lineno})")
         finally:
             elapsed = time.perf_counter() - t0
             self.timings.append((name, elapsed, budget))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fnmatch import fnmatch
@@ -10,6 +11,8 @@ from fusionwb import fusion
 from fusionwb.cli import main, run
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import UsageError
+from fusionwb.io import parse_elems
+from fusionwb.report import RunReport
 
 DATA = corpus_dir()
 
@@ -279,3 +282,19 @@ def test_report_out_file(tmp_path, capsys):
                  "--prime", "2", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
+
+
+def test_failed_step_keeps_its_origin():
+    report = RunReport("demo")
+    with report.step("parse"):
+        parse_elems("0,1")
+    with report.step("fine"):
+        pass
+    lines = report.render().splitlines()
+    assert lines[0] == "command: demo" and lines[-1] == "status: FAILED"
+    m = re.fullmatch(r"FAIL parse: ParseError: expected \[\.\.\] element "
+                     r"list, got '0,1' \(io\.py:(\d+)\)", lines[1])
+    assert m, lines[1]
+    src = Path(parse_elems.__code__.co_filename).read_text().splitlines()
+    assert "raise ParseError" in src[int(m.group(1)) - 1]
+    assert len(lines) == 3

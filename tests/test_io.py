@@ -1,5 +1,9 @@
+import hashlib
+import typing
+
 import pytest
 
+from fusionwb import io
 from fusionwb.catalog import cyclic, named_group, symmetric
 from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
 from fusionwb.errors import CorpusMissing, NonAssociative
@@ -8,6 +12,8 @@ from fusionwb.groups import InjHom, full_subgroup
 from fusionwb.io import (
     ParseError,
     format_elems,
+    load_datum,
+    load_fusion_spec,
     load_group,
     parse_elems,
     parse_family,
@@ -21,6 +27,7 @@ from fusionwb.io import (
     serialize_presentation,
 )
 from fusionwb.models import (
+    amalgam_presentation,
     hnn_presentation,
     is_identity,
     robinson_presentation,
@@ -156,6 +163,108 @@ def test_presentation_rejects_edited_relators():
     lines = [ln for ln in lines if ln != "rel g1^1 g2^1"]
     with pytest.raises(ParseError):
         parse_presentation("\n".join(lines) + "\n")
+
+
+def _d8_s4_text(attach=None, s_embed=None):
+    """The D8/S4 Robinson model's file, with its attach map or its S
+    embedding replaced; the relator lines agree with the replacement."""
+    _, datum = standard_robinson_datum(symmetric(4))
+    m = robinson_presentation(datum)
+    edges = {2: dict(m.graph_edges[0][3]) if attach is None else attach}
+    return serialize_presentation(amalgam_presentation(
+        m.vertices, edges, m.s_group,
+        m.s_embed if s_embed is None else s_embed, 2))
+
+
+def test_amalgam_file_round_trips_its_attach_map():
+    text = _d8_s4_text()
+    assert "attach factor=2 left=[0,1,2,3,4,5,6,7] " \
+           "right=[0,1,5,8,10,15,16,21]" in text
+    assert serialize_presentation(parse_presentation(text)) == text
+
+
+@pytest.mark.parametrize("right, why", [
+    ((0, 0, 5, 8, 10, 15, 16, 21), "not injective"),
+    ((0, 5, 1, 8, 10, 15, 16, 21), "not multiplicative"),
+])
+def test_amalgam_file_refuses_a_bad_attach_map(right, why):
+    text = _d8_s4_text(attach=dict(zip(range(8), right)))
+    with pytest.raises(ParseError, match=why):
+        parse_presentation(text)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("left=[0,1,2,3,4,5,6,7]", "left=[0,1,2,3,4,5,6,99]"),
+    ("right=[0,1,5,8,10,15,16,21]", "right=[0,1,5,8,10,15,16,99]"),
+    ("sembed [0,1,2,3,4,5,6,7]", "sembed [0,1,2,3,4,5,6,99]"),
+])
+def test_amalgam_file_refuses_elements_out_of_range(old, new):
+    text = _d8_s4_text().replace(old, new)
+    with pytest.raises(ParseError, match="99"):
+        parse_presentation(text)
+
+
+def test_hnn_file_refuses_a_bad_stable_line():
+    S = full_subgroup(cyclic(3))
+    pres = hnn_presentation(S, 3, [InjHom(S, S, [0, 2, 1])])
+    text = serialize_presentation(pres)
+    for bad in ("src=[0,1,7]", "src=[0,1]"):
+        with pytest.raises(ParseError, match="invalid stable line"):
+            parse_presentation(text.replace("src=[0,1,2]", bad))
+
+
+def test_amalgam_file_refuses_an_attach_off_a_subgroup():
+    text = _d8_s4_text(attach={0: 0, 1: 1, 2: 5})
+    with pytest.raises(ParseError, match="left is not a subgroup"):
+        parse_presentation(text)
+
+
+def test_amalgam_file_refuses_an_attach_to_no_factor():
+    text = _d8_s4_text().replace("attach factor=2", "attach factor=3")
+    with pytest.raises(ParseError, match="no unattached factor 3"):
+        parse_presentation(text)
+
+
+def test_amalgam_file_refuses_a_bad_s_embedding():
+    text = _d8_s4_text(s_embed=(0, 2, 1, 3, 4, 5, 6, 7))
+    with pytest.raises(ParseError, match="sembed is not an injective"):
+        parse_presentation(text)
+
+
+# SHA-256 of each corpus model's `.pres` text, and its relator count: the
+# file form is fixed, so a change to how a model is held must not move a byte
+PINNED_FILES = {
+    "c3_inversion.fus": (
+        "09a76e474321b3c5e073edfe610d82fb258f198ce6540794e82c3aeca6704959", 12),
+    "v4_gl2.fus": (
+        "5a4ddfd632953f21abc3c611cdac094e7da2c036281ca4b77739a06025553c06", 24),
+    "v4_rho.fus": (
+        "889419b4021f34ad0816e2b58732769ec9b3a16ec43a725c1ce27a68acecb7a8", 20),
+    "v4_involution.fus": (
+        "faa67d8bf7db6d32d2167c6903d96b18b6054313472850a19c417ba30b8b7b07", 20),
+    "d8_s4.datum": (
+        "db3a47916e0f14d811471ec5498041e5c6ba5d3a5c3863e66d87ca8bdcacc62b", 648),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_presentation_file_form_is_pinned(name):
+    path = corpus_dir() / name
+    if name.endswith(".fus"):
+        spec = load_fusion_spec(path)
+        pres = hnn_presentation(full_subgroup(spec.group), spec.p, spec.phis)
+    else:
+        pres = robinson_presentation(load_datum(path).datum)
+    text = serialize_presentation(pres)
+    digest, relators = PINNED_FILES[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(pres.relators) == relators
+    assert sum(ln.startswith("rel") for ln in text.splitlines()) == relators
+
+
+def test_datum_spec_annotations_resolve():
+    hints = typing.get_type_hints(io.DatumSpec)
+    assert hints["fusion"].__name__ == "FusionSystem"
 
 
 def test_family_round_trip():
