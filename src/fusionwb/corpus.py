@@ -272,9 +272,9 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
             raise AssertionError("A4 Quillen limit differs from F_{V4}(A4)")
         for F in (FGL, FA):
             for d in range(7):
-                full = len(stable_basis_all_morphisms(F, d))
-                gen = len(stable_basis(F, d))
-                if full != gen:
+                full = list(map(serialize_family,
+                                stable_basis_all_morphisms(F, d)))
+                if full != list(map(serialize_family, stable_basis(F, d))):
                     raise AssertionError(
                         "generating morphisms are not sufficient")
         _check_functoriality(FA)

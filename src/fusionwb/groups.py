@@ -672,12 +672,6 @@ class InjHom:
                 f"{list(self.target.elements)}; {list(self.images)})")
 
 
-def inclusion_hom(P, Q):
-    if not Q.contains_subgroup(P):
-        raise ValueError("not a subgroup inclusion")
-    return InjHom(P, Q, P.elements)
-
-
 def conjugation_hom(P, Q, g):
     """c_g : P -> Q, x -> g x g^-1, for g with g P g^-1 <= Q."""
     G = P.parent

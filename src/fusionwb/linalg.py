@@ -48,3 +48,11 @@ def nullspace(rows, ncols, p):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-red[:, free].T) % p
     return basis.tolist()
+
+
+
+def canonical_kernel(rows, ncols, p):
+    """The basis nullspace gives of a kernel, from any basis rows of it:
+    the reduced row echelon form with the columns taken from the right."""
+    red, _ = rref(np.asarray(rows).reshape(len(rows), ncols)[:, ::-1], ncols, p)
+    return red[::-1, ::-1]

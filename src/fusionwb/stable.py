@@ -1,12 +1,17 @@
 """Stable elements at the elementary-abelian level.
 
-The ring of stable elements is realized degree by degree as the solution
-space of a linear system: one block of unknowns per elementary abelian
-subgroup, one block of equations per morphism between them, each equation
-saying that the restriction of the larger component equals the smaller one.
-For a fusion system the morphisms come from the fusion category; for a finite
-group they come from conjugation and inclusion (the Quillen category), which
-is what the cross-check compares.
+The ring of stable elements is the limit of the cohomology of the
+elementary abelian subgroups over the fusion category, realized degree by
+degree as the solution space of a linear system.  A limit over a category
+is the limit over a skeleton of it, so the unknowns are one block per
+F-class representative, and the equations one block per automorphism of a
+representative and per index-p inclusion into one, up to F-isomorphism:
+the restriction of the larger component equals the smaller one.  The
+solutions are pulled back to every site and put in the basis that the
+system with unknowns on every site gives.  For a fusion system the maps
+come from the fusion category; for a finite group they come from
+conjugation and inclusion (the Quillen category), which is what the
+cross-check compares.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from .cohomology import (
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
 from .fusion import _conjugation_images
-from .groups import InjHom, elementary_abelians, inclusion_hom
-from .linalg import nullspace
+from .groups import InjHom, elementary_abelians
+from .linalg import canonical_kernel, nullspace
 
 MAX_DEGREE = 40
 
@@ -37,45 +42,62 @@ def elementary_sites(G, p):
     return [Site(V, p) for V in elementary_abelians(G, p)]
 
 
-def _site_morphisms(sites, images_of, p, generating):
-    """(sites, morphisms W -> V as (map, W, V) triples, sites by key).
+def _site_morphisms(sites, images_of, p):
+    """(sites, constraints, pullbacks): the limit over the sites with one
+    block of unknowns per class representative, as (map, W, V) triples.
 
-    images_of[W key] lists the image tuples of maps out of W, each image a
-    site.  A generating set is the index-p inclusions, then each image
-    tuple paired with the site it spans; the set of all morphisms pairs it
-    with every site above that one instead.
+    images_of[W key] lists the image tuples of the maps out of W, each image
+    a site.  The representative R_W of W's class is its first site in
+    (size, elements) order, and iota_W : W -> R_W the least image tuple onto
+    it.  The constraints are, on each representative V, its automorphisms
+    other than the identity and, for each index-p subsite U of V, the map
+    incl o iota_U^-1 : R_U -> V.  A pullback iota_W : W -> R_W, one per site
+    that is not a representative, gives its component as iota_W^* of R_W's.
     """
-    above = {sw.key: [sv for sv in sites[i:] if sv.V.contains_subgroup(sw.V)]
-             for i, sw in enumerate(sites)}
-    homs = []
-    if generating:
-        homs = [(inclusion_hom(sw.V, sv.V), sw, sv)
-                for sw in sites for sv in above[sw.key]
-                if sv.V.order == p * sw.V.order]
-    for sw in sites:
-        for images in images_of[sw.key]:
-            targets = above[tuple(sorted(images))]
-            for sv in targets[:1] if generating else targets:
-                homs.append((InjHom(sw.V, sv.V, images, _trusted=True),
-                             sw, sv))
-    return sites, homs, {s.key: s for s in sites}
+    by_key = {s.key: s for s in sites}
+    spans = {s.key: [(tuple(sorted(images)), images)
+                     for images in images_of[s.key]] for s in sites}
+    iota = {key: min(pairs) for key, pairs in spans.items()}  # (R_W, iota_W)
+    homs, pulls = [], []
+    for sv in sites:
+        rep, images = iota[sv.key]
+        if rep != sv.key:
+            rep = by_key[rep]
+            pulls.append((InjHom(sv.V, rep.V, images, _trusted=True), sv, rep))
+            continue
+        homs += [(InjHom(sv.V, sv.V, images, _trusted=True), sv, sv)
+                 for span, images in spans[sv.key]
+                 if span == sv.key and images != sv.key]
+        for su in sites:
+            if (su.V.order * p == sv.V.order
+                    and sv.V.contains_subgroup(su.V)):
+                ru, images = iota[su.key]
+                back = dict(zip(images, su.key))
+                homs.append((InjHom(by_key[ru].V, sv.V, [back[x] for x in ru],
+                                    _trusted=True), by_key[ru], sv))
+    return sites, homs, pulls
 
 
 def fusion_ea_morphisms(F, generating=True):
-    """Morphisms between elementary abelian sites, from the stored maps
-    Hom_F(W, S): a generating set, or all."""
+    """The limit's morphisms between elementary abelian sites, from the
+    stored maps Hom_F(W, S): _site_morphisms, or (sites, every morphism,
+    no pullbacks), each h paired with every site above h(W)."""
     sites = elementary_sites(F.group, F.p)
-    images_of = {s.key: [h.images for h in F.homsets[s.key]] for s in sites}
-    return _site_morphisms(sites, images_of, F.p, generating)
+    if generating:
+        return _site_morphisms(sites, {s.key: [h.images for h in F.homsets[
+            s.key]] for s in sites}, F.p)
+    return sites, [(InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
+                   for sw in sites for h in F.homsets[sw.key] for sv in sites
+                   if sv.V.as_set().issuperset(h.images)], []
 
 
 def quillen_morphisms(G, p):
-    """Index-p inclusions plus all conjugation isomorphisms between sites."""
+    """_site_morphisms over the conjugation maps between sites."""
     sites = elementary_sites(G, p)
     # the sites' elements are closed under conjugation
     found = _conjugation_images(G, {x: x for s in sites for x in s.key},
                                 [s.V for s in sites])
-    return _site_morphisms(sites, found, p, generating=True)
+    return _site_morphisms(sites, found, p)
 
 
 def _restrictions(homs, d, p):
@@ -91,12 +113,14 @@ def _restrictions(homs, d, p):
             for shape, (positions, mats) in shapes.items()]
 
 
-def _constraints(sites, homs, d, p):
-    """(bases, offsets, total, nonzero rows of the limit's linear system).
+def _constraints(sites, homs, d, p, pulls=()):
+    """(bases, offsets, total, nonzero rows of the linear system, images).
 
-    One block of equations per morphism phi: W -> V, in the order of homs,
-    saying that the restriction of the V component equals the W component.
-    An identity gives only zero rows, so it is skipped.
+    One block of unknowns per site of sites, and one block of equations per
+    morphism phi: W -> V, in the order of homs, saying that the restriction
+    of the V component equals the W component.  An identity gives only zero
+    rows, so it is skipped.  images holds the restriction matrices along
+    pulls, in their order, from the same kernel calls.
     """
     bases = {s.key: cohomology_basis(s, d) for s in sites}
     offsets = {}
@@ -110,41 +134,55 @@ def _constraints(sites, homs, d, p):
     system = np.zeros((starts[-1], total), dtype=np.int32)
     ow = np.array([offsets[sw.key] for _, sw, _ in homs], dtype=np.intp)
     ov = np.array([offsets[sv.key] for _, _, sv in homs], dtype=np.intp)
-    for positions, images in _restrictions(homs, d, p):
+    pull_images = [None] * len(pulls)
+    for positions, images in _restrictions(homs + list(pulls), d, p):
+        mine = positions < len(homs)
+        for k, image in zip(positions[~mine] - len(homs), images[~mine]):
+            pull_images[k] = image
+        positions, images = positions[mine], images[mine]
         _, n_w, n_v = images.shape
         rows = starts[positions, None] + np.arange(n_w)
         cols = ov[positions, None] + np.arange(n_v)
         system[rows[:, :, None], cols[:, None, :]] = images
         diag = ow[positions, None] + np.arange(n_w)
         system[rows, diag] = (system[rows, diag] - 1) % p
-    return bases, offsets, total, system[system.any(axis=1)]
+    return bases, offsets, total, system[system.any(axis=1)], pull_images
 
 
-def _limit_basis(sites, homs, d, p):
-    """Families (one class per site) compatible under every given morphism."""
-    bases, offsets, total, system = _constraints(sites, homs, d, p)
+def _limit_basis(sites, homs, pulls, d, p):
+    """Families (one class per site) compatible under every given morphism,
+    in the basis nullspace gives for the system with unknowns on every site.
+
+    The unknowns sit on the sites that no pullback (iota, W, R) leaves, and
+    the W component is iota^* of the R component.
+    """
+    pulled = {sw.key for _, sw, _ in pulls}
+    bases, offsets, total, system, images = _constraints(
+        [s for s in sites if s.key not in pulled], homs, d, p, pulls)
+    kernel = nullspace(system, total, p)
+    kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), total)
+    comps = {key: kernel[:, offsets[key]:offsets[key] + len(basis)]
+             for key, basis in bases.items()}
+    for (_, sw, sr), image in zip(pulls, images):
+        comps[sw.key] = comps[sr.key] @ image.T % p
+    full = np.concatenate([comps[s.key] for s in sites], axis=1)
+    monos = [(s, cohomology_basis(s, d)) for s in sites]
     families = []
-    for vec in nullspace(system, total, p):
-        comps = {}
-        for s in sites:
-            terms = {}
-            for c, mono in enumerate(bases[s.key]):
-                coeff = vec[offsets[s.key] + c]
-                if coeff:
-                    terms[mono] = coeff
-            comps[s.key] = CohoElement(s, terms)
-        families.append(comps)
+    for vec in canonical_kernel(full, full.shape[1], p).tolist():
+        coeffs = iter(vec)      # zip takes len(basis) of them at each site
+        families.append({s.key: CohoElement(s, dict(zip(basis, coeffs)))
+                         for s, basis in monos})
     return families
 
 
 def _limits(build, p, degrees, degree_cap):
-    """_limit_basis at each of degrees, over the (sites, homs, ...) that
+    """_limit_basis at each of degrees, over the (sites, homs, pulls) that
     build() returns, built once."""
     top = max(degrees, default=0)
     if top > degree_cap:
         raise DegreeBoundExceeded(f"degree {top} exceeds cap {degree_cap}")
-    sites, homs, _ = build()
-    return sites, [_limit_basis(sites, homs, d, p) for d in degrees]
+    sites, homs, pulls = build()
+    return sites, [_limit_basis(sites, homs, pulls, d, p) for d in degrees]
 
 
 @dataclass
@@ -156,18 +194,8 @@ class StableFamily:
     components: dict          # site key -> CohoElement
     sites: tuple
 
-    def component(self, V):
-        return self.components[tuple(V.elements)]
-
     def is_zero(self):
         return all(c.is_zero() for c in self.components.values())
-
-    def describe(self):
-        lines = []
-        for s in self.sites:
-            lines.append(f"V={list(s.key)} ; "
-                         f"{self.components[s.key].describe()}")
-        return "\n".join(lines)
 
 
 def _stable_series(F, degrees, generating=True, degree_cap=MAX_DEGREE):

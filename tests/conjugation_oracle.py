@@ -12,11 +12,17 @@ site, as the independent oracles for them.
 from fusionwb.groups import (
     InjHom,
     conjugation_hom,
-    inclusion_hom,
     normalizer,
     subgroups,
     subgroup_as_group,
 )
+
+
+def inclusion_hom(P, Q):
+    """The inclusion P -> Q, for P <= Q."""
+    if not Q.contains_subgroup(P):
+        raise ValueError("not a subgroup inclusion")
+    return InjHom(P, Q, P.elements)
 
 
 def reference_transporter_homsets(S, G, p):

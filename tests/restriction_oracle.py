@@ -1,10 +1,11 @@
-"""Reference restriction kernel: one morphism at a time.
+"""Reference restriction kernel and stable-elements limit.
 
 The library builds restriction matrices for a whole stack of hom matrices
-of one shape at once (cohomology.restriction_matrices) and assembles the
-stable-elements constraint system into one preallocated array.  The tests
-keep the per-morphism kernel and the per-morphism block assembly it
-replaced as the oracles for both.
+of one shape at once (cohomology.restriction_matrices), assembles the
+stable-elements constraint system into one preallocated array, and solves
+it with unknowns on one site per F-class only.  The tests keep the
+per-morphism kernel, the per-morphism block assembly, and the limit with
+one block of unknowns on every site, as the oracles for all three.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from fusionwb.cohomology import (
     _peels,
     cohomology_basis,
 )
+from fusionwb.linalg import nullspace
 
 
 def reference_hom_matrix(phi, site_w, site_v):
@@ -81,3 +83,19 @@ def reference_constraints(sites, homs, d, p):
         block[diag, ow + diag] = (block[diag, ow + diag] - 1) % p
         blocks.append(block[block.any(axis=1)])
     return np.concatenate(blocks)
+
+
+def reference_limit_terms(sites, homs, d, p):
+    """The limit with one block of unknowns on every site: per canonical
+    kernel vector of reference_constraints, the terms of each component,
+    as {site key: {monomial: coefficient}}."""
+    bases = [(s.key, cohomology_basis(s, d)) for s in sites]
+    total = sum(len(basis) for _, basis in bases)
+    families = []
+    for vec in nullspace(reference_constraints(sites, homs, d, p), total, p):
+        family = {}
+        for key, basis in bases:
+            family[key] = {mono: c for mono, c in zip(basis, vec) if c}
+            vec = vec[len(basis):]
+        families.append(family)
+    return families

@@ -3,6 +3,7 @@ reference, and the category check against one defect of each kind."""
 
 import pytest
 from closure_oracle import reference_generate_homsets
+from conjugation_oracle import inclusion_hom
 
 from fusionwb import models
 from fusionwb.catalog import dihedral8, elementary, klein_four, symmetric
@@ -10,7 +11,7 @@ from fusionwb.cohomology import Site
 from fusionwb.corpus import corpus_dir, standard_robinson_datum
 from fusionwb.errors import NotACategory
 from fusionwb.fusion import FusionSystem, fusion_from_group, generate_fusion
-from fusionwb.groups import InjHom, full_subgroup, inclusion_hom, lattice
+from fusionwb.groups import InjHom, full_subgroup, lattice
 from fusionwb.io import describe_fusion, load_fusion_spec
 from fusionwb.models import recover_fusion, robinson_presentation
 

@@ -1,4 +1,5 @@
 import pytest
+from conjugation_oracle import inclusion_hom
 
 from fusionwb.catalog import (
     alternating4,
@@ -30,7 +31,6 @@ from fusionwb.groups import (
     Subgroup,
     centralizer,
     full_subgroup,
-    inclusion_hom,
     is_isomorphic,
     sylow_p,
 )

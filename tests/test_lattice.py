@@ -12,6 +12,7 @@ from conjugation_oracle import (
     reference_quillen_morphisms,
     reference_transporter_homsets,
 )
+from restriction_oracle import reference_limit_terms
 from fusionwb import corpus, groups
 from fusionwb.catalog import (
     alternating4,
@@ -32,7 +33,12 @@ from fusionwb.fusion import (
 )
 from fusionwb.groups import InjHom, full_subgroup, lattice, sylow_p
 from fusionwb.io import load_fusion_spec
-from fusionwb.stable import fusion_ea_morphisms, quillen_morphisms
+from fusionwb.stable import (
+    fusion_ea_morphisms,
+    quillen_limits,
+    quillen_morphisms,
+    stable_bases,
+)
 from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
@@ -226,14 +232,24 @@ def _quillen_groups():
             for p in sorted(G.order_factors)]
 
 
+def _terms(families):
+    """Each family of a limit as {site key: terms of its component}."""
+    return [{key: comp.terms for key, comp in family.items()}
+            for family in families]
+
+
 @pytest.mark.parametrize("G, p", _quillen_groups(),
                          ids=lambda x: str(getattr(x, "name", x)))
 def test_quillen_morphisms_match_the_per_site_loop(G, p):
-    sites, homs, _ = quillen_morphisms(G, p)
+    # the limit on class representatives equals, term by term, the limit
+    # with unknowns on every site over the per-site conjugation loop
+    sites = quillen_morphisms(G, p)[0]
     ref_sites = [Site(V, p) for V in groups._elementary_abelian_search(G, p)]
     assert [s.key for s in sites] == [s.key for s in ref_sites]
-    assert _triples(homs) == _triples(
-        reference_quillen_morphisms(G, p, ref_sites))
+    ref = reference_quillen_morphisms(G, p, ref_sites)
+    for q in quillen_limits(G, p, range(5)):
+        assert _terms(q.families) == reference_limit_terms(ref_sites, ref,
+                                                           q.degree, p)
 
 
 def _transporter(G):
@@ -254,10 +270,16 @@ def test_fusion_ea_morphisms_match_the_old_builder(name):
     F = SYSTEMS[name]()
     ref_sites = [Site(V, F.p)
                  for V in groups._elementary_abelian_search(F.group, F.p)]
-    for generating in (True, False):
-        sites, homs, _ = fusion_ea_morphisms(F, generating)
-        assert [s.key for s in sites] == [s.key for s in ref_sites]
-        ref = reference_fusion_ea_morphisms(F, ref_sites, generating)
-        # the same morphisms; within a source site they now come by images
-        assert sorted(_triples(homs)) == sorted(_triples(ref))
-        assert len(homs) == len(ref)
+    sites, homs, pulls = fusion_ea_morphisms(F, generating=False)
+    assert [s.key for s in sites] == [s.key for s in ref_sites]
+    assert pulls == []
+    ref = reference_fusion_ea_morphisms(F, ref_sites, generating=False)
+    # the same morphisms; within a source site they now come by images
+    assert sorted(_triples(homs)) == sorted(_triples(ref))
+    assert len(homs) == len(ref)
+    # the limit on class representatives equals, term by term, the limit
+    # with unknowns on every site over the old generating set
+    old = reference_fusion_ea_morphisms(F, ref_sites)
+    for d, families in enumerate(stable_bases(F, 8)):
+        assert _terms([fam.components for fam in families]) == \
+            reference_limit_terms(ref_sites, old, d, F.p)

@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
+from conjugation_oracle import inclusion_hom, reference_fusion_ea_morphisms
 from elimination_oracle import reference_nullspace, reference_rref
 from restriction_oracle import (
     reference_constraints,
+    reference_limit_terms,
     reference_restriction,
     reference_restriction_matrix,
 )
@@ -14,6 +17,7 @@ from fusionwb.catalog import (
     alternating4,
     cyclic,
     dihedral8,
+    direct_product,
     elementary,
     klein_four,
     symmetric,
@@ -37,10 +41,12 @@ from fusionwb.groups import (
     InjHom,
     Subgroup,
     full_subgroup,
-    inclusion_hom,
     sylow_p,
 )
-from fusionwb.linalg import nullspace, rref
+from fusionwb import corpus
+from fusionwb.corpus import corpus_dir
+from fusionwb.io import load_fusion_spec
+from fusionwb.linalg import canonical_kernel, nullspace, rref
 from fusionwb.stable import (
     StableFamily,
     check_family,
@@ -53,6 +59,7 @@ from fusionwb.stable import (
     poincare_series,
     quillen_limit_finite_group,
     quillen_morphisms,
+    stable_bases,
     stable_basis,
     stable_basis_all_morphisms,
 )
@@ -163,6 +170,28 @@ def test_elimination_matches_reference(p):
         for v in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+def _random_invertible(rng, k, p):
+    while True:
+        m = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        if len(rref(m, k, p)[1]) == k:
+            return np.array(m, dtype=np.int64).reshape(k, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_kernel_of_any_kernel_basis(p):
+    # the column-reversed rref of a kernel basis, mixed by an invertible
+    # matrix, is the basis nullspace gives
+    rng = random.Random(2000 + p)
+    for rows, ncols in _random_systems(rng, p):
+        want = nullspace(rows, ncols, p)
+        k = len(want)
+        mixed = _random_invertible(rng, k, p) @ np.array(
+            want, dtype=np.int64).reshape(k, ncols) % p
+        got = canonical_kernel(mixed, ncols, p)
+        assert got.shape == (k, ncols)
+        assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +408,28 @@ KERNEL_SYSTEMS = {
 @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
 def test_restriction_on_generating_morphisms(name):
     F = KERNEL_SYSTEMS[name]()
-    sites, homs, _ = fusion_ea_morphisms(F)
-    assert len(homs) > 20
+    sites, homs, pulls = fusion_ea_morphisms(F)
+    assert len(homs) > 10 and pulls
+    pulled = {sw.key for _, sw, _ in pulls}
+    solved = [s for s in sites if s.key not in pulled]
+    maps = homs + pulls
     for d in range(4):
         want = [reference_restriction_matrix(phi, sw, sv, d)
-                for phi, sw, sv in homs]
-        for (phi, sw, sv), ref in zip(homs, want):
+                for phi, sw, sv in maps]
+        for (phi, sw, sv), ref in zip(maps, want):
             assert np.array_equal(restriction_matrix(phi, sw, sv, d), ref)
         seen = []
-        for positions, images in _restrictions(homs, d, F.p):
+        for positions, images in _restrictions(maps, d, F.p):
             seen.extend(positions.tolist())
             for k, image in zip(positions, images):
                 assert np.array_equal(image, want[k])
-        assert sorted(seen) == list(range(len(homs)))
-        assert np.array_equal(_constraints(sites, homs, d, F.p)[3],
-                              reference_constraints(sites, homs, d, F.p))
+        assert sorted(seen) == list(range(len(maps)))
+        *_, system, images = _constraints(solved, homs, d, F.p, pulls)
+        assert np.array_equal(system,
+                              reference_constraints(solved, homs, d, F.p))
+        assert len(images) == len(pulls)
+        for image, ref in zip(images, want[len(homs):]):
+            assert np.array_equal(image, ref)
 
 
 def test_constraints_match_the_per_morphism_assembly():
@@ -452,6 +488,12 @@ def test_stable_v4_inner_dimension_is_degree_plus_one():
     assert [len(stable_basis(F, d)) for d in range(7)] == list(range(1, 8))
 
 
+def _terms(families):
+    """Each family as {site key: terms of its component}."""
+    return [{key: comp.terms for key, comp in fam.components.items()}
+            for fam in families]
+
+
 def test_generating_morphisms_suffice():
     V4 = klein_four()
     S = full_subgroup(V4)
@@ -459,8 +501,114 @@ def test_generating_morphisms_suffice():
     for gens in ([rho], [rho, InjHom(S, S, [0, 2, 1, 3])]):
         F = generate_fusion(S, 2, gens)
         for d in range(8):
-            assert len(stable_basis(F, d)) == \
-                len(stable_basis_all_morphisms(F, d))
+            assert _terms(stable_basis(F, d)) == \
+                _terms(stable_basis_all_morphisms(F, d))
+
+
+def test_corpus_check_compares_the_families_not_their_number(monkeypatch):
+    # the same families in another order: as many, but another basis
+    real = corpus.stable_basis
+    monkeypatch.setattr(corpus, "stable_basis",
+                        lambda F, d: real(F, d)[::-1])
+    report = corpus.corpus_check()
+    assert len(report.failures) == 1
+    assert re.fullmatch(r"stable: AssertionError: generating morphisms are "
+                        r"not sufficient \(corpus\.py:\d+\)",
+                        report.failures[0])
+
+
+def _corpus_system(name):
+    return load_fusion_spec(corpus_dir() / f"{name}.fus").fusion()
+
+
+def _transporter(G):
+    return fusion_from_group(sylow_p(G, 2), G, p=2)
+
+
+# The systems of the stable-series benchmark, with the top degree checked:
+# 8 up to rank 3, 4 at rank 4.  s4xc2 is F_S(S4 x C2), S = D8 x C2.
+SERIES_SYSTEMS = {
+    "v4_gl2": (lambda: _corpus_system("v4_gl2"), 8),
+    "v4_rho": (lambda: _corpus_system("v4_rho"), 8),
+    "c2e3_singer": (lambda: _automizer_system(
+        2, 3, [[[0, 0, 1], [1, 0, 1], [0, 1, 0]]]), 8),
+    "c3e2_q8": (KERNEL_SYSTEMS["c3e2_q8"], 8),
+    "s4xc2": (lambda: _transporter(direct_product(symmetric(4), cyclic(2))),
+              8),
+    "c2e4_shift": (KERNEL_SYSTEMS["c2e4_shift"], 4),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_SYSTEMS)
+def test_class_reduced_limit_matches_every_site(name):
+    # term by term: the old generating set with unknowns on every site, and
+    # every morphism through the library's own solver
+    build, top = SERIES_SYSTEMS[name]
+    F = build()
+    sites = fusion_ea_morphisms(F)[0]
+    old = reference_fusion_ea_morphisms(F, sites)
+    for d, families in enumerate(stable_bases(F, top)):
+        terms = _terms(families)
+        assert terms == reference_limit_terms(sites, old, d, F.p)
+        assert terms == _terms(stable_basis_all_morphisms(F, d))
+
+
+def test_unknowns_sit_on_class_representatives():
+    F = KERNEL_SYSTEMS["c2e4_shift"]()
+    sites, homs, pulls = fusion_ea_morphisms(F)
+    keys = {s.key for s in sites}
+    reps = {cls[0].elements for cls in F.conjugacy_classes()
+            if cls[0].elements in keys}
+    assert (len(sites), len(reps)) == (67, 23)
+    # every other site is pulled back along the least map onto its
+    # representative, and the constraints join representatives only
+    assert sorted(sw.key for _, sw, _ in pulls) == sorted(keys - reps)
+    for phi, sw, sv in pulls:
+        onto = [h.images for h in F.homsets[sw.key]
+                if h.image_elements() == sv.key]
+        assert sv.key in reps and phi.images == min(onto)
+    assert all(sw.key in reps and sv.key in reps for _, sw, sv in homs)
+    triples = {(phi.images, sw.key, sv.key) for phi, sw, sv in homs}
+    assert len(triples) == len(homs) < len(reference_fusion_ea_morphisms(
+        F, sites))
+
+
+def test_c2e4_shift_series_to_degree_eight():
+    F = KERNEL_SYSTEMS["c2e4_shift"]()
+    assert poincare_series(F, 8) == [1, 1, 3, 5, 10, 14, 22, 30, 43]
+
+
+def _mat_inverse(m, p):
+    n = len(m)
+    red, _ = rref([list(row) + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(m)], 2 * n, p)
+    return red[:, n:].tolist()
+
+
+def _mat_mul(a, b, p):
+    return (np.array(a) @ np.array(b) % p).tolist()
+
+
+# name -> (p, rank, automizer generators, top degree)
+CONJUGATED_SYSTEMS = {
+    "c2e3_singer": (2, 3, [[[0, 0, 1], [1, 0, 1], [0, 1, 0]]], 8),
+    "c2e4_shift": (2, 4, [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0],
+                           [0, 0, 1, 0]]], 6),
+    "c3e2_q8": (3, 2, [[[0, 2], [1, 0]], [[1, 1], [1, 2]]], 8),
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATED_SYSTEMS)
+def test_poincare_series_is_invariant_under_gl_conjugation(name):
+    p, rank, mats, top = CONJUGATED_SYSTEMS[name]
+    want = poincare_series(_automizer_system(p, rank, mats), top)
+    rng = random.Random(name)
+    for _ in range(2):
+        g = _random_invertible(rng, rank, p).tolist()
+        conj = [_mat_mul(_mat_mul(g, m, p), _mat_inverse(g, p), p)
+                for m in mats]
+        assert conj != mats
+        assert poincare_series(_automizer_system(p, rank, conj), top) == want
 
 
 def test_poincare_series():
