@@ -9,7 +9,6 @@ broken internal invariant (NotACategory: a bug in the workbench).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .fusion import fusion_equal, fusion_from_group, is_saturated
 from .groups import (
     elementary_abelians,
     full_subgroup,
+    is_prime,
     lattice,
     sylow_p,
 )
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 def prime(text):
     """argparse type of --prime."""
     p = int(text)
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"must be a prime, not {text}")
     return p
 

@@ -16,8 +16,10 @@ from .groups import (
     Subgroup,
     centralizer,
     conjugation_hom,
+    conjugation_rows,
     full_subgroup,
     group_from_elements,
+    is_prime,
     lattice,
     normalizer,
     p_part,
@@ -33,8 +35,9 @@ class FusionSystem:
     def __init__(self, S, p, homsets):
         if S.elements != tuple(range(S.parent.order)):
             raise ValueError("S must be the full subgroup of its own p-group")
-        inferred = prime_of(S.order)
-        if inferred is not None and inferred != p:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
+        if prime_of(S.order) not in (None, p):
             raise ValueError(f"S has order {S.order}, not a power of {p}")
         self.S = S
         self.p = p
@@ -66,7 +69,6 @@ class FusionSystem:
         c_g|P for every g in S, and with each h its inverse onto h(P), its
         restrictions and h2 o h for every h2 in Hom(h(P), S).  With the
         restrictions present, that covers every composable pair."""
-        G = self.group
         for P in self.subgroups:
             for h in self.homsets[P.elements]:
                 if h.source != P or h.target != self.S:
@@ -74,10 +76,11 @@ class FusionSystem:
                         f"{h!r} is stored as a map {list(P.elements)} -> S")
         seen = {key: {h.images for h in homs}
                 for key, homs in self.homsets.items()}
+        rows = conjugation_rows(self.group)
         for P in self.subgroups:
             have = seen[P.elements]
-            for g in G.elements():
-                if tuple(G.conj(g, x) for x in P.elements) not in have:
+            for g, row in enumerate(rows):
+                if tuple(map(row.__getitem__, P.elements)) not in have:
                     raise NotACategory(f"missing S-conjugation "
                                        f"{conjugation_hom(P, self.S, g)!r}")
             for h in self.homsets[P.elements]:
@@ -86,11 +89,11 @@ class FusionSystem:
                 if tuple(back[y] for y in img) not in seen.get(img, ()):
                     raise NotACategory(f"missing inverse of {h!r}")
                 for P2 in self.lattice.below[P.elements]:
-                    if (tuple(h.image_of(x) for x in P2.elements)
+                    if (tuple(map(h._map.__getitem__, P2.elements))
                             not in seen[P2.elements]):
                         raise NotACategory(f"missing restriction of {h!r}")
                 for h2 in self.homsets.get(img, ()):
-                    if tuple(h2.image_of(y) for y in h.images) not in have:
+                    if tuple(map(h2._map.__getitem__, h.images)) not in have:
                         raise NotACategory(
                             f"homsets not closed under composition "
                             f"at {h2!r} o {h!r}")
@@ -271,42 +274,51 @@ class SaturationReport:
 
 def is_saturated(F):
     """Check the Sylow and extension axioms; failures become witnesses."""
-    G = F.group
+    # one pass over S files each g in N_S(P) under the images of c_g|P: the
+    # keys are Aut_S(P), and the g's under the identity make up C_S(P)
+    autos = {P.elements: {} for P in F.subgroups}
+    for g, row in enumerate(conjugation_rows(F.group)):
+        for P in F.subgroups:
+            images = tuple(map(row.__getitem__, P.elements))
+            if P.as_set().issuperset(images):
+                autos[P.elements].setdefault(images, []).append(g)
+    norms = {key: sum(map(len, a.values())) for key, a in autos.items()}
+    cents = {key: len(a[key]) for key, a in autos.items()}
     witnesses = []
-    norms = {P.elements: normalizer(G, P) for P in F.subgroups}
-    cents = {P.elements: centralizer(G, P).order for P in F.subgroups}
-    aut_s = {key: {tuple(G.conj(g, x) for x in key) for g in N.elements}
-             for key, N in norms.items()}     # images of Aut_S(P)
     max_c = {}
     for cls in F.conjugacy_classes():
-        max_n = max(norms[P.elements].order for P in cls)
+        max_n = max(norms[P.elements] for P in cls)
         top_c = max(cents[P.elements] for P in cls)
         for P in cls:
             max_c[P.elements] = top_c
-            if norms[P.elements].order != max_n:
+            if norms[P.elements] != max_n:
                 continue
             if cents[P.elements] != top_c:
                 witnesses.append(CentralizedFailure(P))
-            n_s, n_f = len(aut_s[P.elements]), len(F.aut_set(P))
+            n_s = len(autos[P.elements])
+            n_f = sum(P.as_set().issuperset(h.images)
+                      for h in F.homsets[P.elements])
             if n_s != p_part(n_f, F.p):
                 witnesses.append(SylowFailure(P, n_s, n_f))
     # extension axiom: phi onto a fully centralized image extends to N_phi,
-    # the g in N_S(P) with phi c_g phi^-1 in Aut_S(phi(P))
+    # the g in N_S(P) with phi c_g phi^-1 in Aut_S(phi(P)), a test on c_g|P
+    # alone; phi extends iff it restricts some map N_phi -> S to P
     for P in F.subgroups:
+        extends = {}   # N_phi -> images on P of the maps N_phi -> S
         for phi in F.homsets[P.elements]:
             img = phi.image_elements()
             if cents[img] != max_c[img]:
                 continue
-            back = dict(zip(phi.images, P.elements))
-            n_phi = F.subgroup(
-                g for g in norms[P.elements].elements
-                if tuple(phi.image_of(G.conj(g, back[y])) for y in img)
-                in aut_s[img])
-            extended = any(
-                all(ext.image_of(x) == phi.image_of(x) for x in P.elements)
-                for ext in F.homsets[n_phi.elements])
-            if not extended:
-                witnesses.append(ExtensionFailure(phi, n_phi))
+            on_img = sorted(range(P.order), key=phi.images.__getitem__)
+            n_phi = tuple(sorted(
+                g for alpha, gs in autos[P.elements].items()
+                if tuple(phi._map[alpha[k]] for k in on_img) in autos[img]
+                for g in gs))
+            if n_phi not in extends:
+                extends[n_phi] = {tuple(map(h._map.__getitem__, P.elements))
+                                  for h in F.homsets[n_phi]}
+            if phi.images not in extends[n_phi]:
+                witnesses.append(ExtensionFailure(phi, F.subgroup(n_phi)))
     return SaturationReport(not witnesses, witnesses)
 
 

@@ -41,6 +41,10 @@ def p_part(n, p):
     return m
 
 
+def is_prime(n):
+    return _factorize(n) == {n: 1}
+
+
 def prime_of(order):
     """The prime p of which order is a power, or None when order is 1."""
     factors = _factorize(order)
@@ -358,6 +362,12 @@ def centralizer(G, P):
     elems = [g for g in G.elements()
              if all(t[g][x] == t[x][g] for x in P.elements)]
     return Subgroup(G, elems)
+
+
+def conjugation_rows(G):
+    """c_g for each g in G, as the tuple of g x g^-1 over the elements x."""
+    t = G.table
+    return [tuple(t[y][G.inv(g)] for y in t[g]) for g in G.elements()]
 
 
 def normalizer(G, P):

@@ -197,6 +197,20 @@ def test_prime_one_exit_two_at_once():
     assert "must be a prime, not 1" in proc.stderr
 
 
+@pytest.mark.parametrize("p", [4, 1])
+@pytest.mark.parametrize("verb", [["fusion", "saturate"],
+                                  ["stable", "poincare", "--max-degree", "2"]])
+def test_non_prime_on_trivial_s_exit_two(tmp_path, capsys, verb, p):
+    # |S| = 1 names no prime, so p is checked on its own
+    (tmp_path / "c1.grp").write_text("group C1 order 1\nmode table\n0\n")
+    fus = tmp_path / "c1.fus"
+    fus.write_text(f"fusion p={p} S=c1.grp\n")
+    assert main(verb + ["--fusion", str(fus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"p = {p} is not a prime" in captured.err
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["group", "info", "/nonexistent.grp"]) == 2
 
