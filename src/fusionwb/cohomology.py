@@ -220,10 +220,6 @@ class CohoElement:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def scaled(self, c):
-        return CohoElement(self.site,
-                           {m: v * c for m, v in self.terms.items()})
-
     def mul(self, other):
         p = self.site.p
         out = {}

@@ -16,7 +16,8 @@ from .groups import (
     Subgroup,
     centralizer,
     conjugation_hom,
-    conjugation_rows,
+    conjugation_images,
+    conjugations,
     full_subgroup,
     group_from_elements,
     is_prime,
@@ -76,13 +77,14 @@ class FusionSystem:
                         f"{h!r} is stored as a map {list(P.elements)} -> S")
         seen = {key: {h.images for h in homs}
                 for key, homs in self.homsets.items()}
-        rows = conjugation_rows(self.group)
+        conj = conjugations(self.group)
         for P in self.subgroups:
             have = seen[P.elements]
-            for g, row in enumerate(rows):
-                if tuple(map(row.__getitem__, P.elements)) not in have:
-                    raise NotACategory(f"missing S-conjugation "
-                                       f"{conjugation_hom(P, self.S, g)!r}")
+            # the first missing key's first g is the least g missing
+            for images, gs in conj[P.elements].items():
+                if images not in have:
+                    c_g = conjugation_hom(P, self.S, gs[0])
+                    raise NotACategory(f"missing S-conjugation {c_g!r}")
             for h in self.homsets[P.elements]:
                 img = h.image_elements()
                 back = dict(zip(h.images, P.elements))
@@ -140,29 +142,13 @@ def transporter(G, P, Q):
             if all(G.conj(g, x) in qset for x in P.elements)]
 
 
-def _conjugation_images(G, emb, subs):
-    """P.elements -> {images of c_g|P: their set}, over g in G, in the order
-    of the first g that gives each; c_g(x) = emb^-1(g emb(x) g^-1) for subs
-    subgroups of one group that the dict emb embeds into G."""
-    back = {y: x for x, y in emb.items()}
-    found = {P.elements: {} for P in subs}
-    for g in G.elements():
-        c = {x: back.get(G.conj(g, y)) for x, y in emb.items()}
-        for P in subs:
-            images = tuple(c[x] for x in P.elements)
-            if None not in images and images not in found[P.elements]:
-                found[P.elements][images] = frozenset(images)
-    return found
-
-
 def conjugation_homs(G, emb, subs):
     """Every c_g : P -> Q with g in G, for P and Q in subs: P first, then Q
-    (both in subs order), then in _conjugation_images order."""
-    found = _conjugation_images(G, emb, subs)
+    (both in subs order), then in conjugation_images order."""
+    found = conjugation_images(G, subs, emb)
     return [InjHom(P, Q, images, _trusted=True)
-            for P in subs for Q in subs
-            for images, image_set in found[P.elements].items()
-            if image_set <= Q.as_set()]
+            for P in subs for Q in subs for images in found[P.elements]
+            if Q.as_set().issuperset(images)]
 
 
 def fusion_from_group(S, G, p=None):
@@ -177,7 +163,7 @@ def fusion_from_group(S, G, p=None):
     Sgroup = subgroup_as_group(S, name=f"Syl_{p}({G.name})")
     top = full_subgroup(Sgroup)
     subs = lattice(Sgroup).subgroups
-    found = _conjugation_images(G, dict(enumerate(S.elements)), subs)
+    found = conjugation_images(G, subs, dict(enumerate(S.elements)))
     return FusionSystem(top, p, {
         P.elements: [InjHom(P, top, images, _trusted=True)
                      for images in found[P.elements]]
@@ -205,9 +191,9 @@ def generate_fusion(S, p, generators):
             homs[P.elements][images] = h
             queue.append(h)
 
-    found = _conjugation_images(G, {x: x for x in G.elements()}, lat.subgroups)
+    conj = conjugations(G)
     for P in lat.subgroups:
-        for images in found[P.elements]:
+        for images in conj[P.elements]:
             add(P, images)
     for phi in generators:
         if phi.source.parent != G or phi.target.parent != G:
@@ -220,11 +206,11 @@ def generate_fusion(S, p, generators):
         P = h.source
         img = h.image_elements()
         for P2 in lat.below[P.elements]:
-            add(P2, tuple(h.image_of(x) for x in P2.elements))
+            add(P2, tuple(map(h._map.__getitem__, P2.elements)))
         back = dict(zip(h.images, P.elements))
         add(lat.by_key[img], tuple(back[y] for y in img))
         for h2 in list(homs[img].values()):
-            add(P, tuple(h2.image_of(y) for y in h.images))
+            add(P, tuple(map(h2._map.__getitem__, h.images)))
 
     return FusionSystem(S, p, {key: list(d.values())
                                for key, d in homs.items()})
@@ -274,14 +260,12 @@ class SaturationReport:
 
 def is_saturated(F):
     """Check the Sylow and extension axioms; failures become witnesses."""
-    # one pass over S files each g in N_S(P) under the images of c_g|P: the
-    # keys are Aut_S(P), and the g's under the identity make up C_S(P)
-    autos = {P.elements: {} for P in F.subgroups}
-    for g, row in enumerate(conjugation_rows(F.group)):
-        for P in F.subgroups:
-            images = tuple(map(row.__getitem__, P.elements))
-            if P.as_set().issuperset(images):
-                autos[P.elements].setdefault(images, []).append(g)
+    # the keys of S's conjugation table inside P are Aut_S(P), their g's
+    # make up N_S(P), and the g's under the identity C_S(P)
+    conj = conjugations(F.group)
+    autos = {P.elements: {images: gs for images, gs in conj[P.elements].items()
+                          if P.as_set().issuperset(images)}
+             for P in F.subgroups}
     norms = {key: sum(map(len, a.values())) for key, a in autos.items()}
     cents = {key: len(a[key]) for key, a in autos.items()}
     witnesses = []

@@ -31,9 +31,9 @@ def _factorize(n):
 
 
 def p_part(n, p):
-    """The largest power of p dividing n."""
-    if p < 2:
-        raise ValueError(f"no p-part for p = {p}")
+    """The largest power of the prime p dividing n."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     m = 1
     while n % p == 0:
         m *= p
@@ -73,6 +73,7 @@ class Group:
         self._hash = hash(self.table)
         self._element_orders = None
         self._lattice = None
+        self._conjugations = None
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -110,9 +111,6 @@ class Group:
     def is_abelian(self):
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
-    def exponent_divides(self, e):
-        return all(self.power(x, e) == 0 for x in range(self.order))
 
     def label(self, a):
         if self.labels is not None:
@@ -364,10 +362,34 @@ def centralizer(G, P):
     return Subgroup(G, elems)
 
 
-def conjugation_rows(G):
-    """c_g for each g in G, as the tuple of g x g^-1 over the elements x."""
+def conjugation_images(G, subs, emb=None):
+    """{P.elements: {images of c_g|P: [g, ...]}} over g in G, keys in the
+    order of their first g, each g list ascending.  subs are subgroups of G,
+    or, when the dict emb embeds their group into G, of that group, with
+    c_g(x) = emb^-1(g emb(x) g^-1); an image outside emb's range is left out.
+    """
     t = G.table
-    return [tuple(t[y][G.inv(g)] for y in t[g]) for g in G.elements()]
+    back = None if emb is None else {y: x for x, y in emb.items()}
+    found = {P.elements: {} for P in subs}
+    for g in G.elements():
+        ginv = G.inv(g)
+        row = [t[y][ginv] for y in t[g]]
+        if back is not None:
+            row = {x: back.get(row[y]) for x, y in emb.items()}
+        for P in subs:
+            images = tuple(map(row.__getitem__, P.elements))
+            if back is None or None not in images:
+                found[P.elements].setdefault(images, []).append(g)
+    return found
+
+
+def conjugations(G):
+    """conjugation_images over lattice(G), built on first use and kept on G;
+    callers read it and never change it.  The g lists under the keys inside
+    P make up N_G(P), and the one under P.elements itself C_G(P)."""
+    if G._conjugations is None:
+        G._conjugations = conjugation_images(G, lattice(G).subgroups)
+    return G._conjugations
 
 
 def normalizer(G, P):
@@ -651,11 +673,6 @@ class InjHom:
         if not self.source.contains_subgroup(sub):
             raise ValueError("restriction domain escapes the source")
         return InjHom(sub, self.target, [self._map[x] for x in sub.elements],
-                      _trusted=True)
-
-    def corestrict(self):
-        """Same map viewed as an isomorphism onto its image."""
-        return InjHom(self.source, self.image_subgroup(), self.images,
                       _trusted=True)
 
     def inverse(self):

@@ -29,8 +29,7 @@ from .cohomology import (
     restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
-from .fusion import _conjugation_images
-from .groups import InjHom, elementary_abelians
+from .groups import InjHom, conjugation_images, elementary_abelians
 from .linalg import canonical_kernel, nullspace
 
 MAX_DEGREE = 40
@@ -94,9 +93,7 @@ def fusion_ea_morphisms(F, generating=True):
 def quillen_morphisms(G, p):
     """_site_morphisms over the conjugation maps between sites."""
     sites = elementary_sites(G, p)
-    # the sites' elements are closed under conjugation
-    found = _conjugation_images(G, {x: x for s in sites for x in s.key},
-                                [s.V for s in sites])
+    found = conjugation_images(G, [s.V for s in sites])
     return _site_morphisms(sites, found, p)
 
 
@@ -175,12 +172,12 @@ def _limit_basis(sites, homs, pulls, d, p):
     return families
 
 
-def _limits(build, p, degrees, degree_cap):
+def _limits(build, p, degrees):
     """_limit_basis at each of degrees, over the (sites, homs, pulls) that
     build() returns, built once."""
     top = max(degrees, default=0)
-    if top > degree_cap:
-        raise DegreeBoundExceeded(f"degree {top} exceeds cap {degree_cap}")
+    if top > MAX_DEGREE:
+        raise DegreeBoundExceeded(f"degree {top} exceeds cap {MAX_DEGREE}")
     sites, homs, pulls = build()
     return sites, [_limit_basis(sites, homs, pulls, d, p) for d in degrees]
 
@@ -198,22 +195,22 @@ class StableFamily:
         return all(c.is_zero() for c in self.components.values())
 
 
-def _stable_series(F, degrees, generating=True, degree_cap=MAX_DEGREE):
+def _stable_series(F, degrees, generating=True):
     sites, limits = _limits(lambda: fusion_ea_morphisms(F, generating),
-                            F.p, degrees, degree_cap)
+                            F.p, degrees)
     return [[StableFamily(F, d, comps, tuple(sites)) for comps in families]
             for d, families in zip(degrees, limits)]
 
 
-def stable_basis(F, d, degree_cap=MAX_DEGREE):
+def stable_basis(F, d):
     """Basis of the degree-d stable elements of F at the elementary-abelian level."""
-    return _stable_series(F, [d], degree_cap=degree_cap)[0]
+    return _stable_series(F, [d])[0]
 
 
-def stable_bases(F, max_degree, degree_cap=MAX_DEGREE):
+def stable_bases(F, max_degree):
     """stable_basis(F, d) for d = 0..max_degree, building the sites and
     morphisms once; a list with one list of families per degree."""
-    return _stable_series(F, range(max_degree + 1), degree_cap=degree_cap)
+    return _stable_series(F, range(max_degree + 1))
 
 
 def stable_basis_all_morphisms(F, d):
@@ -221,8 +218,8 @@ def stable_basis_all_morphisms(F, d):
     return _stable_series(F, [d], generating=False)[0]
 
 
-def poincare_series(F, max_degree, degree_cap=MAX_DEGREE):
-    return [len(fams) for fams in stable_bases(F, max_degree, degree_cap)]
+def poincare_series(F, max_degree):
+    return [len(fams) for fams in stable_bases(F, max_degree)]
 
 
 def family_product(f1, f2):
@@ -276,15 +273,14 @@ class QuillenLimit:
     sites: tuple
 
 
-def quillen_limits(G, p, degrees, degree_cap=MAX_DEGREE):
+def quillen_limits(G, p, degrees):
     """The same limit over the Quillen category of a finite group, at each
     of degrees, building the sites and morphisms once."""
-    sites, limits = _limits(lambda: quillen_morphisms(G, p), p, degrees,
-                            degree_cap)
+    sites, limits = _limits(lambda: quillen_morphisms(G, p), p, degrees)
     return [QuillenLimit(G, p, d, len(families), families, tuple(sites))
             for d, families in zip(degrees, limits)]
 
 
-def quillen_limit_finite_group(G, p, d, degree_cap=MAX_DEGREE):
+def quillen_limit_finite_group(G, p, d):
     """quillen_limits at the one degree d."""
-    return quillen_limits(G, p, [d], degree_cap)[0]
+    return quillen_limits(G, p, [d])[0]

@@ -218,14 +218,14 @@ def test_missing_file_exit_two(capsys):
 def test_broken_category_exit_three(monkeypatch, capsys):
     # a transporter system missing one automorphism of S is not a category;
     # that is a bug in the workbench, not unusable input
-    real = fusion._conjugation_images
+    real = fusion.conjugation_images
 
-    def drop_one(G, emb, subs):
-        found = real(G, emb, subs)
+    def drop_one(G, subs, emb=None):
+        found = real(G, subs, emb)
         found[subs[-1].elements].popitem()
         return found
 
-    monkeypatch.setattr(fusion, "_conjugation_images", drop_one)
+    monkeypatch.setattr(fusion, "conjugation_images", drop_one)
     code = main(["fusion", "saturate", "--group", str(DATA / "s4.grp"),
                  "--prime", "2"])
     captured = capsys.readouterr()

@@ -261,8 +261,8 @@ def test_injhom_compose_restrict_inverse():
     r = rho.restrict(sub)
     assert r.images == (0, 2)
     assert rho.inverse().images == (0, 3, 1, 2)
-    core = r.corestrict()
-    assert core.target.elements == (0, 2)
+    core = InjHom(sub, Subgroup(V4, (0, 2)), r.images)
+    assert core.is_iso_onto_target()
 
 
 def test_subgroup_lagrange_and_closure_validation():
@@ -278,13 +278,26 @@ def test_direct_product_and_elementary():
     G = direct_product(cyclic(2), cyclic(3))
     assert is_isomorphic(G, cyclic(6))
     E = elementary(3, 2)
-    assert E.order == 9 and E.exponent_divides(3)
+    assert E.order == 9
+    assert all(E.element_order(x) in (1, 3) for x in E.elements())
 
 
-@pytest.mark.parametrize("p", [1, 0, -2])
+@pytest.mark.parametrize("p", [1, 0, -2, 4, 6])
 def test_p_part_refuses_p_below_two(p):
     with pytest.raises(ValueError):
         p_part(12, p)
+
+
+def test_sylow_of_a_composite_p_is_refused():
+    # p = 4 once gave the cyclic subgroup [0, 1, 16, 21] of S4
+    with pytest.raises(ValueError, match="p = 4 is not a prime"):
+        sylow_p(symmetric(4), 4)
+
+
+def test_elementary_abelians_of_a_composite_p_are_refused():
+    # p = 4 once listed the four cyclic subgroups of order 4 of S4
+    with pytest.raises(ValueError, match="p = 4 is not a prime"):
+        elementary_abelians(symmetric(4), 4)
 
 
 def test_named_group_catalog_orders():

@@ -15,6 +15,7 @@ from conjugation_oracle import (
 from restriction_oracle import reference_limit_terms
 from fusionwb import corpus, groups
 from fusionwb.catalog import (
+    BUILDERS,
     alternating4,
     cyclic,
     dihedral8,
@@ -31,7 +32,16 @@ from fusionwb.fusion import (
     generate_fusion,
     is_saturated,
 )
-from fusionwb.groups import InjHom, full_subgroup, lattice, sylow_p
+from fusionwb.groups import (
+    InjHom,
+    centralizer,
+    conjugations,
+    full_subgroup,
+    lattice,
+    normalizer,
+    subgroup_as_group,
+    sylow_p,
+)
 from fusionwb.io import load_fusion_spec
 from fusionwb.stable import (
     fusion_ea_morphisms,
@@ -79,6 +89,50 @@ def test_subgroup_search_runs_once_per_group(monkeypatch):
     assert is_saturated(F).saturated
     generate_fusion(F.S, 2, list(F.morphisms()))
     assert searched == [F.group]
+
+
+def _table_groups():
+    """Every catalog p-group and the Sylow subgroup of every corpus pair."""
+    out = [G for G in (build() for build in BUILDERS.values())
+           if len(G.order_factors) == 1]
+    return out + [subgroup_as_group(sylow_p(CORPUS.groups[g], p),
+                                    name=f"Syl_{p}({g})")
+                  for _, g, p in CORPUS.pairs]
+
+
+@pytest.mark.parametrize("S", _table_groups(), ids=lambda S: S.name)
+def test_conjugation_table_gives_normalizers_and_centralizers(S):
+    conj = conjugations(S)
+    assert conj is conjugations(S)
+    for P in lattice(S).subgroups:
+        found = conj[P.elements]
+        for images, gs in found.items():
+            assert gs == sorted(gs)
+            assert all(tuple(S.conj(g, x) for x in P.elements) == images
+                       for g in gs)
+        firsts = [gs[0] for gs in found.values()]
+        assert firsts == sorted(firsts)
+        assert sorted(g for gs in found.values() for g in gs) == list(
+            S.elements())
+        inside = sorted(g for images, gs in found.items()
+                        if P.as_set().issuperset(images) for g in gs)
+        assert inside == list(normalizer(S, P).elements)
+        assert found[P.elements] == list(centralizer(S, P).elements)
+
+
+def test_conjugation_pass_runs_once_per_group(monkeypatch):
+    passes = []
+    real = groups.conjugation_images
+
+    def counting(G, subs, emb=None):
+        passes.append(G)
+        return real(G, subs, emb)
+
+    monkeypatch.setattr(groups, "conjugation_images", counting)
+    S = full_subgroup(klein_four())
+    F = generate_fusion(S, 2, [InjHom(S, S, [0, 2, 3, 1])])
+    assert is_saturated(F).saturated
+    assert passes == [S.parent]
 
 
 @pytest.mark.parametrize("name", CORPUS.names)
