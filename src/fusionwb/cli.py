@@ -30,6 +30,7 @@ from .io import (
     load_fusion_spec,
     load_group,
     load_presentation,
+    serialize_family,
     serialize_presentation,
 )
 from .models import (
@@ -251,9 +252,8 @@ def _run_stable(args, report):
         for d, fams in enumerate(stable_bases(F, args.max_degree)):
             report.add(f"degree {d}: dimension {len(fams)}")
             for k, fam in enumerate(fams):
-                for s in fam.sites:
-                    report.add(f"  [{k}] V={format_elems(s.key)} ; "
-                               f"{fam.components[s.key].describe()}")
+                for line in serialize_family(fam).splitlines():
+                    report.add(f"  [{k}] {line}")
         return report
     if args.action == "poincare":
         F = load_fusion_spec(args.fusion).fusion()

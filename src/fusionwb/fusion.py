@@ -67,38 +67,31 @@ class FusionSystem:
 
     def _check_category(self):
         """Raise NotACategory unless each Hom(P, S) holds maps P -> S only,
-        c_g|P for every g in S, and with each h its inverse onto h(P), its
-        restrictions and h2 o h for every h2 in Hom(h(P), S).  With the
-        restrictions present, that covers every composable pair."""
+        c_g|P for every g in S, and with each h what _demands asks for.
+        Smaller P come first, so all of h's restrictions are present by the
+        time h is checked, which covers every composable pair."""
         for P in self.subgroups:
             for h in self.homsets[P.elements]:
                 if h.source != P or h.target != self.S:
                     raise NotACategory(
                         f"{h!r} is stored as a map {list(P.elements)} -> S")
-        seen = {key: {h.images for h in homs}
+        seen = {key: {h.images: h for h in homs}
                 for key, homs in self.homsets.items()}
         conj = conjugations(self.group)
+        maximal = _maximal_subgroups(self.lattice, self.p)
         for P in self.subgroups:
-            have = seen[P.elements]
             # the first missing key's first g is the least g missing
             for images, gs in conj[P.elements].items():
-                if images not in have:
+                if images not in seen[P.elements]:
                     c_g = conjugation_hom(P, self.S, gs[0])
                     raise NotACategory(f"missing S-conjugation {c_g!r}")
             for h in self.homsets[P.elements]:
-                img = h.image_elements()
-                back = dict(zip(h.images, P.elements))
-                if tuple(back[y] for y in img) not in seen.get(img, ()):
-                    raise NotACategory(f"missing inverse of {h!r}")
-                for P2 in self.lattice.below[P.elements]:
-                    if (tuple(map(h._map.__getitem__, P2.elements))
-                            not in seen[P2.elements]):
-                        raise NotACategory(f"missing restriction of {h!r}")
-                for h2 in self.homsets.get(img, ()):
-                    if tuple(map(h2._map.__getitem__, h.images)) not in have:
+                for key, images, rule in _demands(h, seen, maximal):
+                    if images not in seen.get(key, ()):
                         raise NotACategory(
-                            f"homsets not closed under composition "
-                            f"at {h2!r} o {h!r}")
+                            f"missing {rule} of {h!r}" if isinstance(rule, str)
+                            else f"homsets not closed under composition "
+                                 f"at {rule!r} o {h!r}")
 
     def conjugacy_classes(self):
         """Partition of the subgroups under F-isomorphism.
@@ -170,14 +163,32 @@ def fusion_from_group(S, G, p=None):
         for P in subs})
 
 
-def generate_fusion(S, p, generators):
-    """Least fusion system on S containing the given morphisms.
+def _maximal_subgroups(lat, p):
+    """key -> the keys of its maximal (index-p) subgroups, from lat.below."""
+    return {key: [Q.elements for Q in below if p * Q.order == len(key)]
+            for key, below in lat.below.items()}
 
-    Seeds the S-conjugations, then closes the maps into S under restriction,
-    inverse onto the image, and h2 o h for each h2 in Hom(h(P), S) present
-    when h is taken.  A later h2 is covered too: h^-1 is present when h2^-1
-    is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h.
-    """
+
+def _demands(h, homs, maximal):
+    """(key, images, rule) for each map that the category axioms ask for
+    with a stored h: P -> S, homs being {key: {images: map}}: h's inverse
+    onto h(P), h restricted to each maximal subgroup of P (the rest follow
+    from those), and h2 o h for each h2 in homs[h(P)] once those are in.
+    rule is "inverse", "restriction" or that h2."""
+    img = h.image_elements()
+    back = dict(zip(h.images, h.source.elements))
+    yield img, tuple(map(back.__getitem__, img)), "inverse"
+    for key in maximal[h.source.elements]:
+        yield key, tuple(map(h._map.__getitem__, key)), "restriction"
+    for h2 in list(homs[img].values()):
+        yield h.source.elements, tuple(map(h2._map.__getitem__, h.images)), h2
+
+
+def generate_fusion(S, p, generators):
+    """Least fusion system on S containing the given morphisms: the
+    S-conjugations and the generators, then what _demands asks for with each
+    map taken.  A later h2 on h(P) is covered too: h^-1 is present when h2^-1
+    is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h."""
     G = S.parent
     if S.elements != tuple(range(G.order)):
         raise ValueError("S must be the full subgroup of its p-group")
@@ -185,32 +196,26 @@ def generate_fusion(S, p, generators):
     homs = {P.elements: {} for P in lat.subgroups}   # images -> P -> S map
     queue = deque()
 
-    def add(P, images):
-        if images not in homs[P.elements]:
-            h = InjHom(P, S, images, _trusted=True)
-            homs[P.elements][images] = h
+    def add(key, images):
+        if images not in homs[key]:
+            h = InjHom(lat.by_key[key], S, images, _trusted=True)
+            homs[key][images] = h
             queue.append(h)
 
-    conj = conjugations(G)
-    for P in lat.subgroups:
-        for images in conj[P.elements]:
-            add(P, images)
+    for key, found in conjugations(G).items():
+        for images in found:
+            add(key, images)
     for phi in generators:
         if phi.source.parent != G or phi.target.parent != G:
             raise ValueError("generator does not live on S")
         P = lat.by_key[phi.source.elements]
-        add(P, InjHom(P, lat.by_key[phi.target.elements], phi.images).images)
+        add(P.elements,
+            InjHom(P, lat.by_key[phi.target.elements], phi.images).images)
 
+    maximal = _maximal_subgroups(lat, p)
     while queue:
-        h = queue.popleft()
-        P = h.source
-        img = h.image_elements()
-        for P2 in lat.below[P.elements]:
-            add(P2, tuple(map(h._map.__getitem__, P2.elements)))
-        back = dict(zip(h.images, P.elements))
-        add(lat.by_key[img], tuple(back[y] for y in img))
-        for h2 in list(homs[img].values()):
-            add(P, tuple(map(h2._map.__getitem__, h.images)))
+        for key, images, _ in _demands(queue.popleft(), homs, maximal):
+            add(key, images)
 
     return FusionSystem(S, p, {key: list(d.values())
                                for key, d in homs.items()})

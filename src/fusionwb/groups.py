@@ -335,7 +335,7 @@ class Lattice:
     """G's subgroups in (size, elements) order, with containment.
 
     below[key] lists the proper subgroups of the subgroup with element
-    tuple key, above[key] the subgroups containing it, itself included.
+    tuple key, in the same order.
     """
 
     def __init__(self, G):
@@ -343,8 +343,6 @@ class Lattice:
         self.by_key = {P.elements: P for P in subs}
         self.below = {P.elements: [Q for Q in subs if Q.order < P.order
                                    and P.contains_subgroup(Q)] for P in subs}
-        self.above = {P.elements: [Q for Q in subs if Q.contains_subgroup(P)]
-                      for P in subs}
 
 
 def lattice(G):

@@ -7,6 +7,7 @@ again reproduces it byte for byte, which the corpus check relies on.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -390,11 +391,8 @@ def parse_word(pres, text):
 
 
 def serialize_family(fam):
-    lines = []
-    for s in fam.sites:
-        lines.append(f"V={format_elems(s.key)} ; "
-                     f"{fam.components[s.key].describe()}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"V={format_elems(s.key)} ; "
+                   f"{fam.components[s.key].describe()}\n" for s in fam.sites)
 
 
 def parse_family(F, text):
@@ -412,6 +410,8 @@ def parse_family(F, text):
         if key not in by_key:
             raise ParseError(f"{list(key)} is not an elementary abelian "
                              f"subgroup of S")
+        if key in comps:
+            raise ParseError(f"site {list(key)} is given twice")
         site = by_key[key]
         comps[key] = _parse_terms(site, m.group(2))
     degrees = set()
@@ -483,8 +483,10 @@ def load_family(F, path):
 
 
 def describe_fusion(F):
-    n_morphisms = sum(len(F.lattice.above[h.image_elements()])
-                      for h in F.morphisms())
+    # h: P -> S counts once for each Q >= h(P), itself and its overgroups
+    above = Counter(Q.elements for below in F.lattice.below.values()
+                    for Q in below)
+    n_morphisms = sum(1 + above[h.image_elements()] for h in F.morphisms())
     return (f"fusion system on {F.group.name} (order {F.group.order}, "
             f"p={F.p}): {len(F.subgroups)} subgroups, "
             f"{n_morphisms} morphisms")

@@ -426,12 +426,11 @@ def validate_alperin_datum(datum):
                 i, "CentralizerFailure",
                 f"C_L(iota(P)) = {list(cent.elements)} but iota(Z(P)) = "
                 f"{sorted(z_img)}"))
-        N = normalizer(F.group, e.P)
-        if N.order != p_part(e.L.order, p):
+        if e.iota.source.order != p_part(e.L.order, p):   # N_S(P)
             failures.append(DatumFailure(
                 i, "SylowEmbeddingFailure",
-                f"|N_S(P)| = {N.order} is not the {p}-part of |L| = "
-                f"{e.L.order}"))
+                f"|N_S(P)| = {e.iota.source.order} is not the {p}-part of "
+                f"|L| = {e.L.order}"))
         try:
             quot, _ = quotient_group(e.L, iota_psub)
             outer = out_f(F, e.P)
@@ -468,10 +467,9 @@ def robinson_presentation(datum):
         raise DatumInvalid(report)
     F = datum.F
     iota1 = datum.entries[0].iota
-    edges = {}
-    for fi, e in enumerate(datum.entries[1:], start=2):
-        N = normalizer(F.group, e.P)
-        edges[fi] = {iota1.image_of(x): e.iota.image_of(x) for x in N.elements}
+    edges = {fi: {iota1.image_of(x): e.iota.image_of(x)
+                  for x in e.iota.source.elements}        # N_S(P)
+             for fi, e in enumerate(datum.entries[1:], start=2)}
     return amalgam_presentation(
         [e.L for e in datum.entries], edges,
         s_group=F.group,
@@ -535,10 +533,9 @@ def recover_fusion(pres, S, radius):
         raise MismatchedBase("S does not match the model's embedded copy")
     base = S.parent
     ball = ball_enumerate(pres, radius)
-    # (P, images) -> P, in the order the maps are first seen; each distinct
-    # map is checked once, when its InjHom is built
+    # c_w on its whole domain, the subgroup S meet w^-1 S w: each distinct
+    # one once, in the order first seen; the closure adds its restrictions
     maps = {}
-    lat = lattice(base)
     for w in ball:
         winv = w.inverse()
         conj = {0: 0}
@@ -546,13 +543,10 @@ def recover_fusion(pres, S, radius):
             y = base_element_of(w.concat(pres.s_word([x])).concat(winv))
             if y is not None:
                 conj[x] = y
-        for P in lat.subgroups:
-            if any(x not in conj for x in P.elements):
-                continue
-            maps.setdefault(
-                (P.elements, tuple(conj[x] for x in P.elements)), P)
-    morphisms = [InjHom(P, S, images) for (_, images), P in maps.items()]
-    return generate_fusion(S, pres.p, morphisms)
+        maps.setdefault((tuple(conj), tuple(conj.values())))
+    return generate_fusion(S, pres.p, [
+        InjHom(lattice(base).by_key[domain], S, images)
+        for domain, images in maps])
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,9 @@ def reference_fusion_ea_morphisms(F, sites, generating=True):
     for sw in sites:
         into = {}                       # site key -> maps with image in it
         for h in F.homsets[sw.key]:
-            above = F.lattice.above[h.image_elements()]  # h(W) comes first
-            for Q in above[:1] if generating else above:
+            img = F.subgroup(h.image_elements())
+            above = [Q for Q in F.subgroups if Q.contains_subgroup(img)]
+            for Q in above[:1] if generating else above:  # h(W) comes first
                 into.setdefault(Q.elements, []).append(h)
         for sv in sites:
             for h in into.get(sv.key, ()):

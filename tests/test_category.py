@@ -153,6 +153,27 @@ def test_category_check_rejects_a_missing_restriction():
         _rebuild(F, identities)
 
 
+def test_category_check_rejects_a_missing_restriction_at_index_p2():
+    # tau swaps two coordinates of C2^3; drop tau|K : K -> tau(K) and its
+    # inverse for an order-2 K, two levels below tau on S.  The check finds
+    # the gap at the first order-4 M over K or tau(K), as a missing
+    # restriction of the stored tau|M.
+    S, p, gens = _automizers(2, 3, [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]])
+    F = generate_fusion(S, p, gens)
+    K = next(P for P in F.subgroups if P.order == 2
+             and len(F.homsets[P.elements]) == 2)
+    tau_K = next(h for h in F.homsets[K.elements] if h.images != K.elements)
+    dropped = (K.elements, tau_K.image_elements())
+    M = next(P for P in F.subgroups if P.order == 4
+             and any(P.contains_subgroup(F.subgroup(key)) for key in dropped))
+    tau_M, = [h for h in F.homsets[M.elements] if h.images != M.elements]
+    identities = {key: [h for h in F.homsets[key] if h.images == key]
+                  for key in dropped}
+    with pytest.raises(NotACategory) as info:
+        _rebuild(F, identities)
+    assert str(info.value) == f"missing restriction of {tau_M!r}"
+
+
 def test_category_check_rejects_a_missing_composite():
     # two involutions of V4 generate GL2(2); keep them but drop the rest
     F = _v4((0, 2, 1, 3), (0, 1, 3, 2))

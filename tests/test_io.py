@@ -5,6 +5,7 @@ import pytest
 
 from fusionwb import io
 from fusionwb.catalog import cyclic, named_group, symmetric
+from fusionwb.cli import main
 from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
 from fusionwb.errors import CorpusMissing, NonAssociative
 from fusionwb.fusion import fusion_equal
@@ -292,6 +293,21 @@ def test_family_parse_errors():
         parse_family(F, "V=[0,5] ; x1:1\n")      # not a subgroup of S
     with pytest.raises(ParseError):
         parse_family(F, "V=[0,1] ; x1:1\nV=[0,2] ; x1^2:1\n")  # mixed degree
+
+
+def test_family_refuses_a_repeated_site(tmp_path, capsys):
+    # a second V= line for a site would replace the first one
+    path = corpus_dir() / "v4_rho.fus"
+    F = load_fusion_spec(path).fusion()
+    text = serialize_family(stable_basis(F, 2)[0]) + "V=[0,1,2,3] ; 0\n"
+    with pytest.raises(ParseError, match=r"site \[0, 1, 2, 3\] is given twice"):
+        parse_family(F, text)
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(text)
+    code = main(["stable", "nilpotent", "--family", str(fam_file),
+                 "--fusion", str(path)])
+    assert code == 2
+    assert "given twice" in capsys.readouterr().err
 
 
 def test_load_corpus_missing(tmp_path):
