@@ -7,8 +7,7 @@ from .groups import Group, build_group_from_permutations, group_from_elements
 
 def cyclic(n, name=None):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    return Group(table, labels=labels, name=name or f"C{n}")
+    return Group(table, name=name or f"C{n}")
 
 
 def direct_product(G, H, name=None):
@@ -21,17 +20,15 @@ def direct_product(G, H, name=None):
             b1, b2 = divmod(b, nh)
             row.append(G.table[a1][b1] * nh + H.table[a2][b2])
         table.append(row)
-    labels = [f"({G.label(a1)},{H.label(a2)})"
-              for a1 in range(G.order) for a2 in range(nh)]
-    return Group(table, labels=labels, name=name or f"{G.name}x{H.name}")
+    return Group(table, name=name or f"{G.name}x{H.name}")
 
 
 def elementary(p, rank, name=None):
     G = cyclic(p)
     for _ in range(rank - 1):
         G = direct_product(G, cyclic(p))
-    return Group(G.table, name=name or (f"C{p}^{rank}" if rank != 2 or p != 2
-                                        else "V4"))
+    G.name = name or (f"C{p}^{rank}" if rank != 2 or p != 2 else "V4")
+    return G
 
 
 def klein_four():
@@ -80,7 +77,7 @@ def quaternion8(name="Q8"):
     units = _QUATERNION_UNITS
     pos = {u: idx for idx, u in enumerate(units)}
     table = [[pos[_quat_mul(a, b)] for b in units] for a in units]
-    return Group(table, labels=units, name=name)
+    return Group(table, name=name)
 
 
 def sl23(name="SL(2,3)"):
@@ -99,9 +96,7 @@ def sl23(name="SL(2,3)"):
         return ((a * e + b * g) % 3, (a * f + b * h) % 3,
                 (c * e + d * g) % 3, (c * f + d * h) % 3)
 
-    G, ordered = group_from_elements(mats, mul, (1, 0, 0, 1), name=name)
-    labels = ["[%d%d;%d%d]" % m for m in ordered]
-    return Group(G.table, labels=labels, name=name)
+    return group_from_elements(mats, mul, (1, 0, 0, 1), name=name)[0]
 
 
 BUILDERS = {

@@ -175,10 +175,13 @@ def _run_group(args, report):
 
 
 def _load_fusion_arg(args):
-    if getattr(args, "fusion", None):
+    if args.fusion and args.group:
+        raise UsageError("pass --fusion FILE or --group FILE --prime P, "
+                         "not both")
+    if args.fusion:
         spec = load_fusion_spec(args.fusion)
         return spec.fusion()
-    if getattr(args, "group", None):
+    if args.group:
         if not args.prime:
             raise UsageError("--group also needs --prime")
         G = load_group(args.group)
@@ -215,6 +218,8 @@ def _run_model(args, report):
     # verify
     if args.radius > MAX_RADIUS:
         raise UsageError(f"--radius capped at {MAX_RADIUS}")
+    if args.datum and (args.fusion or args.group):
+        raise UsageError("pass --datum alone, without --fusion or --group")
     pres = load_presentation(args.presentation)
     if args.datum:
         expected = load_datum(args.datum).fusion

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .errors import NotElementaryAbelian
-from .groups import elementary_basis
+from .groups import generating_sequence
 
 
 class Site:
@@ -32,7 +32,7 @@ class Site:
                     raise NotElementaryAbelian("subgroup is not abelian")
         self.V = V
         self.p = p
-        self.basis = elementary_basis(V, p)
+        self.basis = generating_sequence(V)
         self.rank = len(self.basis)
         coords = {}
         combos = [((), 0)]

@@ -56,14 +56,11 @@ def prime_of(order):
 class Group:
     """A finite group as a validated Cayley table."""
 
-    def __init__(self, table, labels=None, name="G"):
+    def __init__(self, table, name="G"):
         rows = tuple(tuple(int(x) for x in row) for row in table)
         self.table = rows
         self.order = len(rows)
         self.name = name
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.order:
-            raise ValueError("label count differs from group order")
         _validate_table(rows)
         self.order_factors = _factorize(self.order)
         inv = [None] * self.order
@@ -74,9 +71,6 @@ class Group:
         self._element_orders = None
         self._lattice = None
         self._conjugations = None
-
-    def mul(self, a, b):
-        return self.table[a][b]
 
     def inv(self, a):
         return self._inv[a]
@@ -111,11 +105,6 @@ class Group:
     def is_abelian(self):
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
-    def label(self, a):
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
 
     def __eq__(self, other):
         if self is other:
@@ -204,27 +193,7 @@ def build_group_from_permutations(gens, name="G"):
             f"generated order {len(elems)} exceeds table bound {MAX_TABLE_ORDER}")
     index = {x: i for i, x in enumerate(elems)}
     table = [[index[_perm_mul(a, b)] for b in elems] for a in elems]
-    labels = [perm_to_cycles(x) for x in elems]
-    return Group(table, labels=labels, name=name)
-
-
-def perm_to_cycles(perm):
-    """Cycle notation on 1-based points; identity prints as ()."""
-    seen = set()
-    parts = []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return Group(table, name=name)
 
 
 class Subgroup:
@@ -250,7 +219,6 @@ class Subgroup:
         self.parent = parent
         self.elements = elems
         self._set = eset
-        self._index = {x: i for i, x in enumerate(elems)}
 
     @property
     def order(self):
@@ -258,9 +226,6 @@ class Subgroup:
 
     def __contains__(self, x):
         return x in self._set
-
-    def position(self, x):
-        return self._index[x]
 
     def contains_subgroup(self, other):
         return self._set.issuperset(other._set)
@@ -309,18 +274,17 @@ def full_subgroup(G):
     return Subgroup(G, range(G.order))
 
 
-def subgroups(G):
-    """All subgroups of G, each exactly once, sorted by (size, elements)."""
-    if G.order > MAX_TABLE_ORDER:
-        raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
-    cyclic = {closure(G, (x,)) for x in G.elements()}
-    found = {(0,)} | cyclic
-    frontier = list(found)
+def _closure_search(G, addable):
+    """The subgroups reached from the trivial one by closing, one element
+    at a time, with the elements addable(h) names for the element tuple h,
+    sorted by (size, elements)."""
+    found = {(0,)}
+    frontier = [(0,)]
     while frontier:
         nxt = []
         for h in frontier:
             hset = set(h)
-            for x in G.elements():
+            for x in addable(h):
                 if x in hset:
                     continue
                 k = closure(G, h + (x,))
@@ -329,6 +293,13 @@ def subgroups(G):
                     nxt.append(k)
         frontier = nxt
     return [Subgroup(G, h) for h in sorted(found, key=lambda h: (len(h), h))]
+
+
+def subgroups(G):
+    """All subgroups of G, each exactly once, sorted by (size, elements)."""
+    if G.order > MAX_TABLE_ORDER:
+        raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
+    return _closure_search(G, lambda h: G.elements())
 
 
 class Lattice:
@@ -457,48 +428,22 @@ def _elementary_abelian_search(G, p):
     """elementary_abelians by closing commuting elements of order p."""
     order_p = [x for x in G.elements() if x != 0 and G.element_order(x) == p]
     t = G.table
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            vset = set(v)
-            for x in order_p:
-                if x in vset:
-                    continue
-                if any(t[x][y] != t[y][x] for y in v):
-                    continue
-                w = closure(G, v + (x,))
-                if w not in found:
-                    found.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return [Subgroup(G, v) for v in sorted(found, key=lambda v: (len(v), v))]
+    return _closure_search(G, lambda v: [
+        x for x in order_p if all(t[x][y] == t[y][x] for y in v)])
 
 
-def elementary_basis(V, p):
-    """Minimal generators of an elementary abelian subgroup, in element order."""
-    basis = []
-    span = {0}
-    for x in V.elements:
-        if x in span:
-            continue
-        basis.append(x)
-        span = set(closure(V.parent, tuple(span) + (x,)))
-    return tuple(basis)
-
-
-def generating_sequence(G):
-    """Small generating list chosen greedily by element index."""
+def generating_sequence(P):
+    """Small generating list of the subgroup P, chosen greedily by element
+    index."""
     gens = []
     span = {0}
-    for x in G.elements():
+    for x in P.elements:
         if x not in span:
             gens.append(x)
-            span = set(closure(G, tuple(gens)))
-            if len(span) == G.order:
+            span = set(closure(P.parent, tuple(gens)))
+            if len(span) == P.order:
                 break
-    return gens
+    return tuple(gens)
 
 
 def is_isomorphic(G, H):
@@ -507,7 +452,7 @@ def is_isomorphic(G, H):
         raise OrderBoundExceeded(f"isomorphism testing capped at {MAX_ISO_ORDER}")
     if G.order != H.order:
         return False
-    gens = generating_sequence(G)
+    gens = generating_sequence(full_subgroup(G))
     if not gens:
         return True
     by_order = {}
@@ -564,11 +509,7 @@ def subgroup_as_group(P, name=None):
     pos = {x: i for i, x in enumerate(elems)}
     t = P.parent.table
     table = [[pos[t[a][b]] for b in elems] for a in elems]
-    labels = None
-    if P.parent.labels is not None:
-        labels = [P.parent.labels[x] for x in elems]
-    return Group(table, labels=labels,
-                 name=name or f"{P.parent.name}|{list(elems)}")
+    return Group(table, name=name or f"{P.parent.name}|{list(elems)}")
 
 
 def group_from_elements(items, compose, identity, name="G"):
@@ -612,8 +553,7 @@ def quotient_group(G, N):
             g = G.table[a[0]][b[0]]
             row.append(pos[tuple(sorted(G.table[g][x] for x in N.elements))])
         table.append(row)
-    labels = ["{" + ",".join(str(x) for x in c) + "}" for c in cosets]
-    return Group(table, labels=labels, name=f"{G.name}/N"), cosets
+    return Group(table, name=f"{G.name}/N"), cosets
 
 
 class InjHom:
@@ -627,6 +567,7 @@ class InjHom:
 
     def __init__(self, source, target, images, _trusted=False):
         images = tuple(int(x) for x in images)
+        self._map = fmap = dict(zip(source.elements, images))
         if not _trusted:
             if len(images) != source.order:
                 raise ValueError("image list length differs from source order")
@@ -637,15 +578,13 @@ class InjHom:
                 if y not in tset:
                     raise ValueError(f"image {y} escapes the target subgroup")
             st, tt = source.parent.table, target.parent.table
-            for i, x in enumerate(source.elements):
-                for j, y in enumerate(source.elements):
-                    xy = st[x][y]
-                    if images[source.position(xy)] != tt[images[i]][images[j]]:
+            for x in source.elements:
+                for y in source.elements:
+                    if fmap[st[x][y]] != tt[fmap[x]][fmap[y]]:
                         raise ValueError(f"not multiplicative at ({x}, {y})")
         self.source = source
         self.target = target
         self.images = images
-        self._map = dict(zip(source.elements, images))
 
     def image_of(self, x):
         return self._map[x]

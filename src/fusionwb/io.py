@@ -103,8 +103,12 @@ def _parse_cycles(line):
         return []
     if not re.fullmatch(r"(\(\d+( \d+)*\))+", line):
         raise ParseError(f"bad cycle notation: {line!r}")
-    return [[int(x) for x in part.split()]
-            for part in re.findall(r"\(([^)]*)\)", line)]
+    cycles = [[int(x) for x in part.split()]
+              for part in re.findall(r"\(([^)]*)\)", line)]
+    points = [x for cyc in cycles for x in cyc]
+    if 0 in points or len(set(points)) != len(points):
+        raise ParseError(f"cycles must move distinct points from 1 up: {line!r}")
+    return cycles
 
 
 def load_group(path):

@@ -25,7 +25,6 @@ from .cohomology import (
     Site,
     cohomology_basis,
     hom_matrix,
-    restrict_element,
     restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
@@ -239,7 +238,9 @@ def family_power(fam, k):
 
 
 def check_family(fam):
-    """Verify compatibility under every fusion morphism between sites."""
+    """Verify compatibility under every fusion morphism between sites: each
+    component is of degree fam.degree, and the restriction along phi: W -> V
+    of the V component is the W component."""
     sites, homs, _ = fusion_ea_morphisms(fam.F, generating=False)
     for key, comp in fam.components.items():
         if comp.site.key != key:
@@ -247,12 +248,25 @@ def check_family(fam):
     missing = [s.key for s in sites if s.key not in fam.components]
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
-    for phi, sw, sv in homs:
-        got = restrict_element(phi, sw, sv, fam.components[sv.key])
-        want = fam.components[sw.key]
-        if got.terms != want.terms:
+    d, p = fam.degree, fam.F.p
+    coords = {}
+    for s in sites:
+        comp = fam.components[s.key]
+        coords[s.key] = np.array(comp.coords_in(cohomology_basis(s, d)),
+                                 dtype=np.int64)
+        if np.count_nonzero(coords[s.key]) != len(comp.terms):
             raise IncompatibleFamily(
-                f"restriction along {phi!r} disagrees at {list(sw.key)}")
+                f"component at {list(s.key)} is not of degree {d}")
+    bad = []
+    for positions, images in _restrictions(homs, d, p):
+        got = np.einsum("mwv,mv->mw", images, np.stack(
+            [coords[homs[k][2].key] for k in positions])) % p
+        want = np.stack([coords[homs[k][1].key] for k in positions])
+        bad += positions[(got != want).any(axis=1)].tolist()
+    if bad:
+        phi, sw, _ = homs[min(bad)]
+        raise IncompatibleFamily(
+            f"restriction along {phi!r} disagrees at {list(sw.key)}")
     return True
 
 

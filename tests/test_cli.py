@@ -211,6 +211,45 @@ def test_non_prime_on_trivial_s_exit_two(tmp_path, capsys, verb, p):
     assert f"p = {p} is not a prime" in captured.err
 
 
+@pytest.mark.parametrize("line", ["(1 2)(2 1)", "(1 1)", "(1 2 1)",
+                                  "(1 2)(3 2)", "(0 1)", "(1 2)(0)"])
+def test_bad_cycle_line_exit_two(tmp_path, capsys, line):
+    grp = tmp_path / "g.grp"
+    grp.write_text(f"group G order 2\nmode perm\n{line}\n")
+    assert main(["group", "info", str(grp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(line) in captured.err
+
+
+def _presentation(tmp_path):
+    pres = tmp_path / "m.pres"
+    assert main(["model", "hnn", str(DATA / "v4_rho.fus"),
+                 "--out", str(pres)]) == 0
+    return str(pres)
+
+
+@pytest.mark.parametrize("verb, sources", [
+    ("saturate", ["--group", "s4.grp", "--prime", "2",
+                  "--fusion", "v4_rho.fus"]),
+    ("verify", ["--group", "s4.grp", "--prime", "2",
+                "--fusion", "v4_rho.fus"]),
+    ("verify", ["--datum", "d8_s4.datum", "--fusion", "v4_rho.fus"]),
+    ("verify", ["--datum", "d8_s4.datum", "--group", "s4.grp",
+                "--prime", "2"]),
+], ids=["saturate-group-fusion", "verify-group-fusion",
+        "verify-datum-fusion", "verify-datum-group"])
+def test_two_fusion_sources_exit_two(tmp_path, capsys, verb, sources):
+    sources = [str(DATA / a) if "." in a else a for a in sources]
+    argv = (["fusion", "saturate"] if verb == "saturate" else
+            ["model", "verify", "--presentation", _presentation(tmp_path)])
+    capsys.readouterr()
+    assert main(argv + sources) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: pass " in captured.err
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["group", "info", "/nonexistent.grp"]) == 2
 

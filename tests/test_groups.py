@@ -24,7 +24,7 @@ from fusionwb.groups import (
     closure,
     conjugate_subgroup,
     elementary_abelians,
-    elementary_basis,
+    generating_sequence,
     full_subgroup,
     is_isomorphic,
     normalizer,
@@ -206,7 +206,7 @@ def test_elementary_abelian_counts(G, p, count):
 def test_elementary_basis_spans():
     D8 = dihedral8()
     for V in elementary_abelians(D8, 2):
-        basis = elementary_basis(V, 2)
+        basis = generating_sequence(V)
         assert len(closure(D8, basis)) == V.order
 
 

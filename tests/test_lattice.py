@@ -12,6 +12,12 @@ from conjugation_oracle import (
     reference_quillen_morphisms,
     reference_transporter_homsets,
 )
+from group_oracle import (
+    reference_elementary_abelian_search,
+    reference_elementary_basis,
+    reference_generating_sequence,
+    reference_subgroups,
+)
 from restriction_oracle import reference_limit_terms
 from fusionwb import corpus, groups
 from fusionwb.catalog import (
@@ -22,6 +28,7 @@ from fusionwb.catalog import (
     direct_product,
     elementary,
     klein_four,
+    sl23,
     symmetric,
 )
 from fusionwb.cohomology import Site
@@ -264,6 +271,36 @@ def test_elementary_abelians_search_only_off_p_groups(monkeypatch):
     S = groups.subgroup_as_group(sylow_p(G, 2))
     groups.elementary_abelians(S, 2)
     assert len(searched) == 2
+
+
+def _searched_groups():
+    """Every catalog and corpus group, plus C2^5 and D8xD8."""
+    return ([make() for make in BUILDERS.values()]
+            + list(CORPUS.groups.values())
+            + [elementary(2, 5), direct_product(dihedral8(), dihedral8())])
+
+
+@pytest.mark.parametrize("G", _searched_groups(), ids=lambda G: G.name)
+def test_one_closure_search_and_one_generator_pick_match_the_old_code(G):
+    # the lattice, in order; every site basis, at every prime; and the
+    # generators is_isomorphic maps
+    assert ([P.elements for P in groups.subgroups(G)]
+            == [P.elements for P in reference_subgroups(G)])
+    for p in sorted(G.order_factors):
+        for V in groups.elementary_abelians(G, p):
+            assert Site(V, p).basis == reference_elementary_basis(V, p)
+    assert (list(groups.generating_sequence(full_subgroup(G)))
+            == reference_generating_sequence(G))
+
+
+@pytest.mark.parametrize("G", [symmetric(4), symmetric(5), sl23(),
+                               direct_product(symmetric(4), cyclic(2))],
+                         ids=lambda G: G.name)
+def test_elementary_abelian_search_matches_the_old_search(G):
+    for p in sorted(G.order_factors):
+        assert ([V.elements for V in groups._elementary_abelian_search(G, p)]
+                == [V.elements
+                    for V in reference_elementary_abelian_search(G, p)])
 
 
 def test_corpus_check_cross_checks_the_elementary_abelians(monkeypatch):

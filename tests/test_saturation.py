@@ -52,7 +52,7 @@ def _random_isomorphism(rng, S):
         P = rng.choice(subs)
         Q = rng.choice([Q for Q in subs if Q.order == P.order])
         Pg, Qg = subgroup_as_group(P), subgroup_as_group(Q)
-        gens = generating_sequence(Pg)
+        gens = generating_sequence(full_subgroup(Pg))
         choices = [[y for y in Qg.elements()
                     if Qg.element_order(y) == Pg.element_order(x)]
                    for x in gens]

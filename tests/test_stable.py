@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conjugation_oracle import inclusion_hom, reference_fusion_ea_morphisms
 from elimination_oracle import reference_nullspace, reference_rref
+from group_oracle import reference_check_family
 from restriction_oracle import (
     reference_constraints,
     reference_limit_terms,
@@ -552,6 +553,45 @@ def test_class_reduced_limit_matches_every_site(name):
         terms = _terms(families)
         assert terms == reference_limit_terms(sites, old, d, F.p)
         assert terms == _terms(stable_basis_all_morphisms(F, d))
+
+
+def _verdict(check, fam):
+    try:
+        return check(fam)
+    except IncompatibleFamily as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", SERIES_SYSTEMS)
+def test_check_family_matches_the_per_morphism_check(name):
+    # every basis family up to degree 4, and each with one coefficient
+    # moved at one site, by turns, gets the old verdict and message
+    F = SERIES_SYSTEMS[name][0]()
+    refused = 0
+    for d, families in enumerate(stable_bases(F, 4)):
+        for k, fam in enumerate(families):
+            assert check_family(fam) is reference_check_family(fam) is True
+            sites = [s for s in fam.sites if cohomology_basis(s, d)]
+            site = sites[k % len(sites)]
+            mono = cohomology_basis(site, d)[k % len(cohomology_basis(site, d))]
+            comps = dict(fam.components)
+            terms = dict(comps[site.key].terms)
+            terms[mono] = terms.get(mono, 0) + 1
+            comps[site.key] = CohoElement(site, terms)
+            moved = StableFamily(F, d, comps, fam.sites)
+            verdict = _verdict(check_family, moved)
+            assert verdict == _verdict(reference_check_family, moved)
+            refused += verdict is not True
+    assert refused
+
+
+def test_check_family_refuses_a_family_declared_at_the_wrong_degree():
+    F = SERIES_SYSTEMS["v4_rho"][0]()
+    fam = stable_basis(F, 2)[0]
+    wrong = StableFamily(F, 4, fam.components, fam.sites)
+    assert reference_check_family(wrong)
+    with pytest.raises(IncompatibleFamily, match="is not of degree 4"):
+        check_family(wrong)
 
 
 def test_unknowns_sit_on_class_representatives():
