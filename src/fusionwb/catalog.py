@@ -2,30 +2,29 @@
 
 from __future__ import annotations
 
-from .groups import Group, build_group_from_permutations, group_from_elements
+import itertools
+
+from .groups import build_group_from_permutations, group_from_elements
 
 
 def cyclic(n, name=None):
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return Group(table, name=name or f"C{n}")
+    return group_from_elements(range(n), lambda a, b: (a + b) % n,
+                               name=name or f"C{n}")
 
 
 def direct_product(G, H, name=None):
-    nh = H.order
-    table = []
-    for a in range(G.order * nh):
-        a1, a2 = divmod(a, nh)
-        row = []
-        for b in range(G.order * nh):
-            b1, b2 = divmod(b, nh)
-            row.append(G.table[a1][b1] * nh + H.table[a2][b2])
-        table.append(row)
-    return Group(table, name=name or f"{G.name}x{H.name}")
+    """G x H on the pairs (g, h), first factor major."""
+    pairs = [(a, b) for a in G.elements() for b in H.elements()]
+    return group_from_elements(
+        pairs, lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]),
+        name=name or f"{G.name}x{H.name}")
 
 
 def elementary(p, rank, name=None):
-    G = cyclic(p)
-    for _ in range(rank - 1):
+    if rank < 0:
+        raise ValueError(f"rank {rank} is negative")
+    G = cyclic(1)
+    for _ in range(rank):
         G = direct_product(G, cyclic(p))
     G.name = name or (f"C{p}^{rank}" if rank != 2 or p != 2 else "V4")
     return G
@@ -54,41 +53,27 @@ def dihedral8(name="D8"):
     return build_group_from_permutations([r, s], name=name)
 
 
-_QUATERNION_UNITS = ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
-
-
-def _quat_mul(a, b):
-    sa, ua = (a[0] == "-", a.lstrip("-"))
-    sb, ub = (b[0] == "-", b.lstrip("-"))
-    basic = {
-        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-        ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-    r = basic[(ua, ub)]
-    if sa != sb:
-        r = r[1:] if r.startswith("-") else "-" + r
-    return r
-
-
 def quaternion8(name="Q8"):
-    units = _QUATERNION_UNITS
-    pos = {u: idx for idx, u in enumerate(units)}
-    table = [[pos[_quat_mul(a, b)] for b in units] for a in units]
-    return Group(table, name=name)
+    """Q8 on the units (sign, u), u in 1, i, j, k: 1, i, j, k, -1, ..., -k."""
+    def mul(a, b):
+        (sa, u), (sb, v) = a, b
+        if "1" in (u, v):
+            return sa * sb, v if u == "1" else u
+        if u == v:
+            return -sa * sb, "1"
+        w, = set("ijk") - {u, v}
+        return (sa * sb if u + v in "ijki" else -sa * sb), w
+
+    units = [(s, u) for s in (1, -1) for u in "1ijk"]
+    return group_from_elements(units, mul, name=name)
 
 
 def sl23(name="SL(2,3)"):
-    """SL_2(F_3) as 2x2 matrices of determinant 1."""
-    mats = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    if (a * d - b * c) % 3 == 1:
-                        mats.append((a, b, c, d))
+    """SL_2(F_3) as 2x2 matrices (a, b, c, d) of determinant 1, the
+    identity first and the rest in lexicographic order."""
+    ident = (1, 0, 0, 1)
+    mats = [ident] + [m for m in itertools.product(range(3), repeat=4)
+                      if (m[0] * m[3] - m[1] * m[2]) % 3 == 1 and m != ident]
 
     def mul(m, n):
         a, b, c, d = m
@@ -96,7 +81,7 @@ def sl23(name="SL(2,3)"):
         return ((a * e + b * g) % 3, (a * f + b * h) % 3,
                 (c * e + d * g) % 3, (c * f + d * h) % 3)
 
-    return group_from_elements(mats, mul, (1, 0, 0, 1), name=name)[0]
+    return group_from_elements(mats, mul, name=name)
 
 
 BUILDERS = {

@@ -35,11 +35,11 @@ from .io import (
 )
 from .models import (
     MAX_RADIUS,
+    AlperinReport,
     DatumInvalid,
     hnn_presentation,
     recover_fusion,
     robinson_presentation,
-    validate_alperin_datum,
 )
 from .report import RunReport
 from .stable import (
@@ -206,13 +206,14 @@ def _run_model(args, report):
         _emit_presentation(args, report, pres)
         return report
     if args.action == "robinson":
-        spec = load_datum(args.datumfile)
-        check = validate_alperin_datum(spec.datum)
-        report.add(check.render())
-        if not check.valid:
+        datum = load_datum(args.datumfile).datum
+        try:
+            pres = robinson_presentation(datum)
+        except DatumInvalid as exc:
+            report.add(exc.report.render())
             report.fail("datum is invalid")
             return report
-        pres = robinson_presentation(spec.datum)
+        report.add(AlperinReport().render())
         _emit_presentation(args, report, pres)
         return report
     # verify
@@ -306,9 +307,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DatumInvalid as exc:
-        print(str(exc))
-        return 1
     except NotACategory as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -35,6 +35,7 @@ from .groups import (
     sylow_p,
 )
 from .io import (
+    load_datum,
     load_group,
     parse_group,
     parse_family,
@@ -47,8 +48,6 @@ from .io import (
     FusionSpec,
 )
 from .models import (
-    AlperinDatum,
-    AlperinEntry,
     ball_enumerate,
     hnn_presentation,
     is_identity,
@@ -80,7 +79,7 @@ BUDGETS = {
     "stable": 30.0,
 }
 
-DEFAULT_SEED = 1898
+SEED = 1898
 
 
 def corpus_dir():
@@ -152,7 +151,7 @@ def _check_group(name, G):
     return f"ok {name}: {len(lat.subgroups)} subgroups"
 
 
-def corpus_check(directory=None, seed=DEFAULT_SEED):
+def corpus_check(directory=None):
     """Run the whole invariant suite over the bundled corpus."""
     report = RunReport("corpus check")
     try:
@@ -218,7 +217,8 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
         report.add("ok model-hnn: C3 inversion recovered at radius 2")
 
     with report.step("model-robinson", BUDGETS["model-robinson"]):
-        F, datum = standard_robinson_datum(corpus.groups["S4"])
+        spec = load_datum(corpus.directory / "d8_s4.datum")
+        F, datum = spec.fusion, spec.datum
         if not validate_alperin_datum(datum).valid:
             raise AssertionError("the D8/S4 datum fails validation")
         model = robinson_presentation(datum)
@@ -240,7 +240,7 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
         half = Subgroup(C4, (0, 2))
         phis = [InjHom(half, S, (0, 2)), InjHom(S, S, (0, 3, 2, 1))]
         model = hnn_presentation(S, 2, phis)
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         for _ in range(1000):
             w = random_pinch_free_word(model, rng)
             if is_identity(w):
@@ -318,8 +318,10 @@ def corpus_check(directory=None, seed=DEFAULT_SEED):
     return report
 
 
-def _check_functoriality(F, d=3):
-    """Restriction matrices compose contravariantly on composable pairs."""
+def _check_functoriality(F):
+    """Degree-3 restriction matrices compose contravariantly on composable
+    pairs."""
+    d = 3
     _, homs, _ = fusion_ea_morphisms(F, generating=False)
     mats = [restriction_matrix(phi, sw, sv, d) for phi, sw, sv in homs]
     for (phi, sw, sv), r_phi in zip(homs, mats):
@@ -331,25 +333,3 @@ def _check_functoriality(F, d=3):
             r_comp = restriction_matrix(comp, sw, su, d)
             if not np.array_equal(r_phi @ r_psi % F.p, r_comp):
                 raise AssertionError("functoriality violated")
-
-
-def standard_robinson_datum(S4):
-    """The (D8, D8, id), (V4, S4, incl) datum for F_{D8}(S4)."""
-    Ssub = sylow_p(S4, 2)
-    F = fusion_from_group(Ssub, S4, p=2)
-    Sgroup, Sfull = F.group, F.S
-    emb = Ssub.elements
-    # the normal V4: identity plus the involutions with conjugacy class size 3
-    klein = [0]
-    for g in S4.elements():
-        if g and S4.element_order(g) == 2:
-            orbit = {S4.conj(h, g) for h in S4.elements()}
-            if len(orbit) == 3:
-                klein.append(g)
-    V4norm = Subgroup(Sgroup, [i for i, x in enumerate(emb) if x in klein])
-    iota1 = InjHom(Sfull, full_subgroup(Sgroup), Sfull.elements)
-    N = normalizer(Sgroup, V4norm)
-    iota2 = InjHom(N, full_subgroup(S4), [emb[x] for x in N.elements])
-    datum = AlperinDatum(F, [AlperinEntry(Sfull, Sgroup, iota1),
-                             AlperinEntry(V4norm, S4, iota2)])
-    return F, datum

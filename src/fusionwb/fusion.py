@@ -332,16 +332,17 @@ def centric_subgroups(F):
 
 
 def aut_group(F, P):
-    """Aut_F(P) as an explicit Group plus its elements as image tuples."""
-    images = [h.images for h in F.aut_set(P)]
+    """Aut_F(P) as an explicit Group plus its elements as image tuples,
+    sorted, so the identity P.elements comes first."""
+    images = sorted(h.images for h in F.aut_set(P))
     pos = {P.elements[i]: i for i in range(P.order)}
 
     def compose(a, b):
         # apply b, then a
         return tuple(a[pos[b[i]]] for i in range(P.order))
 
-    return group_from_elements(images, compose, P.elements,
-                               name=f"Aut_F({list(P.elements)})")
+    return group_from_elements(images, compose,
+                               name=f"Aut_F({list(P.elements)})"), images
 
 
 def out_f(F, P):

@@ -191,9 +191,7 @@ def build_group_from_permutations(gens, name="G"):
     if len(elems) > MAX_TABLE_ORDER:
         raise OrderBoundExceeded(
             f"generated order {len(elems)} exceeds table bound {MAX_TABLE_ORDER}")
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[_perm_mul(a, b)] for b in elems] for a in elems]
-    return Group(table, name=name)
+    return group_from_elements(elems, _perm_mul, name=name)
 
 
 class Subgroup:
@@ -369,19 +367,11 @@ def normalizer(G, P):
     return Subgroup(G, elems)
 
 
-def subgroup_center(P):
-    """Z(P) as a subgroup of P's parent."""
-    t = P.parent.table
-    elems = [x for x in P.elements
-             if all(t[x][y] == t[y][x] for y in P.elements)]
-    return Subgroup(P.parent, elems)
-
-
 def conjugate_subgroup(G, g, P):
     return Subgroup(G, [G.conj(g, x) for x in P.elements])
 
 
-def sylow_p(G, p, all_conjugates=False):
+def sylow_p(G, p):
     """A Sylow p-subgroup; the lexicographically least one for determinism."""
     target = p_part(G.order, p)
     elems = (0,)
@@ -398,11 +388,8 @@ def sylow_p(G, p, all_conjugates=False):
         if grown is None or len(grown) <= len(elems):
             raise RuntimeError("Sylow growth stalled; table is corrupt")
         elems = grown
-    conjugates = sorted({tuple(sorted(G.conj(g, x) for x in elems))
-                         for g in G.elements()})
-    if all_conjugates:
-        return [Subgroup(G, c) for c in conjugates]
-    return Subgroup(G, conjugates[0])
+    return Subgroup(G, min(tuple(sorted(G.conj(g, x) for x in elems))
+                           for g in G.elements()))
 
 
 def elementary_abelians(G, p):
@@ -503,34 +490,22 @@ def _hom_from_generators(G, H, gens, images):
     return fmap
 
 
+def group_from_elements(items, compose, name="G"):
+    """The Group on a list of hashable items closed under compose, with
+    element k the item items[k]; items[0] must be the identity."""
+    pos = {x: i for i, x in enumerate(items)}
+    try:
+        table = [[pos[compose(a, b)] for b in items] for a in items]
+    except KeyError:
+        raise ValueError("item set is not closed under composition") from None
+    return Group(table, name=name)
+
+
 def subgroup_as_group(P, name=None):
     """P as a standalone Group; element k is P.elements[k]."""
-    elems = P.elements
-    pos = {x: i for i, x in enumerate(elems)}
     t = P.parent.table
-    table = [[pos[t[a][b]] for b in elems] for a in elems]
-    return Group(table, name=name or f"{P.parent.name}|{list(elems)}")
-
-
-def group_from_elements(items, compose, identity, name="G"):
-    """Cayley-ize a closed set of hashable items under compose.
-
-    Returns (Group, ordered item list); the identity item gets index 0 and
-    the rest follow in sorted order.
-    """
-    rest = sorted(x for x in items if x != identity)
-    ordered = [identity] + rest
-    pos = {x: i for i, x in enumerate(ordered)}
-    table = []
-    for a in ordered:
-        row = []
-        for b in ordered:
-            c = compose(a, b)
-            if c not in pos:
-                raise ValueError("item set is not closed under composition")
-            row.append(pos[c])
-        table.append(row)
-    return Group(table, name=name), ordered
+    name = name or f"{P.parent.name}|{list(P.elements)}"
+    return group_from_elements(P.elements, lambda a, b: t[a][b], name=name)
 
 
 def quotient_group(G, N):
@@ -543,17 +518,14 @@ def quotient_group(G, N):
     for g in G.elements():
         if any(G.conj(g, x) not in nset for x in N.elements):
             raise ValueError("subgroup is not normal")
-    cosets = sorted({tuple(sorted(G.table[g][x] for x in N.elements))
-                     for g in G.elements()})
-    pos = {c: i for i, c in enumerate(cosets)}
-    table = []
-    for a in cosets:
-        row = []
-        for b in cosets:
-            g = G.table[a[0]][b[0]]
-            row.append(pos[tuple(sorted(G.table[g][x] for x in N.elements))])
-        table.append(row)
-    return Group(table, name=f"{G.name}/N"), cosets
+    t = G.table
+
+    def coset(g):
+        return tuple(sorted(t[g][x] for x in N.elements))
+
+    cosets = sorted({coset(g) for g in G.elements()})
+    return group_from_elements(cosets, lambda a, b: coset(t[a[0]][b[0]]),
+                               name=f"{G.name}/N"), cosets
 
 
 class InjHom:

@@ -383,10 +383,10 @@ def load_presentation(path):
 def parse_word(pres, text):
     letters = []
     for tok in text.split():
-        m = re.fullmatch(r"(\S+)\^(-?1)", tok)
-        if not m or m.group(1) not in pres.gen_index:
+        name, _, exp = tok.rpartition("^")
+        if name not in pres.gen_index or exp not in ("1", "-1"):
             raise ParseError(f"bad word letter {tok!r}")
-        letters.append((pres.gen_index[m.group(1)], int(m.group(2))))
+        letters.append((pres.gen_index[name], int(exp)))
     return pres.word(letters)
 
 

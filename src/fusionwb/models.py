@@ -35,13 +35,13 @@ from .groups import (
     InjHom,
     Subgroup,
     centralizer,
+    conjugations,
     full_subgroup,
     is_isomorphic,
     lattice,
     normalizer,
     p_part,
     quotient_group,
-    subgroup_center,
     sylow_p,
 )
 
@@ -388,12 +388,12 @@ class DatumInvalid(WorkbenchError):
 
 
 def p_core(G, p):
-    """O_p(G): the intersection of all Sylow p-subgroups."""
-    sylows = sylow_p(G, p, all_conjugates=True)
-    core = set(sylows[0].elements)
-    for P in sylows[1:]:
-        core &= P.as_set()
-    return Subgroup(G, sorted(core))
+    """O_p(G), the intersection of all Sylow p-subgroups: the elements of
+    one Sylow p-subgroup whose every conjugate stays in it."""
+    P = sylow_p(G, p)
+    pset = P.as_set()
+    return Subgroup(G, [x for x in P.elements
+                        if all(G.conj(g, x) in pset for g in G.elements())])
 
 
 def _pullback_morphisms(F, entry):
@@ -410,6 +410,7 @@ def validate_alperin_datum(datum):
     p = F.p
     failures = []
     all_pullbacks = []
+    conj = conjugations(F.group)
     for i, e in enumerate(datum.entries, start=1):
         iota_p = {e.iota.image_of(x) for x in e.P.elements}
         core = p_core(e.L, p)
@@ -420,7 +421,9 @@ def validate_alperin_datum(datum):
                 f"{list(core.elements)}"))
         iota_psub = Subgroup(e.L, sorted(iota_p))
         cent = centralizer(e.L, iota_psub)
-        z_img = {e.iota.image_of(x) for x in subgroup_center(e.P).elements}
+        # Z(P): the g in P listed under P's identity key, C_S(P)
+        z_img = {e.iota.image_of(g)
+                 for g in conj[e.P.elements][e.P.elements] if g in e.P}
         if cent.as_set() != z_img:
             failures.append(DatumFailure(
                 i, "CentralizerFailure",
@@ -559,15 +562,15 @@ def word_from_syllables(pres, svals, ts):
     return ModelWord(pres, _emit(pres, list(svals), halves))
 
 
-def random_pinch_free_word(pres, rng, max_stables=4):
-    """A random pinch-free HNN word containing at least one stable letter."""
+def random_pinch_free_word(pres, rng):
+    """A random pinch-free HNN word with one to four stable letters."""
     stable = [j for j, edge in enumerate(pres.graph_edges)
               if edge[4] is not None]
     if not stable:
         raise ValueError(f"{pres.name} has no stable letter, and a "
                          f"pinch-free HNN word needs one")
     base = pres.s_group
-    k = rng.randint(1, max_stables)
+    k = rng.randint(1, 4)
     svals = [rng.randrange(base.order)]
     ts = []
     for _ in range(k):

@@ -10,7 +10,7 @@ import time
 
 from elimination_oracle import reference_nullspace
 from fusionwb.catalog import named_group
-from fusionwb.corpus import corpus_check, standard_robinson_datum
+from fusionwb.corpus import corpus_check, corpus_dir
 from fusionwb.fusion import (
     SylowFailure,
     fusion_equal,
@@ -19,6 +19,7 @@ from fusionwb.fusion import (
     is_saturated,
 )
 from fusionwb.groups import InjHom, Subgroup, full_subgroup, sylow_p
+from fusionwb.io import load_datum
 from fusionwb.models import (
     hnn_presentation,
     is_identity,
@@ -89,7 +90,8 @@ def test_criterion_3_leary_stancu_realization():
 def test_criterion_4_robinson_realization():
     t0 = time.perf_counter()
     S4 = named_group("S4")
-    F, datum = standard_robinson_datum(S4)
+    spec = load_datum(corpus_dir() / "d8_s4.datum")
+    F, datum = spec.fusion, spec.datum
     assert validate_alperin_datum(datum).valid
     model = robinson_presentation(datum)
     got = recover_fusion(model, F.S, 3)

@@ -6,13 +6,13 @@ from closure_oracle import reference_generate_homsets
 from conjugation_oracle import inclusion_hom
 
 from fusionwb import models
-from fusionwb.catalog import dihedral8, elementary, klein_four, symmetric
+from fusionwb.catalog import dihedral8, elementary, klein_four
 from fusionwb.cohomology import Site
-from fusionwb.corpus import corpus_dir, standard_robinson_datum
+from fusionwb.corpus import corpus_dir
 from fusionwb.errors import NotACategory
 from fusionwb.fusion import FusionSystem, fusion_from_group, generate_fusion
 from fusionwb.groups import InjHom, full_subgroup, lattice
-from fusionwb.io import describe_fusion, load_fusion_spec
+from fusionwb.io import describe_fusion, load_datum, load_fusion_spec
 from fusionwb.models import recover_fusion, robinson_presentation
 
 
@@ -48,7 +48,8 @@ def _d8_klein_fours():
 
 def _robinson_recovery():
     """The maps recover_fusion closes for the D8/S4 amalgam at r = 3."""
-    F, datum = standard_robinson_datum(symmetric(4))
+    spec = load_datum(corpus_dir() / "d8_s4.datum")
+    F, datum = spec.fusion, spec.datum
     seen = []
 
     def spy(S, p, generators):

@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fnmatch import fnmatch
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionwb import fusion
+from fusionwb import cli, fusion, models
 from fusionwb.cli import main, run
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import UsageError
@@ -69,6 +70,52 @@ def test_robinson_then_verify(tmp_path, capsys):
     code = main(["model", "verify", "--presentation", str(pres),
                  "--datum", str(DATA / "d8_s4.datum"), "--radius", "3"])
     assert code == 0
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The datums validate_alperin_datum is called on, wherever it is
+    looked up from."""
+    calls = []
+    validate = models.validate_alperin_datum
+
+    def counting(datum):
+        calls.append(datum)
+        return validate(datum)
+
+    monkeypatch.setattr(models, "validate_alperin_datum", counting)
+    monkeypatch.setattr(cli, "validate_alperin_datum", counting, raising=False)
+    return calls
+
+
+def test_robinson_validates_once(capsys, validations):
+    assert main(["model", "robinson", str(DATA / "d8_s4.datum")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["valid Alperin datum", "presentation kind=amalgam"]
+    assert len(validations) == 1
+
+
+def test_invalid_datum_exits_one_with_its_report(tmp_path, capsys,
+                                                 validations):
+    shutil.copy(DATA / "s4.grp", tmp_path)
+    bad = tmp_path / "bad.datum"
+    # P = [0,1,6,7] is a Klein four of D8 that is not normal in S4
+    bad.write_text("alperin p=2 fusion=group:s4.grp\n"
+                   "entry P=[0,1,2,3,4,5,6,7] L=S iota=[0,1,2,3,4,5,6,7]\n"
+                   "entry P=[0,1,6,7] L=s4.grp "
+                   "iota=[0,1,5,8,10,15,16,21]\n")
+    out = tmp_path / "report.txt"
+    assert main(["model", "robinson", str(bad), "--out", str(out)]) == 1
+    want = (f"command: fusionwb model robinson {bad} --out {out}\n"
+            "INVALID Alperin datum\n"
+            "  PCoreFailure at entry 2: iota(P) = [0, 1, 16, 21] but "
+            "O_2(L) = [0, 5, 15, 21]\n"
+            "  OuterQuotientFailure at entry 2: subgroup is not normal\n"
+            "FAIL datum is invalid\n"
+            "status: FAILED\n")
+    assert capsys.readouterr().out == want
+    assert out.read_text() == want
+    assert len(validations) == 1
 
 
 def test_truncated_presentation_exit_two(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
 from fusionwb.catalog import (
+    BUILDERS,
     alternating4,
     cyclic,
     dihedral8,
@@ -15,6 +17,7 @@ from fusionwb.catalog import (
     symmetric,
 )
 from fusionwb.errors import NoIdentity, NonAssociative, NotClosed, OrderBoundExceeded
+from fusionwb.fusion import aut_group, fusion_from_group
 from fusionwb.groups import (
     Group,
     InjHom,
@@ -26,6 +29,7 @@ from fusionwb.groups import (
     elementary_abelians,
     generating_sequence,
     full_subgroup,
+    group_from_elements,
     is_isomorphic,
     normalizer,
     p_part,
@@ -180,9 +184,11 @@ def test_sylow_of_a4_is_klein_four():
 
 def test_sylow_deterministic_least():
     S4 = symmetric(4)
-    conjs = sylow_p(S4, 2, all_conjugates=True)
+    P = sylow_p(S4, 2)
+    conjs = {tuple(sorted(S4.conj(g, x) for x in P.elements))
+             for g in S4.elements()}
     assert len(conjs) == 3
-    assert sylow_p(S4, 2).elements == min(c.elements for c in conjs)
+    assert P.elements == min(conjs)
 
 
 @pytest.mark.parametrize("G,p,count", [
@@ -280,6 +286,87 @@ def test_direct_product_and_elementary():
     E = elementary(3, 2)
     assert E.order == 9
     assert all(E.element_order(x) in (1, 3) for x in E.elements())
+
+
+def test_elementary_rank_zero_is_trivial_and_negative_is_refused():
+    E = elementary(2, 0)
+    assert E.order == 1 and E.name == "C2^0"
+    with pytest.raises(ValueError, match="rank -1 is negative"):
+        elementary(2, -1)
+
+
+def _digest(G):
+    return hashlib.sha256(repr(G.table).encode()).hexdigest()
+
+
+def _s4_datum_groups():
+    """Syl_2(S4) as a group, S4/O_2(S4), and Aut_F(V) of the normal V4."""
+    S4 = symmetric(4)
+    P = sylow_p(S4, 2)
+    F = fusion_from_group(P, S4, p=2)
+    return {
+        "Syl_2(S4)": F.group,
+        "S4/V4": quotient_group(S4, Subgroup(S4, (0, 5, 15, 21)))[0],
+        "Aut_F(V4)": aut_group(F, F.subgroup((0, 2, 5, 7)))[0],
+    }
+
+
+# sha256 of repr(G.table): the benchmark's recorded answers and the corpus
+# files depend on each group's element numbering, so a new way of building
+# a table must reproduce these
+TABLE_DIGESTS = {
+    "C2": "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
+    "C3": "0b02f8857f3981776e483a979fdaadeaff0765fa625f75488158f22bdbb1a73e",
+    "C4": "031f409039ede13a55cbd4c70c5d28ea75b93407fae03c0c1ffe0a30aaee6f77",
+    "C6": "ba5bf2265dd7e7822657f2ba37f59b7494e1cfbac736e9f5c2c171582cf07cb2",
+    "C9": "7b9e205866171a4061f901d4a4ee9b9def481b1a25477100d9617246941f49e9",
+    "C15": "342c1e7452f26fec9c713ab684cb10ecde604ff62e687b931346ab9e217714d3",
+    "V4": "03dc126565fc1335976f09a73e2985526987d4db9118343fcab4dcd94abe455a",
+    "C3xC3": "8fd2350da88e5c6eb071817ee312f26f7d0bd58c36851ace10e54d75e2a46206",
+    "D8": "8b31a76ec4c2ad4aadd4c0e5e9f0e0f50d3cc8da8116bc707db83ecd9d859d30",
+    "Q8": "3cf6df33eacfff323a764ebfd700a592b4aafd3b70197f3c66ae2af59d0d616a",
+    "S3": "33b3a72ca912aaaa8746e7e3b0b4532e62d18ade9273a48752753e3cc41123b6",
+    "S4": "37b02a5629690de9da40fdc13ae98590792add9aba229eac42c50efe606e8b6b",
+    "A4": "5ff426c979323ff2a628f0623b0b03ef986fb134bb8a665ca0f8af27d9372c47",
+    "SL(2,3)": "8ebe51c1a4f03847896fdfcc4668d9e83e68f192cc70dbf5cd1f2651327c5e4e",
+    "C2^4": "e18045eb2accdb2c709bc48851fe7174db628cc56886ba243f92d0b55c490f94",
+    "D8xC2": "aae062a0c910faf2f918e53a9b2e79aae5e4f3860f2caf206749ae8cacf9ae5c",
+    "Q8xC2": "e2ebd95bb152b4eb32ea997418bf0174254f7bbbf3228c835fa5239886d2857b",
+    "SL(2,3)xC2":
+        "5e139ba400fb54b972f470fd33beea28c157a017942c260dcb758d55efcd251b",
+    "S4xC2": "f3f0496f3713baf36ebd772b18ca910a4b3c496d0b2738f83509f24124e67b92",
+    "Q8xC4": "38a431f1a80c6143dd3e625616239e8852f269484c0d53cb0ddab1103830638b",
+    "Syl_2(S4)":
+        "b415b96009a20a9d6eb870494bdd8263a3d091af832c7cbf7f80f8fc809be003",
+    "S4/V4": "6562874074ad95d4ec9e08f124ba2d2077a49c68cef1da8dfd81fabef712316d",
+    "Aut_F(V4)":
+        "04734113c8f3b77035d22c065322e0f8a39e92aeb53a92a3c6d0628d4621058d",
+}
+
+
+def test_catalog_tables_keep_their_numbering():
+    C2, C4 = cyclic(2), cyclic(4)
+    got = {name: build() for name, build in BUILDERS.items()}
+    got["C2^4"] = elementary(2, 4)
+    # the products perfbench/inputs.py builds
+    got["D8xC2"] = direct_product(dihedral8(), C2)
+    got["Q8xC2"] = direct_product(quaternion8(), C2)
+    got["SL(2,3)xC2"] = direct_product(sl23(), C2)
+    got["S4xC2"] = direct_product(symmetric(4), C2)
+    got["Q8xC4"] = direct_product(quaternion8(), C4)
+    got.update(_s4_datum_groups())
+    assert {name: _digest(G) for name, G in got.items()} == TABLE_DIGESTS
+
+
+def test_group_from_elements_keeps_the_given_order():
+    items = [0, 3, 1, 2]
+    G = group_from_elements(items, lambda a, b: (a + b) % 4)
+    # element 1 is the item 3, not 1: 3 + 3 = 2 is element 3
+    assert G.table[1] == (1, 3, 0, 2)
+    with pytest.raises(ValueError, match="not closed under composition"):
+        group_from_elements([0, 1], lambda a, b: (a + b) % 3)
+    with pytest.raises(NoIdentity):
+        group_from_elements([1, 0], lambda a, b: a ^ b)
 
 
 @pytest.mark.parametrize("p", [1, 0, -2, 4, 6])

@@ -6,7 +6,7 @@ import pytest
 from fusionwb import io
 from fusionwb.catalog import cyclic, named_group, symmetric
 from fusionwb.cli import main
-from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
+from fusionwb.corpus import corpus_dir, load_corpus
 from fusionwb.errors import CorpusMissing, NonAssociative
 from fusionwb.fusion import fusion_equal
 from fusionwb.groups import InjHom, full_subgroup
@@ -134,15 +134,41 @@ def test_presentation_round_trip_hnn():
     assert is_identity(w)
 
 
+
+@pytest.mark.parametrize("text, letters", [
+    ("t1^-1 g1^1 t1^1 g2^1", ((2, -1), (0, 1), (2, 1), (1, 1))),
+    ("", ()),
+    ("g1", "g1"),
+    ("^1", "^1"),
+    ("g1^01", "g1^01"),
+    ("g1^+1", "g1^+1"),
+    ("g1^1^1", "g1^1^1"),
+    ("x^1", "x^1"),
+    ("g1^-1x", "g1^-1x"),
+    ("g1^-2", "g1^-2"),
+    ("g1^1 t1^2", "t1^2"),
+])
+def test_parse_word_tokens(text, letters):
+    """A letter is a generator, '^' and 1 or -1; the first bad one is named."""
+    S = full_subgroup(cyclic(3))
+    pres = hnn_presentation(S, 3, [InjHom(S, S, [0, 2, 1])])
+    if isinstance(letters, str):
+        with pytest.raises(ParseError) as err:
+            parse_word(pres, text)
+        assert str(err.value) == f"bad word letter {letters!r}"
+    else:
+        assert parse_word(pres, text).letters == letters
+
+
 def test_presentation_round_trip_amalgam():
-    F, datum = standard_robinson_datum(symmetric(4))
-    pres = robinson_presentation(datum)
+    spec = load_datum(corpus_dir() / "d8_s4.datum")
+    pres = robinson_presentation(spec.datum)
     text = serialize_presentation(pres)
     again = parse_presentation(text)
     assert serialize_presentation(again) == text
     from fusionwb.models import recover_fusion
     got = recover_fusion(again, full_subgroup(again.s_group), 3)
-    assert fusion_equal(got, F)
+    assert fusion_equal(got, spec.fusion)
 
 
 def test_presentation_with_trivial_s_is_refused():
@@ -169,8 +195,7 @@ def test_presentation_rejects_edited_relators():
 def _d8_s4_text(attach=None, s_embed=None):
     """The D8/S4 Robinson model's file, with its attach map or its S
     embedding replaced; the relator lines agree with the replacement."""
-    _, datum = standard_robinson_datum(symmetric(4))
-    m = robinson_presentation(datum)
+    m = robinson_presentation(load_datum(corpus_dir() / "d8_s4.datum").datum)
     edges = {2: dict(m.graph_edges[0][3]) if attach is None else attach}
     return serialize_presentation(amalgam_presentation(
         m.vertices, edges, m.s_group,

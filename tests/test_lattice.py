@@ -32,7 +32,7 @@ from fusionwb.catalog import (
     symmetric,
 )
 from fusionwb.cohomology import Site
-from fusionwb.corpus import corpus_dir, load_corpus, standard_robinson_datum
+from fusionwb.corpus import corpus_dir, load_corpus
 from fusionwb.fusion import (
     conjugation_homs,
     fusion_from_group,
@@ -49,7 +49,7 @@ from fusionwb.groups import (
     subgroup_as_group,
     sylow_p,
 )
-from fusionwb.io import load_fusion_spec
+from fusionwb.io import load_datum, load_fusion_spec
 from fusionwb.stable import (
     fusion_ea_morphisms,
     quillen_limits,
@@ -195,7 +195,7 @@ def test_generated_classes_match_union_find(name):
 
 @pytest.fixture(scope="module")
 def datums():
-    _, d8_s4 = standard_robinson_datum(symmetric(4))
+    d8_s4 = load_datum(corpus_dir() / "d8_s4.datum").datum
     S3 = symmetric(3)
     F3 = fusion_from_group(sylow_p(S3, 3), S3, p=3)
     iota = InjHom(F3.S, full_subgroup(S3), sylow_p(S3, 3).elements)

@@ -4,13 +4,14 @@ import pytest
 from ball_oracle import reference_ball, reference_reduce
 
 from fusionwb.catalog import (
+    BUILDERS,
     cyclic,
     dihedral8,
     direct_product,
     klein_four,
     symmetric,
 )
-from fusionwb.corpus import standard_robinson_datum
+from fusionwb.corpus import corpus_dir
 from fusionwb.errors import MalformedWord, MismatchedBase, RadiusBoundExceeded
 from fusionwb.fusion import (
     fusion_equal,
@@ -28,6 +29,7 @@ from fusionwb.groups import (
     subgroup_as_group,
     sylow_p,
 )
+from fusionwb.io import load_datum
 from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
@@ -37,6 +39,7 @@ from fusionwb.models import (
     base_element_of,
     hnn_presentation,
     is_identity,
+    p_core,
     random_pinch_free_word,
     random_word,
     recover_fusion,
@@ -67,8 +70,8 @@ def c4_model():
 
 @pytest.fixture(scope="module")
 def robinson_s4():
-    F, datum = standard_robinson_datum(symmetric(4))
-    return F, datum, robinson_presentation(datum)
+    spec = load_datum(corpus_dir() / "d8_s4.datum")
+    return spec.fusion, spec.datum, robinson_presentation(spec.datum)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +363,20 @@ def test_datum_structural_checks():
     c2 = Subgroup(F.group, (0, 1))
     with pytest.raises(ValueError):
         AlperinDatum(F, [AlperinEntry(c2, F.group, iota)])
+
+
+@pytest.mark.parametrize("G", [
+    BUILDERS[name]() for name in BUILDERS] + [
+    direct_product(symmetric(4), cyclic(2)),
+    direct_product(klein_four(), cyclic(3)),
+], ids=lambda G: G.name)
+def test_p_core_is_the_intersection_of_the_sylow_conjugates(G):
+    for p in G.order_factors:
+        P = sylow_p(G, p)
+        core = set(G.elements())
+        for g in G.elements():
+            core &= {G.conj(g, x) for x in P.elements}
+        assert p_core(G, p).elements == tuple(sorted(core))
 
 
 def test_word_from_syllables_roundtrip(c4_model):
