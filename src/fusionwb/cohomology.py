@@ -12,24 +12,15 @@ import functools
 
 import numpy as np
 
-from .errors import NotElementaryAbelian
 from .groups import generating_sequence
 
 
 class Site:
-    """An elementary abelian subgroup with a chosen ordered basis."""
+    """An elementary abelian subgroup with a chosen ordered basis; V is one
+    that elementary_abelians returned, and is not checked again."""
 
     def __init__(self, V, p):
-        G = V.parent
-        for x in V.elements:
-            if x != 0 and G.element_order(x) != p:
-                raise NotElementaryAbelian(
-                    f"element {x} has order {G.element_order(x)}, not {p}")
-        t = G.table
-        for x in V.elements:
-            for y in V.elements:
-                if t[x][y] != t[y][x]:
-                    raise NotElementaryAbelian("subgroup is not abelian")
+        t = V.parent.table
         self.V = V
         self.p = p
         self.basis = generating_sequence(V)

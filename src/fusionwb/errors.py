@@ -50,10 +50,6 @@ class NotACategory(WorkbenchError):
     """A built fusion system breaks a category axiom: a workbench bug."""
 
 
-class NotElementaryAbelian(WorkbenchError):
-    """A site or morphism endpoint is not elementary abelian."""
-
-
 class IncompatibleFamily(WorkbenchError):
     """Components of a family disagree under some restriction map."""
 

@@ -208,9 +208,7 @@ def generate_fusion(S, p, generators):
     for phi in generators:
         if phi.source.parent != G or phi.target.parent != G:
             raise ValueError("generator does not live on S")
-        P = lat.by_key[phi.source.elements]
-        add(P.elements,
-            InjHom(P, lat.by_key[phi.target.elements], phi.images).images)
+        add(phi.source.elements, phi.images)
 
     maximal = _maximal_subgroups(lat, p)
     while queue:

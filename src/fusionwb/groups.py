@@ -54,14 +54,14 @@ def prime_of(order):
 
 
 class Group:
-    """A finite group as a validated Cayley table."""
+    """A finite group as a Cayley table, unchecked: io checks each table read
+    from a file, and a table the library composes is a group by construction."""
 
     def __init__(self, table, name="G"):
         rows = tuple(tuple(int(x) for x in row) for row in table)
         self.table = rows
         self.order = len(rows)
         self.name = name
-        _validate_table(rows)
         self.order_factors = _factorize(self.order)
         inv = [None] * self.order
         for a in range(self.order):
@@ -188,9 +188,6 @@ def build_group_from_permutations(gens, name="G"):
         if len(elems) > MAX_GENERATED_ORDER:
             raise OrderBoundExceeded(
                 f"generated order exceeds {MAX_GENERATED_ORDER}")
-    if len(elems) > MAX_TABLE_ORDER:
-        raise OrderBoundExceeded(
-            f"generated order {len(elems)} exceeds table bound {MAX_TABLE_ORDER}")
     return group_from_elements(elems, _perm_mul, name=name)
 
 
@@ -492,7 +489,11 @@ def _hom_from_generators(G, H, gens, images):
 
 def group_from_elements(items, compose, name="G"):
     """The Group on a list of hashable items closed under compose, with
-    element k the item items[k]; items[0] must be the identity."""
+    element k the item items[k]; items[0] must be the identity.  At most
+    MAX_TABLE_ORDER items, counted before anything is composed."""
+    if len(items) > MAX_TABLE_ORDER:
+        raise OrderBoundExceeded(
+            f"order {len(items)} exceeds table bound {MAX_TABLE_ORDER}")
     pos = {x: i for i, x in enumerate(items)}
     try:
         table = [[pos[compose(a, b)] for b in items] for a in items]

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cohomology import CohoElement
-from .errors import WorkbenchError
+from .errors import DegreeBoundExceeded, WorkbenchError
 from .fusion import FusionSystem, fusion_from_group, generate_fusion
 from .groups import (
     Group,
     InjHom,
     Subgroup,
+    _validate_table,
     build_group_from_permutations,
     full_subgroup,
     normalizer,
@@ -30,7 +31,7 @@ from .models import (
     amalgam_presentation,
     hnn_presentation,
 )
-from .stable import StableFamily, elementary_sites
+from .stable import MAX_DEGREE, StableFamily, elementary_sites
 
 
 class ParseError(WorkbenchError):
@@ -52,7 +53,18 @@ def parse_elems(text):
 
 
 # ---------------------------------------------------------------------------
-# group files
+# group tables and files
+
+
+def _read_table(lines, order, name="G"):
+    """The Group whose table rows are the given lines.  Every table read
+    from a file comes through here and is checked once; no library code
+    checks a table again."""
+    rows = [tuple(int(x) for x in ln.split()) for ln in lines]
+    if len(rows) != order:
+        raise ParseError(f"expected {order} table rows, got {len(rows)}")
+    _validate_table(rows)
+    return Group(rows, name=name)
 
 
 def serialize_group(G):
@@ -72,10 +84,7 @@ def parse_group(text):
     name, order = m.group(1), int(m.group(2))
     mode = lines[1].strip()
     if mode == "mode table":
-        rows = [tuple(int(x) for x in ln.split()) for ln in lines[2:]]
-        if len(rows) != order:
-            raise ParseError(f"expected {order} table rows, got {len(rows)}")
-        return Group(rows, name=name)
+        return _read_table(lines[2:], order, name=name)
     if mode == "mode perm":
         cycles = [_parse_cycles(ln) for ln in lines[2:]]
         if not cycles:
@@ -289,9 +298,8 @@ def parse_presentation(text):
             raise ParseError(f"expected table header, got {lines[idx]!r}")
         order = int(m.group(len(m.groups())))
         line(idx + order)             # the table's last row
-        rows = [tuple(int(x) for x in ln.split())
-                for ln in lines[idx + 1:idx + 1 + order]]
-        return m, Group(rows), idx + 1 + order
+        return (m, _read_table(lines[idx + 1:idx + 1 + order], order),
+                idx + 1 + order)
 
     _, sgroup, idx = read_table(1, r"sgroup order (\d+)")
     p = prime_of(sgroup.order)
@@ -428,9 +436,12 @@ def parse_family(F, text):
             degrees.add(d)
     if len(degrees) > 1:
         raise ParseError(f"components have mixed degrees {sorted(degrees)}")
+    degree = degrees.pop() if degrees else 0
+    if degree > MAX_DEGREE:
+        raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
     for key in by_key:
         comps.setdefault(key, CohoElement.zero(by_key[key]))
-    return StableFamily(F, degrees.pop() if degrees else 0, comps,
+    return StableFamily(F, degree, comps,
                         tuple(sorted(sites, key=lambda s: (s.V.order, s.key))))
 
 

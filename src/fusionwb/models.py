@@ -548,7 +548,7 @@ def recover_fusion(pres, S, radius):
                 conj[x] = y
         maps.setdefault((tuple(conj), tuple(conj.values())))
     return generate_fusion(S, pres.p, [
-        InjHom(lattice(base).by_key[domain], S, images)
+        InjHom(lattice(base).by_key[domain], S, images, _trusted=True)
         for domain, images in maps])
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionwb import cli, fusion, models
+from fusionwb import cli, corpus, fusion, models
 from fusionwb.cli import main, run
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import UsageError
@@ -85,6 +85,8 @@ def validations(monkeypatch):
 
     monkeypatch.setattr(models, "validate_alperin_datum", counting)
     monkeypatch.setattr(cli, "validate_alperin_datum", counting, raising=False)
+    monkeypatch.setattr(corpus, "validate_alperin_datum", counting,
+                        raising=False)
     return calls
 
 
@@ -93,6 +95,21 @@ def test_robinson_validates_once(capsys, validations):
     out = capsys.readouterr().out.splitlines()
     assert out[1:3] == ["valid Alperin datum", "presentation kind=amalgam"]
     assert len(validations) == 1
+
+
+def test_corpus_check_validates_the_datum_once(capsys, validations):
+    assert main(["corpus", "check"]) == 0
+    assert "ok model-robinson" in capsys.readouterr().out
+    assert len(validations) == 1
+
+
+def test_group_info_names_the_nonassociative_triple(capsys):
+    # the order-5 loop of golden/nonassoc.grp: t[t[1][1]][2] = 2, t[1][t[1][2]] = 4
+    path = Path(__file__).parent / "golden" / "nonassoc.grp"
+    assert main(["group", "info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: associativity fails at triple (1, 1, 2)\n"
 
 
 def test_invalid_datum_exits_one_with_its_report(tmp_path, capsys,

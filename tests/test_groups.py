@@ -17,11 +17,13 @@ from fusionwb.catalog import (
     symmetric,
 )
 from fusionwb.errors import NoIdentity, NonAssociative, NotClosed, OrderBoundExceeded
+from fusionwb.corpus import load_corpus
 from fusionwb.fusion import aut_group, fusion_from_group
 from fusionwb.groups import (
     Group,
     InjHom,
     Subgroup,
+    _validate_table,
     build_group_from_permutations,
     centralizer,
     closure,
@@ -39,6 +41,7 @@ from fusionwb.groups import (
     subgroups,
     sylow_p,
 )
+from fusionwb.io import parse_group, parse_presentation
 
 
 def brute_force_subgroups(G):
@@ -72,6 +75,19 @@ def test_prime_of():
         prime_of(12)
 
 
+def table_files(table):
+    """(parser, text) for each file a table enters through: a group file, a
+    presentation's sgroup and an amalgam's first factor over a C2 sgroup."""
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
+    n = len(table)
+    return [
+        (parse_group, f"group X order {n}\nmode table\n{rows}"),
+        (parse_presentation, f"presentation kind=hnn\nsgroup order {n}\n{rows}"),
+        (parse_presentation, "presentation kind=amalgam\nsgroup order 2\n"
+                             f"0 1\n1 0\nsembed [0,1]\nfactor 1 order {n}\n{rows}"),
+    ]
+
+
 def test_nonassociative_triple_is_named():
     # the order-5 loop: a latin square with identity that is not a group
     table = [
@@ -81,23 +97,25 @@ def test_nonassociative_triple_is_named():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(NonAssociative) as exc:
-        Group(table)
-    a, b, c = exc.value.triple
-    t = table
-    assert t[t[a][b]][c] != t[a][t[b][c]]
+    for parse, text in table_files(table):
+        with pytest.raises(NonAssociative) as exc:
+            parse(text)
+        a, b, c = exc.value.triple
+        t = table
+        assert t[t[a][b]][c] != t[a][t[b][c]]
 
 
 def test_no_identity_error():
-    with pytest.raises(NoIdentity):
-        Group([[1, 0], [0, 1]])
+    for parse, text in table_files([[1, 0], [0, 1]]):
+        with pytest.raises(NoIdentity):
+            parse(text)
 
 
 def test_not_closed_errors():
-    with pytest.raises(NotClosed):
-        Group([[0, 1], [1, 5]])
-    with pytest.raises(NotClosed):
-        Group([[0, 1, 2], [1, 2, 0]])
+    for table in ([[0, 1], [1, 5]], [[0, 1, 2], [1, 2, 0]]):
+        for parse, text in table_files(table):
+            with pytest.raises(NotClosed):
+                parse(text)
 
 
 def test_generated_order_bound():
@@ -365,8 +383,46 @@ def test_group_from_elements_keeps_the_given_order():
     assert G.table[1] == (1, 3, 0, 2)
     with pytest.raises(ValueError, match="not closed under composition"):
         group_from_elements([0, 1], lambda a, b: (a + b) % 3)
-    with pytest.raises(NoIdentity):
-        group_from_elements([1, 0], lambda a, b: a ^ b)
+
+
+def test_group_from_elements_bounds_the_order_before_composing():
+    calls = []
+
+    def compose(a, b):
+        calls.append((a, b))
+        return (a + b) % 513
+
+    with pytest.raises(OrderBoundExceeded):
+        group_from_elements(range(513), compose)
+    assert calls == []
+
+
+def psl27():
+    """L3(2) = PSL(2,7) on the projective line: x -> x+1 and x -> -1/x,
+    with 7 the point at infinity."""
+    shift = tuple(7 if x == 7 else (x + 1) % 7 for x in range(8))
+    invert = (7,) + tuple(-pow(x, -1, 7) % 7 for x in range(1, 7)) + (0,)
+    return build_group_from_permutations([shift, invert], name="L3(2)")
+
+
+def test_library_tables_pass_the_table_check():
+    # the tables io checks at the boundary; those the library composes are
+    # groups by construction, which this checks on the builders' results
+    groups = [B() for B in BUILDERS.values()]
+    groups += load_corpus().groups.values()
+    L32 = psl27()
+    assert L32.order == 168
+    groups.append(L32)
+    for G in (symmetric(4), sl23(), direct_product(dihedral8(), cyclic(2))):
+        subs = subgroups(G)
+        groups += [subgroup_as_group(P) for P in subs]
+        groups += [quotient_group(G, N)[0] for N in subs
+                   if all(conjugate_subgroup(G, g, N) == N
+                          for g in G.elements())]
+        F = fusion_from_group(sylow_p(G, 2), G, p=2)
+        groups += [aut_group(F, P)[0] for P in F.subgroups]
+    for G in groups:
+        _validate_table(G.table)
 
 
 @pytest.mark.parametrize("p", [1, 0, -2, 4, 6])

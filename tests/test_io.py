@@ -7,7 +7,7 @@ from fusionwb import io
 from fusionwb.catalog import cyclic, named_group, symmetric
 from fusionwb.cli import main
 from fusionwb.corpus import corpus_dir, load_corpus
-from fusionwb.errors import CorpusMissing, NonAssociative
+from fusionwb.errors import CorpusMissing, DegreeBoundExceeded, NonAssociative
 from fusionwb.fusion import fusion_equal
 from fusionwb.groups import InjHom, full_subgroup
 from fusionwb.io import (
@@ -318,6 +318,22 @@ def test_family_parse_errors():
         parse_family(F, "V=[0,5] ; x1:1\n")      # not a subgroup of S
     with pytest.raises(ParseError):
         parse_family(F, "V=[0,1] ; x1:1\nV=[0,2] ; x1^2:1\n")  # mixed degree
+
+
+def test_family_above_the_degree_cap_is_refused_at_parse(tmp_path, capsys):
+    # x1^400 once ran the nilpotence test for seconds before it answered
+    path = corpus_dir() / "v4_gl2.fus"
+    F = load_fusion_spec(path).fusion()
+    assert parse_family(F, "V=[0,1,2,3] ; x1^40:1\n").degree == 40
+    text = "V=[0,1,2,3] ; x1^400:1\n"
+    with pytest.raises(DegreeBoundExceeded, match="degree 400 exceeds cap 40"):
+        parse_family(F, text)
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(text)
+    code = main(["stable", "nilpotent", "--family", str(fam_file),
+                 "--fusion", str(path)])
+    assert code == 2
+    assert "degree 400 exceeds cap 40" in capsys.readouterr().err
 
 
 def test_family_refuses_a_repeated_site(tmp_path, capsys):

@@ -17,7 +17,6 @@ from restriction_oracle import (
 from fusionwb.catalog import (
     alternating4,
     cyclic,
-    dihedral8,
     direct_product,
     elementary,
     klein_four,
@@ -32,11 +31,7 @@ from fusionwb.cohomology import (
     restriction_matrices,
     restriction_matrix,
 )
-from fusionwb.errors import (
-    DegreeBoundExceeded,
-    IncompatibleFamily,
-    NotElementaryAbelian,
-)
+from fusionwb.errors import DegreeBoundExceeded, IncompatibleFamily
 from fusionwb.fusion import fusion_from_group, generate_fusion
 from fusionwb.groups import (
     InjHom,
@@ -204,15 +199,6 @@ def restriction_map(phi, d, p):
     """Degree-d restriction along phi : W -> V, as a list of rows."""
     return restriction_matrix(phi, Site(phi.source, p), Site(phi.target, p),
                               d).tolist()
-
-
-def test_site_rejects_non_elementary():
-    C4 = cyclic(4)
-    with pytest.raises(NotElementaryAbelian):
-        Site(full_subgroup(C4), 2)
-    D8 = dihedral8()
-    with pytest.raises(NotElementaryAbelian):
-        Site(full_subgroup(D8), 2)
 
 
 def test_basis_p2():
