@@ -7,6 +7,8 @@ repeated runs produce identical output.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .errors import NoIdentity, NonAssociative, NotClosed, OrderBoundExceeded
@@ -15,6 +17,7 @@ MAX_TABLE_ORDER = 512
 MAX_GENERATED_ORDER = 10000
 MAX_ISO_ORDER = 256
 MAX_PERM_DEGREE = 16
+MAX_SUBGROUPS = 4096
 
 
 def _factorize(n):
@@ -58,7 +61,7 @@ class Group:
     from a file, and a table the library composes is a group by construction."""
 
     def __init__(self, table, name="G"):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(map(tuple, table))
         self.table = rows
         self.order = len(rows)
         self.name = name
@@ -269,32 +272,114 @@ def full_subgroup(G):
     return Subgroup(G, range(G.order))
 
 
-def _closure_search(G, addable):
-    """The subgroups reached from the trivial one by closing, one element
-    at a time, with the elements addable(h) names for the element tuple h,
-    sorted by (size, elements)."""
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            hset = set(h)
-            for x in addable(h):
-                if x in hset:
-                    continue
-                k = closure(G, h + (x,))
-                if k not in found:
-                    found.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    return [Subgroup(G, h) for h in sorted(found, key=lambda h: (len(h), h))]
+def _add(found, heap, inside, gens):
+    """Record the subgroup with element indicator inside and generators
+    gens in found, keyed by the indicator's bytes, and queue it on heap by
+    size, unless it is there already."""
+    key = inside.tobytes()
+    if key not in found:
+        if len(found) == MAX_SUBGROUPS:
+            raise OrderBoundExceeded(f"more than {MAX_SUBGROUPS} subgroups")
+        found[key] = (gens, inside)
+        heapq.heappush(heap, (int(inside.sum()), key))
+
+
+def _prime_steps(G, T, found, heap, candidates):
+    """Extend found by every subgroup reached by prime-index steps from the
+    ones queued on heap, smallest first.
+
+    From H, with generators gens and indicator inside, a step takes an x
+    in the bool mask candidates(gens, inside), which lies in N_G(H), and,
+    when xH has prime order q, K = H<x>: the cosets H x^i, i < q,
+    generated by gens + (x,).  Every element of K outside H gives the same
+    K, so none of them is tried again from H.  T is G's table as an array.
+    """
+    t = G.table
+    over = T.T[list(G._inv)]        # inside[over[y]] is the coset H y
+    while heap:
+        _, key = heapq.heappop(heap)
+        gens, inside = found[key]
+        skip = inside.copy()
+        for x in np.flatnonzero(candidates(gens, inside)).tolist():
+            if skip[x]:
+                continue
+            q, y = 1, x
+            while not inside[y]:
+                q, y = q + 1, t[y][x]
+            if q not in G.order_factors:    # q divides |G|: one of its primes?
+                continue
+            grown, y = inside.copy(), x
+            for _ in range(q - 1):
+                grown |= inside[over[y]]
+                y = t[y][x]
+            skip |= grown
+            _add(found, heap, grown, gens + (x,))
+
+
+def _prime_step_search(G, T, candidates):
+    """found of _prime_steps run from the trivial subgroup."""
+    found, heap = {}, []
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    _add(found, heap, trivial, ())
+    _prime_steps(G, T, found, heap, candidates)
+    return found
+
+
+def _sorted_subgroups(G, found):
+    keys = sorted((tuple(np.flatnonzero(inside).tolist())
+                   for _, inside in found.values()),
+                  key=lambda h: (len(h), h))
+    return [Subgroup(G, h) for h in keys]
 
 
 def subgroups(G):
-    """All subgroups of G, each exactly once, sorted by (size, elements)."""
+    """All subgroups of G, each exactly once, sorted by (size, elements),
+    at most MAX_SUBGROUPS of them.
+
+    A solvable subgroup has a normal subgroup of prime index, so prime
+    steps from the trivial subgroup reach every solvable subgroup (the
+    cyclic extension method).  A subgroup that is not solvable is reached
+    from its perfect residual, and every perfect group of order at most
+    512 is quasisimple, hence 2-generated.  So when the first search does
+    not reach G itself (never for |G| = p^a q^b, by Burnside), each closure
+    <x, y> that it missed, x a class representative and y one of each
+    C_G(x)-class, seeds a second search, with all its conjugates.
+    """
     if G.order > MAX_TABLE_ORDER:
         raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
-    return _closure_search(G, lambda h: G.elements())
+    n = G.order
+    T = np.array(G.table, dtype=np.intp)
+    conj = T[T, np.array(G._inv)[:, None]]      # conj[g, x] = g x g^-1
+
+    def normalizing(gens, inside):
+        return inside[conj[:, list(gens)]].all(axis=1)
+
+    found = _prime_step_search(G, T, normalizing)
+    if np.ones(n, dtype=bool).tobytes() in found:
+        return _sorted_subgroups(G, found)
+    heap, seen = [], np.zeros(n, dtype=bool)
+    for x in range(1, n):
+        if seen[x]:
+            continue
+        seen[conj[:, x]] = True
+        # <x, c y c^-1> is conjugate to <x, y> for c in C_G(x)
+        cent, tried = np.flatnonzero(conj[:, x] == x), np.zeros(n, dtype=bool)
+        for y in G.elements():
+            if tried[y]:
+                continue
+            tried[conj[cent, y]] = True
+            elems = list(closure(G, (x, y)))
+            inside = np.zeros(n, dtype=bool)
+            inside[elems] = True
+            if inside.tobytes() in found:
+                continue
+            for g in G.elements():
+                inside = np.zeros(n, dtype=bool)
+                inside[conj[g, elems]] = True
+                _add(found, heap, inside, (int(conj[g, x]), int(conj[g, y])))
+    _prime_steps(G, T, found, heap, normalizing)
+    return _sorted_subgroups(G, found)
 
 
 class Lattice:
@@ -307,8 +392,26 @@ class Lattice:
     def __init__(self, G):
         subs = self.subgroups = tuple(subgroups(G))
         self.by_key = {P.elements: P for P in subs}
-        self.below = {P.elements: [Q for Q in subs if Q.order < P.order
-                                   and P.contains_subgroup(Q)] for P in subs}
+        # Q < P when every element of Q is in P and |Q| < |P|, so Q comes
+        # before the first subgroup of P's size.  Element sets are compared
+        # as 64-bit masks, a block of P at a time against the Q before it,
+        # so that a lattice of MAX_SUBGROUPS needs a few MB, not a square
+        member = np.zeros((len(subs), -(-G.order // 64) * 64), dtype=bool)
+        for i, P in enumerate(subs):
+            member[i, list(P.elements)] = True
+        masks = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
+        sizes = np.array([P.order for P in subs])
+        first = np.searchsorted(sizes, sizes)
+        self.below = {}
+        for start in range(0, len(subs), 256):
+            block = slice(start, start + 256)
+            end = first[block][-1]
+            outside = sizes[:end] >= sizes[block, None]
+            for word in masks.T:
+                outside |= (word[:end] & ~word[block, None]) != 0
+            for P, row in zip(subs[block], outside):
+                self.below[P.elements] = [
+                    subs[j] for j in np.flatnonzero(~row).tolist()]
 
 
 def lattice(G):
@@ -409,11 +512,16 @@ def elementary_abelians(G, p):
 
 
 def _elementary_abelian_search(G, p):
-    """elementary_abelians by closing commuting elements of order p."""
-    order_p = [x for x in G.elements() if x != 0 and G.element_order(x) == p]
-    t = G.table
-    return _closure_search(G, lambda v: [
-        x for x in order_p if all(t[x][y] == t[y][x] for y in v)])
+    """elementary_abelians by the prime-step search, with the elements of
+    order p that commute with H as the only candidates."""
+    T = np.array(G.table, dtype=np.intp)
+    order_p = np.array([G.element_order(x) == p for x in G.elements()])
+
+    def commuting(gens, inside):
+        gens = list(gens)
+        return order_p & (T[:, gens] == T[gens].T).all(axis=1)
+
+    return _sorted_subgroups(G, _prime_step_search(G, T, commuting))
 
 
 def generating_sequence(P):
@@ -490,16 +598,41 @@ def _hom_from_generators(G, H, gens, images):
 def group_from_elements(items, compose, name="G"):
     """The Group on a list of hashable items closed under compose, with
     element k the item items[k]; items[0] must be the identity.  At most
-    MAX_TABLE_ORDER items, counted before anything is composed."""
-    if len(items) > MAX_TABLE_ORDER:
+    MAX_TABLE_ORDER items, counted before anything is composed.
+
+    Only products with generators are composed: generator j is the least
+    index that right multiplication by the earlier ones does not reach
+    from 0, and right[j][a] is the index of items[a] composed with it.
+    Every other column c = b g_j, b reached before c, is right[j] read
+    at column b, since a (b g_j) = (a b) g_j.  A product outside the items
+    is a ValueError.
+    """
+    n = len(items)
+    if n > MAX_TABLE_ORDER:
         raise OrderBoundExceeded(
-            f"order {len(items)} exceeds table bound {MAX_TABLE_ORDER}")
+            f"order {n} exceeds table bound {MAX_TABLE_ORDER}")
     pos = {x: i for i, x in enumerate(items)}
-    try:
-        table = [[pos[compose(a, b)] for b in items] for a in items]
-    except KeyError:
-        raise ValueError("item set is not closed under composition") from None
-    return Group(table, name=name)
+    right, via, reached = [], {0: None}, [0]
+    while len(reached) < n:
+        g = items[next(i for i in range(n) if i not in via)]
+        try:
+            right.append([pos[compose(a, g)] for a in items])
+        except KeyError:
+            raise ValueError(
+                "item set is not closed under composition") from None
+        via, reached = {0: None}, [0]
+        for b in reached:
+            for j, col in enumerate(right):
+                if col[b] not in via:
+                    via[col[b]] = (b, j)
+                    reached.append(col[b])
+    cols = np.empty((n, n), dtype=np.intp)      # cols[c] = column c
+    cols[:1] = np.arange(n)                     # column 0, if n > 0
+    right = np.array(right, dtype=np.intp)
+    for c in reached[1:]:
+        b, j = via[c]
+        cols[c] = right[j][cols[b]]
+    return Group(cols.T.tolist(), name=name)
 
 
 def subgroup_as_group(P, name=None):

@@ -1,20 +1,37 @@
-"""Reference group searches and the per-morphism family check.
+"""Reference group builders and searches and the per-morphism family check.
 
-The library finds the subgroup lattice and the elementary abelian
-subgroups by one closure search from the trivial subgroup, picks the
-generators of a group and the basis of a site by one greedy pick
+The library builds a Cayley table from the products with a few
+generators, finds the subgroup lattice and the elementary abelian
+subgroups by one prime-index step search from the trivial subgroup, picks
+the generators of a group and the basis of a site by one greedy pick
 (groups.generating_sequence), and checks a stable family on the batched
 restriction kernel, one call per (rank W, rank V) shape.  The tests keep
 the code these replaced as the independent oracles for them: the bodies
-are the earlier groups.subgroups, groups._elementary_abelian_search,
+are the earlier groups.group_from_elements (all n^2 products),
+groups.subgroups, groups._elementary_abelian_search,
 groups.elementary_basis, groups.generating_sequence and
 stable.check_family, verbatim, under reference_ names.
 """
 
 from fusionwb.cohomology import restrict_element
 from fusionwb.errors import IncompatibleFamily, OrderBoundExceeded
-from fusionwb.groups import MAX_TABLE_ORDER, Subgroup, closure
+from fusionwb.groups import MAX_TABLE_ORDER, Group, Subgroup, closure
 from fusionwb.stable import fusion_ea_morphisms
+
+
+def reference_group_from_elements(items, compose, name="G"):
+    """The Group on a list of hashable items closed under compose, with
+    element k the item items[k]; items[0] must be the identity.  At most
+    MAX_TABLE_ORDER items, counted before anything is composed."""
+    if len(items) > MAX_TABLE_ORDER:
+        raise OrderBoundExceeded(
+            f"order {len(items)} exceeds table bound {MAX_TABLE_ORDER}")
+    pos = {x: i for i, x in enumerate(items)}
+    try:
+        table = [[pos[compose(a, b)] for b in items] for a in items]
+    except KeyError:
+        raise ValueError("item set is not closed under composition") from None
+    return Group(table, name=name)
 
 
 def reference_subgroups(G):

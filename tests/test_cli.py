@@ -12,6 +12,7 @@ from fusionwb import cli, corpus, fusion, models
 from fusionwb.cli import main, run
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import UsageError
+from fusionwb.groups import MAX_SUBGROUPS
 from fusionwb.io import parse_elems
 from fusionwb.report import RunReport
 
@@ -213,6 +214,17 @@ def test_group_verbs(capsys):
                  "--prime", "2"]) == 0
     out = capsys.readouterr().out
     assert "(order 8)" in out
+
+
+def test_group_subgroups_above_the_subgroup_bound_exit_two(tmp_path, capsys):
+    # C2^7, as seven disjoint transpositions, has 29,212 subgroups
+    grp = tmp_path / "c2e7.grp"
+    grp.write_text("group C2^7 order 128\nmode perm\n" + "".join(
+        f"({2 * k + 1} {2 * k + 2})\n" for k in range(7)))
+    assert main(["group", "subgroups", str(grp)]) == 2
+    captured = capsys.readouterr()
+    assert "[0]" not in captured.out
+    assert f"more than {MAX_SUBGROUPS} subgroups" in captured.err
 
 
 def test_usage_error_exit_two(capsys):

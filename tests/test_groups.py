@@ -23,6 +23,7 @@ from fusionwb.groups import (
     Group,
     InjHom,
     Subgroup,
+    _perm_mul,
     _validate_table,
     build_group_from_permutations,
     centralizer,
@@ -42,6 +43,7 @@ from fusionwb.groups import (
     sylow_p,
 )
 from fusionwb.io import parse_group, parse_presentation
+from group_oracle import reference_group_from_elements, reference_subgroups
 
 
 def brute_force_subgroups(G):
@@ -423,6 +425,82 @@ def test_library_tables_pass_the_table_check():
         groups += [aut_group(F, P)[0] for P in F.subgroups]
     for G in groups:
         _validate_table(G.table)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(items, compose, group) for each group_from_elements call."""
+    builds = []
+    build = group_from_elements
+
+    def recording(items, compose, name="G"):
+        G = build(items, compose, name=name)
+        builds.append((items, compose, G))
+        return G
+
+    for module in ("groups", "catalog", "fusion"):
+        monkeypatch.setattr(f"fusionwb.{module}.group_from_elements",
+                            recording)
+    return builds
+
+
+def test_group_from_elements_matches_the_all_pairs_builder(table_builds):
+    for B in BUILDERS.values():
+        B()
+    psl27()
+    for G in (symmetric(4), sl23()):
+        for N in subgroups(G):
+            if all(conjugate_subgroup(G, g, N) == N for g in G.elements()):
+                quotient_group(G, N)
+        F = fusion_from_group(sylow_p(G, 2), G, p=2)
+        for P in F.subgroups:
+            aut_group(F, P)
+    assert {G.order for _, _, G in table_builds} >= {1, 2, 8, 24, 168}
+    for items, compose, G in table_builds:
+        assert reference_group_from_elements(items, compose).table == G.table
+
+
+def test_group_from_elements_composes_only_with_generators():
+    # L3(2)'s 168 permutations: 28,224 products make the whole table, and
+    # two generator columns take 336
+    perms = [(0, 1, 2, 3, 4, 5, 6, 7)]
+    for x in perms:
+        for g in ((1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)):
+            if _perm_mul(x, g) not in perms:
+                perms.append(_perm_mul(x, g))
+    calls = []
+
+    def compose(a, b):
+        calls.append((a, b))
+        return _perm_mul(a, b)
+
+    G = group_from_elements(perms, compose)
+    assert G.order == 168
+    assert len(calls) <= 3 * G.order
+    assert G.table == reference_group_from_elements(perms, _perm_mul).table
+
+
+A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]        # (0 1 2 3 4), (0 1 2)
+A6_GENS = [(1, 2, 3, 4, 0, 5), (0, 2, 3, 4, 5, 1)]  # (0 1 2 3 4), (1 2 3 4 5)
+
+
+@pytest.mark.parametrize("G", [
+    build_group_from_permutations(A5_GENS, name="A5"), symmetric(5), psl27(),
+    direct_product(symmetric(4), cyclic(2))], ids=lambda G: G.name)
+def test_subgroups_of_groups_that_are_not_p_groups_match_the_reference(G):
+    # A5, S5 and L3(2) hold perfect subgroups, which no chain of
+    # prime-index steps from the trivial subgroup reaches
+    assert ([P.elements for P in subgroups(G)]
+            == [P.elements for P in reference_subgroups(G)])
+
+
+def test_a6_has_501_subgroups():
+    A6 = build_group_from_permutations(A6_GENS, name="A6")
+    subs = subgroups(A6)
+    assert len(subs) == 501
+    # the two classes of A5, six each, and A6
+    assert [P.order for P in subs].count(60) == 12
+    assert subs[-1].order == 360
 
 
 @pytest.mark.parametrize("p", [1, 0, -2, 4, 6])

@@ -282,10 +282,15 @@ def _searched_groups():
 
 @pytest.mark.parametrize("G", _searched_groups(), ids=lambda G: G.name)
 def test_one_closure_search_and_one_generator_pick_match_the_old_code(G):
-    # the lattice, in order; every site basis, at every prime; and the
-    # generators is_isomorphic maps
+    # the lattice, in order, and the subgroups below each; every site
+    # basis, at every prime; and the generators is_isomorphic maps
     assert ([P.elements for P in groups.subgroups(G)]
             == [P.elements for P in reference_subgroups(G)])
+    subs = lattice(G).subgroups
+    assert lattice(G).below == {
+        P.elements: [Q for Q in subs
+                     if Q.order < P.order and P.contains_subgroup(Q)]
+        for P in subs}
     for p in sorted(G.order_factors):
         for V in groups.elementary_abelians(G, p):
             assert Site(V, p).basis == reference_elementary_basis(V, p)
