@@ -95,65 +95,6 @@ def _index(n, p, d):
     return {mono: k for k, mono in enumerate(_basis(n, p, d))}
 
 
-def _bump(e, i, by):
-    return e[:i] + (e[i] + by,) + e[i + 1:]
-
-
-@functools.lru_cache(maxsize=None)
-def _peels(n, p, d):
-    """Each degree-d monomial as its first generator times the rest.
-
-    The first generator is the lowest exterior a_i if there is one (then
-    a_i times the rest is the monomial with sign +1), else the lowest x_i.
-    Returns, per kind present (True for exterior), the arrays: positions of
-    the monomials, index i of their generator, positions of the rests in
-    the basis of degree d minus the generator's degree.
-    """
-    groups = {}
-    for c, (eps, alpha) in enumerate(_basis(n, p, d)):
-        exterior = 1 in eps
-        if exterior:
-            i = eps.index(1)
-            rest = (_bump(eps, i, -1), alpha)
-        else:
-            i = next(t for t, e in enumerate(alpha) if e)
-            rest = (eps, _bump(alpha, i, -1))
-        rest_index = _index(n, p, d - _generator_degree(exterior, p))
-        groups.setdefault(exterior, []).append((c, i, rest_index[rest]))
-    return tuple((exterior, *(np.array(col, dtype=np.intp)
-                              for col in zip(*rows)))
-                 for exterior, rows in groups.items())
-
-
-def _generator_degree(exterior, p):
-    return 1 if exterior or p == 2 else 2
-
-
-@functools.lru_cache(maxsize=None)
-def _left_products(n, p, d, exterior):
-    """Left multiplication of the degree-d basis by each generator j.
-
-    Per j: the monomials with a nonzero product (an index, or every one),
-    the positions of the products in the basis one generator up, and their
-    signs.  a_j kills a monomial holding a_j and passes the a_t with t < j;
-    x_j is injective with sign +1.
-    """
-    basis = _basis(n, p, d)
-    up = _index(n, p, d + _generator_degree(exterior, p))
-    out = []
-    for j in range(n):
-        if not exterior:
-            dst = [up[(eps, _bump(alpha, j, 1))] for eps, alpha in basis]
-            out.append((slice(None), np.array(dst, dtype=np.intp), 1))
-            continue
-        src = [k for k, (eps, _) in enumerate(basis) if not eps[j]]
-        dst = [up[(_bump(basis[k][0], j, 1), basis[k][1])] for k in src]
-        sign = [-1 if sum(basis[k][0][:j]) % 2 else 1 for k in src]
-        out.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-                    np.array(sign, dtype=np.int32)[:, None]))
-    return tuple(out)
-
-
 def _eps_tuples(n, k):
     if k == 0:
         yield (0,) * n
@@ -278,6 +219,126 @@ def hom_matrix(phi, site_w, site_v):
     return np.array(cols, dtype=np.int32).reshape(site_w.rank, site_v.rank).T
 
 
+# Bound on the elements of the maps x pairs x columns temporaries of one
+# product step; a larger step runs in slices of the stack and the columns.
+_STEP_ELEMENTS = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(n, p, a, b):
+    """Each degree-(a+b) monomial c as c1 c2, c1 of degree a taking
+    polynomial generators first, then the lowest exterior ones, and c2 the
+    rest: the arrays of the positions of c1 and c2 in the bases of degrees
+    a and b.  The a_i of c1 come before those of c2, so c = c1 c2 with
+    sign +1.
+
+    Every monomial has such a split when a is even or p = 2.  At odd p
+    with a = b = 1 only the a_i a_j have one; they come first in the basis
+    of degree 2, and the x_i after them are left out.
+    """
+    x = 1 if p == 2 else 2      # the degree of a polynomial generator
+    low, high = _index(n, p, a), _index(n, p, b)
+    rows = []
+    for eps, alpha in _basis(n, p, a + b):
+        left = a
+        alpha1 = []
+        for e in alpha:
+            alpha1.append(min(e, left // x))
+            left -= x * alpha1[-1]
+        eps1 = []
+        for e in eps:
+            eps1.append(min(e, left))
+            left -= eps1[-1]
+        if left:
+            continue
+        rest = (tuple(e - f for e, f in zip(eps, eps1)),
+                tuple(e - f for e, f in zip(alpha, alpha1)))
+        rows.append((low[(tuple(eps1), tuple(alpha1))], high[rest]))
+    return np.array(rows, dtype=np.intp).reshape(-1, 2).T
+
+
+@functools.lru_cache(maxsize=None)
+def _products(n, p, a, b):
+    """Products of the degree-a and degree-b basis monomials.
+
+    Returns the arrays u, v of the positions of every pair with u v != 0,
+    sorted by the position of u v in the basis of degree a + b, their
+    signs (None when all are +1), the start of each run of equal products,
+    and the product of each run.
+    """
+    up = _index(n, p, a + b)
+    rows = []
+    for u, (e1, a1) in enumerate(_basis(n, p, a)):
+        for v, (e2, a2) in enumerate(_basis(n, p, b)):
+            merged = _merge_exterior(e1, e2)
+            if merged is not None:
+                sign, eps = merged
+                alpha = tuple(x + y for x, y in zip(a1, a2))
+                rows.append((up[(eps, alpha)], u, v, sign))
+    rows.sort()
+    t, u, v, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    sign = None if (sign == 1).all() else sign.astype(np.int32)[:, None]
+    return u, v, sign, starts, t[starts]
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(n_w, n_v, p, d):
+    """The product steps (k, a, b), k = a + b, that build degree d from
+    degrees 1 and, at odd p, 2, in increasing k.
+
+    The halving chain splits k near k/2 (a = max(2, 2 floor(k/4)) at odd p,
+    so that every monomial has a factor of degree a); the one-generator
+    chain takes a = 1 at p = 2 and a = 2 at odd p.  The chain with fewer
+    products, pairs times columns over its steps, is taken.
+    """
+    base = 1 if p == 2 else 2
+    chains = []
+    for halving in (True, False):
+        steps, todo = {}, [d]
+        while todo:
+            k = todo.pop()
+            if k > base and k not in steps:
+                if not halving:
+                    a = base
+                elif p == 2:
+                    a = k // 2
+                else:
+                    a = max(2, 2 * (k // 4))
+                steps[k] = (a, k - a)
+                todo += steps[k]
+        cost = sum(len(_products(n_w, p, a, b)[0]) * len(_basis(n_v, p, k))
+                   for k, (a, b) in steps.items())
+        chains.append((cost, sorted((k, *ab) for k, ab in steps.items())))
+    return min(chains, key=lambda chain: chain[0])[1]
+
+
+def _product_step(low, high, n_w, n_v, p, a, b):
+    """The images of the degree-(a+b) monomials that _splits splits, from
+    the stacks low and high of the images of degrees a and b: column c is
+    phi*(c1) phi*(c2), summed over the pairs of _products, a slice of the
+    stack and of the columns at a time."""
+    c1, c2 = _splits(n_v, p, a, b)
+    u, v, sign, starts, reached = _products(n_w, p, a, b)
+    m = len(low)
+    out = np.zeros((m, len(_basis(n_w, p, a + b)), len(c1)), dtype=np.int32)
+    if not (len(u) and len(c1)):
+        return out
+    width = max(1, min(len(c1), _STEP_ELEMENTS // len(u)))
+    rows = max(1, _STEP_ELEMENTS // (len(u) * width))
+    for i in range(0, m, rows):
+        maps = slice(i, i + rows)
+        for j in range(0, len(c1), width):
+            cols = slice(j, j + width)
+            terms = low[maps, :, c1[cols]][:, u]
+            terms *= high[maps, :, c2[cols]][:, v]
+            if sign is not None:
+                terms *= sign
+            out[maps, reached, cols] = np.add.reduceat(terms, starts, axis=1,
+                                                       dtype=np.int32)
+    return out % p
+
+
 def restriction_matrices(homs, n_w, n_v, p, d):
     """Images of every degree-d basis monomial of a rank-n_v site along each
     of a stack of maps from a rank-n_w site.
@@ -286,33 +347,29 @@ def restriction_matrices(homs, n_w, n_v, p, d):
     entries in [0, p).  Returns the (m, B_w, B_v) int32 stack of images,
     entries in [0, p): column c of image k is the image of the c-th
     monomial of the degree-d basis of the target, in coordinates of the
-    degree-d basis of the source.  phi* is a ring map, so the image of a
-    monomial is phi*(g) times the image of the rest, for g its first
-    generator: phi*(a_i) = sum_j M[i][j] a_j and phi*(x_i) = sum_j M[i][j]
-    x_j.  The images of each degree are built once, a degree at a time,
-    from those of the degree one generator down, for the whole stack at
-    once.
+    degree-d basis of the source.  phi* is a ring map, so phi*(c) =
+    phi*(c1) phi*(c2) whenever c = c1 c2.  Degree 1 is the transposed hom
+    matrix (phi*(a_i) = sum_j M[i][j] a_j, phi*(x_i) = sum_j M[i][j] x_j),
+    and so is the x_j-by-x_i block of degree 2 at odd p, whose a_i a_j
+    come from degree 1; every other degree is one product step of two
+    lower ones (_chain), for the whole stack at once, so a call takes
+    O(log d) steps on the halving chain.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     m = len(homs)
     homs = np.asarray(homs, dtype=np.int32).reshape(m, n_v, n_w)
-    images = [np.ones((m, 1, 1), dtype=np.int32)]
-    for k in range(1, d + 1):
-        img = np.zeros((m, len(_basis(n_w, p, k)), len(_basis(n_v, p, k))),
-                       dtype=np.int32)
-        for exterior, cols, gens, rests in _peels(n_v, p, k):
-            below = k - _generator_degree(exterior, p)
-            rest_images = images[below][:, :, rests]
-            coeffs = homs[:, gens]
-            part = np.zeros((m, img.shape[1], len(cols)), dtype=np.int32)
-            products = _left_products(n_w, p, below, exterior)
-            for j in np.flatnonzero(coeffs.any(axis=(0, 1))):
-                src, dst, sign = products[j]
-                part[:, dst] += (sign * rest_images[:, src]
-                                 * coeffs[:, None, :, j])
-            img[:, :, cols] = part
-        images.append(img % p)
+    images = {0: np.ones((m, 1, 1), dtype=np.int32),
+              1: homs.transpose(0, 2, 1).copy()}
+    if p != 2 and d >= 2:
+        # the x_i come last in the degree-2 basis, after the a_i a_j
+        ext = _product_step(images[1], images[1], n_w, n_v, p, 1, 1)
+        img = images[2] = np.zeros(
+            (m, len(_basis(n_w, p, 2)), len(_basis(n_v, p, 2))), dtype=np.int32)
+        img[:, :, :ext.shape[2]] = ext
+        img[:, img.shape[1] - n_w:, ext.shape[2]:] = images[1]
+    for k, a, b in _chain(n_w, n_v, p, d):
+        images[k] = _product_step(images[a], images[b], n_w, n_v, p, a, b)
     return images[d]
 
 

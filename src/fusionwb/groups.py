@@ -195,15 +195,23 @@ def build_group_from_permutations(gens, name="G"):
 
 
 class Subgroup:
-    """A subgroup of a Group, stored as a sorted tuple of element indices."""
+    """A subgroup of a Group, stored as a sorted tuple of element indices.
 
-    def __init__(self, parent, elements):
+    _trusted=True skips the subgroup checks, for element sets that are
+    subgroups by construction (the lattice search builds them closed).
+    """
+
+    def __init__(self, parent, elements, _trusted=False):
         elems = tuple(sorted(set(int(x) for x in elements)))
+        self.parent = parent
+        self.elements = elems
+        self._set = eset = frozenset(elems)
+        if _trusted:
+            return
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity 0")
         if elems[-1] >= parent.order:
             raise ValueError(f"element {elems[-1]} is not in the group")
-        eset = frozenset(elems)
         t = parent.table
         for x in elems:
             if parent.inv(x) not in eset:
@@ -214,9 +222,6 @@ class Subgroup:
                     raise ValueError(f"not closed under product at ({x}, {y})")
         if parent.order % len(elems) != 0:
             raise ValueError("subgroup size does not divide group order")
-        self.parent = parent
-        self.elements = elems
-        self._set = eset
 
     @property
     def order(self):
@@ -330,7 +335,7 @@ def _sorted_subgroups(G, found):
     keys = sorted((tuple(np.flatnonzero(inside).tolist())
                    for _, inside in found.values()),
                   key=lambda h: (len(h), h))
-    return [Subgroup(G, h) for h in keys]
+    return [Subgroup(G, h, _trusted=True) for h in keys]
 
 
 def subgroups(G):

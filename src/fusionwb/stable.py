@@ -4,11 +4,12 @@ The ring of stable elements is the limit of the cohomology of the
 elementary abelian subgroups over the fusion category, realized degree by
 degree as the solution space of a linear system.  A limit over a category
 is the limit over a skeleton of it, so the unknowns are one block per
-F-class representative, and the equations one block per automorphism of a
-representative and per index-p inclusion into one, up to F-isomorphism:
-the restriction of the larger component equals the smaller one.  The
-solutions are pulled back to every site and put in the basis that the
-system with unknowns on every site gives.  For a fusion system the maps
+F-class representative, and the equations one block per generator of the
+automorphisms of a representative and per orbit of them on its index-p
+subsites, up to F-isomorphism: the restriction of the larger component
+equals the smaller one.  The solutions are pulled back to every site and
+put in the basis that the system with unknowns on every site gives, which
+depends only on the solution space.  For a fusion system the maps
 come from the fusion category; for a finite group they come from
 conjugation and inclusion (the Quillen category), which is what the
 cross-check compares.
@@ -40,6 +41,27 @@ def elementary_sites(G, p):
     return [Site(V, p) for V in elementary_abelians(G, p)]
 
 
+def _generators(key, autos):
+    """A greedy generating set of the group of automorphisms autos of the
+    site with elements key, as image tuples: each one in turn is kept unless
+    those kept before it generate it."""
+    pos = {x: i for i, x in enumerate(key)}
+    reached, kept = {key}, []
+    for images in autos:
+        if images in reached:
+            continue
+        kept.append(images)
+        todo = list(reached)
+        while todo:
+            g = todo.pop()
+            for h in kept:
+                gh = tuple(g[pos[y]] for y in h)        # g o h
+                if gh not in reached:
+                    reached.add(gh)
+                    todo.append(gh)
+    return kept
+
+
 def _site_morphisms(sites, images_of, p):
     """(sites, constraints, pullbacks): the limit over the sites with one
     block of unknowns per class representative, as (map, W, V) triples.
@@ -47,10 +69,14 @@ def _site_morphisms(sites, images_of, p):
     images_of[W key] lists the image tuples of the maps out of W, each image
     a site.  The representative R_W of W's class is its first site in
     (size, elements) order, and iota_W : W -> R_W the least image tuple onto
-    it.  The constraints are, on each representative V, its automorphisms
-    other than the identity and, for each index-p subsite U of V, the map
-    incl o iota_U^-1 : R_U -> V.  A pullback iota_W : W -> R_W, one per site
-    that is not a representative, gives its component as iota_W^* of R_W's.
+    it.  The constraints are, on each representative V, a greedy generating
+    set of its automorphisms in stored order (_generators) and, for one
+    index-p subsite U of V per Aut(V)-orbit, the first in site order, the map
+    incl o iota_U^-1 : R_U -> V.  That is enough: a component invariant
+    under generators is invariant under Aut(V), and the maps R_U -> V for U
+    and for g(U) differ by g and by an automorphism of R_U.  A pullback
+    iota_W : W -> R_W, one per site that is not a representative, gives its
+    component as iota_W^* of R_W's.
     """
     by_key = {s.key: s for s in sites}
     spans = {s.key: [(tuple(sorted(images)), images)
@@ -63,12 +89,16 @@ def _site_morphisms(sites, images_of, p):
             rep = by_key[rep]
             pulls.append((InjHom(sv.V, rep.V, images, _trusted=True), sv, rep))
             continue
+        autos = [images for span, images in spans[sv.key] if span == sv.key]
         homs += [(InjHom(sv.V, sv.V, images, _trusted=True), sv, sv)
-                 for span, images in spans[sv.key]
-                 if span == sv.key and images != sv.key]
+                 for images in _generators(sv.key, autos)]
+        pos = {x: i for i, x in enumerate(sv.key)}
+        seen = set()
         for su in sites:
-            if (su.V.order * p == sv.V.order
+            if (su.V.order * p == sv.V.order and su.key not in seen
                     and sv.V.contains_subgroup(su.V)):
+                seen.update(tuple(sorted(g[pos[x]] for x in su.key))
+                            for g in autos)
                 ru, images = iota[su.key]
                 back = dict(zip(images, su.key))
                 homs.append((InjHom(by_key[ru].V, sv.V, [back[x] for x in ru],

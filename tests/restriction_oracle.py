@@ -1,23 +1,80 @@
 """Reference restriction kernel and stable-elements limit.
 
 The library builds restriction matrices for a whole stack of hom matrices
-of one shape at once (cohomology.restriction_matrices), assembles the
-stable-elements constraint system into one preallocated array, and solves
-it with unknowns on one site per F-class only.  The tests keep the
-per-morphism kernel, the per-morphism block assembly, and the limit with
-one block of unknowns on every site, as the oracles for all three.
+of one shape at once, each degree as a product of two lower ones
+(cohomology.restriction_matrices), assembles the stable-elements
+constraint system into one preallocated array, and solves it with
+unknowns on one site per F-class only.  The tests keep the per-morphism
+kernel that peels one generator per degree, the per-morphism block
+assembly, and the limit with one block of unknowns on every site, as the
+oracles for all three.
 """
+
+import functools
 
 import numpy as np
 
-from fusionwb.cohomology import (
-    _basis,
-    _generator_degree,
-    _left_products,
-    _peels,
-    cohomology_basis,
-)
+from fusionwb.cohomology import _basis, _index, cohomology_basis
 from fusionwb.linalg import nullspace
+
+
+def _bump(e, i, by):
+    return e[:i] + (e[i] + by,) + e[i + 1:]
+
+
+def _generator_degree(exterior, p):
+    return 1 if exterior or p == 2 else 2
+
+
+@functools.lru_cache(maxsize=None)
+def _peels(n, p, d):
+    """Each degree-d monomial as its first generator times the rest.
+
+    The first generator is the lowest exterior a_i if there is one (then
+    a_i times the rest is the monomial with sign +1), else the lowest x_i.
+    Returns, per kind present (True for exterior), the arrays: positions of
+    the monomials, index i of their generator, positions of the rests in
+    the basis of degree d minus the generator's degree.
+    """
+    groups = {}
+    for c, (eps, alpha) in enumerate(_basis(n, p, d)):
+        exterior = 1 in eps
+        if exterior:
+            i = eps.index(1)
+            rest = (_bump(eps, i, -1), alpha)
+        else:
+            i = next(t for t, e in enumerate(alpha) if e)
+            rest = (eps, _bump(alpha, i, -1))
+        rest_index = _index(n, p, d - _generator_degree(exterior, p))
+        groups.setdefault(exterior, []).append((c, i, rest_index[rest]))
+    return tuple((exterior, *(np.array(col, dtype=np.intp)
+                              for col in zip(*rows)))
+                 for exterior, rows in groups.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _left_products(n, p, d, exterior):
+    """Left multiplication of the degree-d basis by each generator j.
+
+    Per j: the monomials with a nonzero product (an index, or every one),
+    the positions of the products in the basis one generator up, and their
+    signs.  a_j kills a monomial holding a_j and passes the a_t with t < j;
+    x_j is injective with sign +1.
+    """
+    basis = _basis(n, p, d)
+    up = _index(n, p, d + _generator_degree(exterior, p))
+    out = []
+    for j in range(n):
+        if not exterior:
+            dst = [up[(eps, _bump(alpha, j, 1))] for eps, alpha in basis]
+            out.append((slice(None), np.array(dst, dtype=np.intp), 1))
+            continue
+        src = [k for k, (eps, _) in enumerate(basis) if not eps[j]]
+        dst = [up[(_bump(basis[k][0], j, 1), basis[k][1])] for k in src]
+        sign = [-1 if sum(basis[k][0][:j]) % 2 else 1 for k in src]
+        out.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                    np.array(sign, dtype=np.int32)[:, None]))
+    return tuple(out)
 
 
 def reference_hom_matrix(phi, site_w, site_v):
@@ -33,6 +90,13 @@ def reference_hom_matrix(phi, site_w, site_v):
 def reference_restriction(hom, n_w, n_v, p, d):
     """Images of every degree-d basis monomial of a rank-n_v site along the
     map with rank_V x rank_W matrix hom, built one degree at a time."""
+    return reference_restrictions(hom, n_w, n_v, p, d)[d]
+
+
+def reference_restrictions(hom, n_w, n_v, p, d):
+    """reference_restriction at every degree 0..d, as a list: the images of
+    each degree are the image of the first generator times those of the
+    rest, one degree below or two."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     hom = np.array(hom, dtype=np.int32).reshape(n_v, n_w)
@@ -51,7 +115,7 @@ def reference_restriction(hom, n_w, n_v, p, d):
                 part[dst] += sign * rest_images[src] * coeffs[:, j]
             img[:, cols] = part
         images.append(img % p)
-    return images[d]
+    return images
 
 
 def reference_restriction_matrix(phi, site_w, site_v, d):

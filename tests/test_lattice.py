@@ -41,6 +41,7 @@ from fusionwb.fusion import (
 )
 from fusionwb.groups import (
     InjHom,
+    Subgroup,
     centralizer,
     conjugations,
     full_subgroup,
@@ -296,6 +297,17 @@ def test_one_closure_search_and_one_generator_pick_match_the_old_code(G):
             assert Site(V, p).basis == reference_elementary_basis(V, p)
     assert (list(groups.generating_sequence(full_subgroup(G)))
             == reference_generating_sequence(G))
+
+
+@pytest.mark.parametrize("G", _searched_groups(), ids=lambda G: G.name)
+def test_searched_subgroups_pass_the_subgroup_check(G):
+    # the lattice and the elementary abelian search build their subgroups
+    # closed, so they skip Subgroup's checks; each one still passes them
+    subs = list(lattice(G).subgroups)
+    for p in sorted(G.order_factors):
+        subs += groups._elementary_abelian_search(G, p)
+    for P in subs:
+        assert Subgroup(G, P.elements).elements == P.elements
 
 
 @pytest.mark.parametrize("G", [symmetric(4), symmetric(5), sl23(),

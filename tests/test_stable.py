@@ -10,8 +10,8 @@ from group_oracle import reference_check_family
 from restriction_oracle import (
     reference_constraints,
     reference_limit_terms,
-    reference_restriction,
     reference_restriction_matrix,
+    reference_restrictions,
 )
 
 from fusionwb.catalog import (
@@ -39,11 +39,12 @@ from fusionwb.groups import (
     full_subgroup,
     sylow_p,
 )
-from fusionwb import corpus
+from fusionwb import cohomology, corpus
 from fusionwb.corpus import corpus_dir
 from fusionwb.io import load_fusion_spec
 from fusionwb.linalg import canonical_kernel, nullspace, rref
 from fusionwb.stable import (
+    MAX_DEGREE,
     StableFamily,
     check_family,
     family_power,
@@ -353,19 +354,61 @@ def _random_homs(rng, n_w, n_v, p):
     return [[[0] * n_w for _ in range(n_v)], repeated, uniform(), uniform()]
 
 
+# top degree checked by the larger rank: the product steps split even and
+# odd degrees differently, so every degree up to the cap is checked at
+# ranks up to 2
+TOP_DEGREE = {1: MAX_DEGREE, 2: MAX_DEGREE, 3: 12, 4: 8}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_batched_restriction_matches_reference(p):
     rng = random.Random(7 * p)
     for n_w, n_v in itertools.product(range(1, 5), repeat=2):
         homs = _random_homs(rng, n_w, n_v, p)
-        for d in range(7):
-            got = restriction_matrices(np.array(homs), n_w, n_v, p, d)
+        top = TOP_DEGREE[max(n_w, n_v)]
+        want = [reference_restrictions(hom, n_w, n_v, p, top) for hom in homs]
+        for d in range(top + 1):
             shape = (len(_basis(n_w, p, d)), len(_basis(n_v, p, d)))
-            assert got.shape == (len(homs), *shape)
-            assert got.dtype == np.int32
-            for hom, image in zip(homs, got):
-                assert np.array_equal(
-                    image, reference_restriction(hom, n_w, n_v, p, d))
+            for first, last in ((0, len(homs)), (2, 3), (0, 0)):
+                got = restriction_matrices(
+                    np.array(homs[first:last], dtype=np.int32).reshape(
+                        -1, n_v, n_w), n_w, n_v, p, d)
+                assert got.shape == (last - first, *shape)
+                assert got.dtype == np.int32
+                for k, image in enumerate(got, first):
+                    assert np.array_equal(image, want[k][d])
+
+
+def test_product_steps_build_each_degree_from_two_lower_ones():
+    for n_w, n_v, p, d in itertools.product((1, 2, 3, 4), (1, 2, 3, 4),
+                                            (2, 3, 5), (3, 8, 13)):
+        built = {0, 1} if p == 2 else {0, 1, 2}
+        for k, a, b in cohomology._chain(n_w, n_v, p, d):
+            assert k == a + b and a in built and b in built
+            built.add(k)
+        assert d in built
+    # the halving chain where it needs fewer products, O(log d) steps ...
+    assert [k for k, _, _ in cohomology._chain(2, 2, 2, 40)] == \
+        [2, 3, 5, 10, 20, 40]
+    assert [k for k, _, _ in cohomology._chain(2, 2, 3, 30)] == \
+        [4, 6, 8, 14, 16, 30]
+    # ... and one generator at a time where the halves are the larger
+    assert [k for k, _, _ in cohomology._chain(4, 4, 2, 8)] == \
+        list(range(2, 9))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_steps_in_slices_match_reference(monkeypatch, p):
+    # a bound of 7 elements slices every step by columns and by maps
+    monkeypatch.setattr(cohomology, "_STEP_ELEMENTS", 7)
+    rng = random.Random(p)
+    for n_w, n_v in ((1, 2), (2, 2), (3, 2), (2, 3)):
+        homs = _random_homs(rng, n_w, n_v, p)
+        want = [reference_restrictions(hom, n_w, n_v, p, 9) for hom in homs]
+        for d in range(10):
+            got = restriction_matrices(np.array(homs), n_w, n_v, p, d)
+            for k, image in enumerate(got):
+                assert np.array_equal(image, want[k][d])
 
 
 def test_batched_restriction_of_an_empty_batch():
@@ -393,30 +436,39 @@ KERNEL_SYSTEMS = {
 }
 
 
+# (sites, constraints, pullbacks, every morphism) of each KERNEL_SYSTEMS system
+KERNEL_COUNTS = {"c2e4_shift": (67, 75, 44, 1729), "c3e2_q8": (6, 6, 3, 78)}
+
+
 @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
 def test_restriction_on_generating_morphisms(name):
     F = KERNEL_SYSTEMS[name]()
     sites, homs, pulls = fusion_ea_morphisms(F)
-    assert len(homs) > 10 and pulls
+    every = fusion_ea_morphisms(F, generating=False)[1]
+    assert (len(sites), len(homs), len(pulls), len(every)) == \
+        KERNEL_COUNTS[name]
     pulled = {sw.key for _, sw, _ in pulls}
     solved = [s for s in sites if s.key not in pulled]
-    maps = homs + pulls
+    for maps in (homs + pulls, every):
+        for d in range(4):
+            want = [reference_restriction_matrix(phi, sw, sv, d)
+                    for phi, sw, sv in maps]
+            for (phi, sw, sv), ref in zip(maps, want):
+                assert np.array_equal(restriction_matrix(phi, sw, sv, d), ref)
+            seen = []
+            for positions, images in _restrictions(maps, d, F.p):
+                seen.extend(positions.tolist())
+                for k, image in zip(positions, images):
+                    assert np.array_equal(image, want[k])
+            assert sorted(seen) == list(range(len(maps)))
     for d in range(4):
         want = [reference_restriction_matrix(phi, sw, sv, d)
-                for phi, sw, sv in maps]
-        for (phi, sw, sv), ref in zip(maps, want):
-            assert np.array_equal(restriction_matrix(phi, sw, sv, d), ref)
-        seen = []
-        for positions, images in _restrictions(maps, d, F.p):
-            seen.extend(positions.tolist())
-            for k, image in zip(positions, images):
-                assert np.array_equal(image, want[k])
-        assert sorted(seen) == list(range(len(maps)))
+                for phi, sw, sv in pulls]
         *_, system, images = _constraints(solved, homs, d, F.p, pulls)
         assert np.array_equal(system,
                               reference_constraints(solved, homs, d, F.p))
         assert len(images) == len(pulls)
-        for image, ref in zip(images, want[len(homs):]):
+        for image, ref in zip(images, want):
             assert np.array_equal(image, ref)
 
 
@@ -539,6 +591,23 @@ def test_class_reduced_limit_matches_every_site(name):
         terms = _terms(families)
         assert terms == reference_limit_terms(sites, old, d, F.p)
         assert terms == _terms(stable_basis_all_morphisms(F, d))
+
+
+@pytest.mark.parametrize("name", ["v4_rho", "c2e3_singer", "c3e2_q8"])
+def test_stable_dimension_is_the_reynolds_rank(name):
+    # F generated by A = Aut_F(S) on S = V with p not dividing |A|: the
+    # stable elements are H^d(V)^A, the image of sum_{g in A} g^*, so their
+    # dimension is that sum's rank, with no elimination over the system
+    F = SERIES_SYSTEMS[name][0]()
+    site = Site(F.S, F.p)
+    autos = F.aut_set(F.S)
+    assert fusion_ea_morphisms(F)[0][-1].key == F.S.elements   # S = V
+    assert len(autos) % F.p
+    for d, families in enumerate(stable_bases(F, 12)):
+        reynolds = sum(reference_restriction_matrix(g, site, site, d)
+                       for g in autos) % F.p
+        rows, _ = reference_rref(reynolds.tolist(), reynolds.shape[1], F.p)
+        assert len(families) == len(rows)
 
 
 def _verdict(check, fam):
