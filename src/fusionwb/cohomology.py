@@ -283,34 +283,21 @@ def _products(n, p, a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _chain(n_w, n_v, p, d):
+def _chain(p, d):
     """The product steps (k, a, b), k = a + b, that build degree d from
-    degrees 1 and, at odd p, 2, in increasing k.
-
-    The halving chain splits k near k/2 (a = max(2, 2 floor(k/4)) at odd p,
-    so that every monomial has a factor of degree a); the one-generator
-    chain takes a = 1 at p = 2 and a = 2 at odd p.  The chain with fewer
-    products, pairs times columns over its steps, is taken.
+    degrees 1 and, at odd p, 2, in increasing k: k splits near k/2, as
+    a = floor(k/2) at p = 2 and a = max(2, 2 floor(k/4)) at odd p, so that
+    every monomial has a factor of degree a.
     """
     base = 1 if p == 2 else 2
-    chains = []
-    for halving in (True, False):
-        steps, todo = {}, [d]
-        while todo:
-            k = todo.pop()
-            if k > base and k not in steps:
-                if not halving:
-                    a = base
-                elif p == 2:
-                    a = k // 2
-                else:
-                    a = max(2, 2 * (k // 4))
-                steps[k] = (a, k - a)
-                todo += steps[k]
-        cost = sum(len(_products(n_w, p, a, b)[0]) * len(_basis(n_v, p, k))
-                   for k, (a, b) in steps.items())
-        chains.append((cost, sorted((k, *ab) for k, ab in steps.items())))
-    return min(chains, key=lambda chain: chain[0])[1]
+    steps, todo = {}, [d]
+    while todo:
+        k = todo.pop()
+        if k > base and k not in steps:
+            a = k // 2 if p == 2 else max(2, 2 * (k // 4))
+            steps[k] = (a, k - a)
+            todo += steps[k]
+    return sorted((k, *ab) for k, ab in steps.items())
 
 
 def _product_step(low, high, n_w, n_v, p, a, b):
@@ -368,7 +355,7 @@ def restriction_matrices(homs, n_w, n_v, p, d):
             (m, len(_basis(n_w, p, 2)), len(_basis(n_v, p, 2))), dtype=np.int32)
         img[:, :, :ext.shape[2]] = ext
         img[:, img.shape[1] - n_w:, ext.shape[2]:] = images[1]
-    for k, a, b in _chain(n_w, n_v, p, d):
+    for k, a, b in _chain(p, d):
         images[k] = _product_step(images[a], images[b], n_w, n_v, p, a, b)
     return images[d]
 

@@ -380,21 +380,17 @@ def test_batched_restriction_matches_reference(p):
 
 
 def test_product_steps_build_each_degree_from_two_lower_ones():
-    for n_w, n_v, p, d in itertools.product((1, 2, 3, 4), (1, 2, 3, 4),
-                                            (2, 3, 5), (3, 8, 13)):
+    for p, d in itertools.product((2, 3, 5), (3, 8, 13)):
         built = {0, 1} if p == 2 else {0, 1, 2}
-        for k, a, b in cohomology._chain(n_w, n_v, p, d):
+        for k, a, b in cohomology._chain(p, d):
             assert k == a + b and a in built and b in built
             built.add(k)
         assert d in built
-    # the halving chain where it needs fewer products, O(log d) steps ...
-    assert [k for k, _, _ in cohomology._chain(2, 2, 2, 40)] == \
+    # halving: O(log d) steps
+    assert [k for k, _, _ in cohomology._chain(2, 40)] == \
         [2, 3, 5, 10, 20, 40]
-    assert [k for k, _, _ in cohomology._chain(2, 2, 3, 30)] == \
+    assert [k for k, _, _ in cohomology._chain(3, 30)] == \
         [4, 6, 8, 14, 16, 30]
-    # ... and one generator at a time where the halves are the larger
-    assert [k for k, _, _ in cohomology._chain(4, 4, 2, 8)] == \
-        list(range(2, 9))
 
 
 @pytest.mark.parametrize("p", [2, 3])
