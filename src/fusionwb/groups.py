@@ -74,6 +74,7 @@ class Group:
         self._element_orders = None
         self._lattice = None
         self._conjugations = None
+        self._limits = {}           # p -> stable.quillen_morphisms(self, p)
 
     def inv(self, a):
         return self._inv[a]

@@ -31,7 +31,7 @@ from .models import (
     amalgam_presentation,
     hnn_presentation,
 )
-from .stable import MAX_DEGREE, StableFamily, elementary_sites
+from .stable import MAX_DEGREE, StableFamily, fusion_ea_morphisms
 
 
 class ParseError(WorkbenchError):
@@ -408,7 +408,7 @@ def serialize_family(fam):
 
 
 def parse_family(F, text):
-    sites = elementary_sites(F.group, F.p)
+    sites = fusion_ea_morphisms(F)[0]
     by_key = {s.key: s for s in sites}
     comps = {}
     for ln in text.splitlines():
@@ -441,8 +441,7 @@ def parse_family(F, text):
         raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
     for key in by_key:
         comps.setdefault(key, CohoElement.zero(by_key[key]))
-    return StableFamily(F, degree, comps,
-                        tuple(sorted(sites, key=lambda s: (s.V.order, s.key))))
+    return StableFamily(F, degree, comps, sites)
 
 
 def _parse_terms(site, text):

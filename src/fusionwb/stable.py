@@ -12,7 +12,9 @@ put in the basis that the system with unknowns on every site gives, which
 depends only on the solution space.  For a fusion system the maps
 come from the fusion category; for a finite group they come from
 conjugation and inclusion (the Quillen category), which is what the
-cross-check compares.
+cross-check compares.  The sites and maps do not depend on the degree:
+they are built once per fusion system and once per (group, p), and kept
+there, so a degree runs only the restriction kernel and the elimination.
 """
 
 from __future__ import annotations
@@ -33,12 +35,6 @@ from .groups import InjHom, conjugation_images, elementary_abelians
 from .linalg import canonical_kernel, nullspace
 
 MAX_DEGREE = 40
-
-
-def elementary_sites(G, p):
-    """A Site on each elementary abelian p-subgroup of G, in (size,
-    elements) order."""
-    return [Site(V, p) for V in elementary_abelians(G, p)]
 
 
 def _generators(key, autos):
@@ -106,93 +102,113 @@ def _site_morphisms(sites, images_of, p):
     return sites, homs, pulls
 
 
+class Limit(tuple):
+    """The part of a limit that no degree changes: the triple (sites, homs,
+    pulls) as tuples, and in shapes the non-identity maps of homs + pulls
+    by (rank W, rank V) shape, each shape with the positions of its maps in
+    homs + pulls, the indices in sites of their W and V, and the stack of
+    their hom matrices."""
+
+    def __new__(cls, sites, homs, pulls):
+        self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
+        index = {s.key: i for i, s in enumerate(sites)}
+        shapes = {}
+        for k, (phi, sw, sv) in enumerate(self[1] + self[2]):
+            if sw.key != sv.key or phi.images != sw.key:
+                shapes.setdefault((sw.rank, sv.rank), []).append(
+                    (k, index[sw.key], index[sv.key], hom_matrix(phi, sw, sv)))
+        self.shapes = tuple((shape, *map(np.array, zip(*rows)))
+                            for shape, rows in shapes.items())
+        return self
+
+
 def fusion_ea_morphisms(F, generating=True):
-    """The limit's morphisms between elementary abelian sites, from the
-    stored maps Hom_F(W, S): _site_morphisms, or (sites, every morphism,
-    no pullbacks), each h paired with every site above h(W)."""
-    sites = elementary_sites(F.group, F.p)
-    if generating:
-        return _site_morphisms(sites, {s.key: [h.images for h in F.homsets[
-            s.key]] for s in sites}, F.p)
-    return sites, [(InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
-                   for sw in sites for h in F.homsets[sw.key] for sv in sites
-                   if sv.V.as_set().issuperset(h.images)], []
+    """The Limit of the morphisms between the sites, a Site on each
+    elementary abelian subgroup in (size, elements) order, from the stored
+    maps Hom_F(W, S): _site_morphisms, or (sites, every morphism, no
+    pullbacks), each h paired with every site above h(W).  It is built on
+    first use and kept on F."""
+    if generating not in F._limits:
+        sites = [Site(V, F.p) for V in elementary_abelians(F.group, F.p)]
+        if generating:
+            limit = _site_morphisms(sites, {s.key: [
+                h.images for h in F.homsets[s.key]] for s in sites}, F.p)
+        else:
+            limit = sites, [
+                (InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
+                for sw in sites for h in F.homsets[sw.key] for sv in sites
+                if sv.V.as_set().issuperset(h.images)], ()
+        F._limits[generating] = Limit(*limit)
+    return F._limits[generating]
 
 
 def quillen_morphisms(G, p):
-    """_site_morphisms over the conjugation maps between sites."""
-    sites = elementary_sites(G, p)
-    found = conjugation_images(G, [s.V for s in sites])
-    return _site_morphisms(sites, found, p)
+    """The Limit of _site_morphisms over the conjugation maps between
+    sites, built on first use and kept on G."""
+    if p not in G._limits:
+        sites = [Site(V, p) for V in elementary_abelians(G, p)]
+        found = conjugation_images(G, [s.V for s in sites])
+        G._limits[p] = Limit(*_site_morphisms(sites, found, p))
+    return G._limits[p]
 
 
-def _restrictions(homs, d, p):
-    """The degree-d restriction matrices along homs, (phi, W, V) triples,
-    by (rank_W, rank_V) shape: the positions in homs of the morphisms of
-    that shape, and the stack of their matrices in the same order."""
-    shapes = {}
-    for k, (phi, sw, sv) in enumerate(homs):
-        positions, mats = shapes.setdefault((sw.rank, sv.rank), ([], []))
-        positions.append(k)
-        mats.append(hom_matrix(phi, sw, sv))
-    return [(np.array(positions), restriction_matrices(mats, *shape, p, d))
-            for shape, (positions, mats) in shapes.items()]
+def _restrictions(limit, d, p):
+    """The degree-d restriction matrices along the maps of limit.shapes:
+    per shape, the positions of its maps in homs + pulls, the indices of
+    their W and V in sites, and the stack of their images."""
+    for (n_w, n_v), positions, w, v, mats in limit.shapes:
+        yield positions, w, v, restriction_matrices(mats, n_w, n_v, p, d)
 
 
-def _constraints(sites, homs, d, p, pulls=()):
-    """(bases, offsets, total, nonzero rows of the linear system, images).
+def _constraints(limit, d, p):
+    """(offsets, widths, nonzero rows of the linear system, pulled).
 
-    One block of unknowns per site of sites, and one block of equations per
-    morphism phi: W -> V, in the order of homs, saying that the restriction
-    of the V component equals the W component.  An identity gives only zero
-    rows, so it is skipped.  images holds the restriction matrices along
-    pulls, in their order, from the same kernel calls.
+    One block of unknowns per site, of width zero at a site that a pullback
+    leaves, and one block of equations per non-identity morphism phi: W ->
+    V of homs, in their order, saying that the restriction of the V
+    component equals the W component.  pulled maps the index of each pulled
+    site W to that of R and the restriction matrix along iota: W -> R.
     """
-    bases = {s.key: cohomology_basis(s, d) for s in sites}
-    offsets = {}
-    total = 0
-    for s in sites:
-        offsets[s.key] = total
-        total += len(bases[s.key])
-    homs = [(phi, sw, sv) for phi, sw, sv in homs if bases[sw.key]
-            and not (sw.key == sv.key and phi.images == sw.key)]
-    starts = np.cumsum([0] + [len(bases[sw.key]) for _, sw, _ in homs])
-    system = np.zeros((starts[-1], total), dtype=np.int32)
-    ow = np.array([offsets[sw.key] for _, sw, _ in homs], dtype=np.intp)
-    ov = np.array([offsets[sv.key] for _, _, sv in homs], dtype=np.intp)
-    pull_images = [None] * len(pulls)
-    for positions, images in _restrictions(homs + list(pulls), d, p):
+    sites, homs, pulls = limit
+    widths = np.array([len(cohomology_basis(s, d)) for s in sites])
+    heights = np.zeros(len(homs) + len(pulls), dtype=np.intp)
+    parts, pulled = [], {}
+    for positions, w, v, images in _restrictions(limit, d, p):
         mine = positions < len(homs)
-        for k, image in zip(positions[~mine] - len(homs), images[~mine]):
-            pull_images[k] = image
-        positions, images = positions[mine], images[mine]
+        pulled.update(zip(w[~mine].tolist(), zip(v[~mine].tolist(),
+                                                 images[~mine])))
+        parts.append([a[mine] for a in (positions, w, v, images)])
+        heights[positions[mine]] = widths[w[mine]]
+    widths[list(pulled)] = 0
+    offsets = np.cumsum(widths) - widths
+    starts = np.cumsum(heights) - heights
+    system = np.zeros((heights.sum(), widths.sum()), dtype=np.int32)
+    for positions, w, v, images in parts:
         _, n_w, n_v = images.shape
         rows = starts[positions, None] + np.arange(n_w)
-        cols = ov[positions, None] + np.arange(n_v)
+        cols = offsets[v, None] + np.arange(n_v)
         system[rows[:, :, None], cols[:, None, :]] = images
-        diag = ow[positions, None] + np.arange(n_w)
+        diag = offsets[w, None] + np.arange(n_w)
         system[rows, diag] = (system[rows, diag] - 1) % p
-    return bases, offsets, total, system[system.any(axis=1)], pull_images
+    return offsets, widths, system[system.any(axis=1)], pulled
 
 
-def _limit_basis(sites, homs, pulls, d, p):
+def _limit_basis(limit, d, p):
     """Families (one class per site) compatible under every given morphism,
     in the basis nullspace gives for the system with unknowns on every site.
 
     The unknowns sit on the sites that no pullback (iota, W, R) leaves, and
     the W component is iota^* of the R component.
     """
-    pulled = {sw.key for _, sw, _ in pulls}
-    bases, offsets, total, system, images = _constraints(
-        [s for s in sites if s.key not in pulled], homs, d, p, pulls)
+    offsets, widths, system, pulled = _constraints(limit, d, p)
+    total = int(widths.sum())
     kernel = nullspace(system, total, p)
     kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), total)
-    comps = {key: kernel[:, offsets[key]:offsets[key] + len(basis)]
-             for key, basis in bases.items()}
-    for (_, sw, sr), image in zip(pulls, images):
-        comps[sw.key] = comps[sr.key] @ image.T % p
-    full = np.concatenate([comps[s.key] for s in sites], axis=1)
-    monos = [(s, cohomology_basis(s, d)) for s in sites]
+    comps = [kernel[:, o:o + n] for o, n in zip(offsets, widths)]
+    for w, (r, image) in pulled.items():
+        comps[w] = comps[r] @ image.T % p
+    full = np.concatenate(comps, axis=1)
+    monos = [(s, cohomology_basis(s, d)) for s in limit[0]]
     families = []
     for vec in canonical_kernel(full, full.shape[1], p).tolist():
         coeffs = iter(vec)      # zip takes len(basis) of them at each site
@@ -201,14 +217,16 @@ def _limit_basis(sites, homs, pulls, d, p):
     return families
 
 
-def _limits(build, p, degrees):
-    """_limit_basis at each of degrees, over the (sites, homs, pulls) that
-    build() returns, built once."""
+def _limits(degrees, p, morphisms, *args):
+    """_limit_basis at each of degrees over the Limit morphisms(*args)
+    keeps; the degrees are checked first, so a refused one builds nothing."""
+    if min(degrees, default=0) < 0:
+        raise ValueError("degree must be nonnegative")
     top = max(degrees, default=0)
     if top > MAX_DEGREE:
         raise DegreeBoundExceeded(f"degree {top} exceeds cap {MAX_DEGREE}")
-    sites, homs, pulls = build()
-    return sites, [_limit_basis(sites, homs, pulls, d, p) for d in degrees]
+    limit = morphisms(*args)
+    return limit[0], [_limit_basis(limit, d, p) for d in degrees]
 
 
 @dataclass
@@ -225,9 +243,8 @@ class StableFamily:
 
 
 def _stable_series(F, degrees, generating=True):
-    sites, limits = _limits(lambda: fusion_ea_morphisms(F, generating),
-                            F.p, degrees)
-    return [[StableFamily(F, d, comps, tuple(sites)) for comps in families]
+    sites, limits = _limits(degrees, F.p, fusion_ea_morphisms, F, generating)
+    return [[StableFamily(F, d, comps, sites) for comps in families]
             for d, families in zip(degrees, limits)]
 
 
@@ -271,7 +288,8 @@ def check_family(fam):
     """Verify compatibility under every fusion morphism between sites: each
     component is of degree fam.degree, and the restriction along phi: W -> V
     of the V component is the W component."""
-    sites, homs, _ = fusion_ea_morphisms(fam.F, generating=False)
+    limit = fusion_ea_morphisms(fam.F, generating=False)
+    sites, homs, _ = limit
     for key, comp in fam.components.items():
         if comp.site.key != key:
             raise IncompatibleFamily("component stored under the wrong site")
@@ -279,19 +297,19 @@ def check_family(fam):
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
     d, p = fam.degree, fam.F.p
-    coords = {}
+    coords = []
     for s in sites:
         comp = fam.components[s.key]
-        coords[s.key] = np.array(comp.coords_in(cohomology_basis(s, d)),
-                                 dtype=np.int64)
-        if np.count_nonzero(coords[s.key]) != len(comp.terms):
+        coords.append(np.array(comp.coords_in(cohomology_basis(s, d)),
+                               dtype=np.int64))
+        if np.count_nonzero(coords[-1]) != len(comp.terms):
             raise IncompatibleFamily(
                 f"component at {list(s.key)} is not of degree {d}")
     bad = []
-    for positions, images in _restrictions(homs, d, p):
-        got = np.einsum("mwv,mv->mw", images, np.stack(
-            [coords[homs[k][2].key] for k in positions])) % p
-        want = np.stack([coords[homs[k][1].key] for k in positions])
+    for positions, w, v, images in _restrictions(limit, d, p):
+        got = np.einsum("mwv,mv->mw", images,
+                        np.stack([coords[k] for k in v])) % p
+        want = np.stack([coords[k] for k in w])
         bad += positions[(got != want).any(axis=1)].tolist()
     if bad:
         phi, sw, _ = homs[min(bad)]
@@ -320,8 +338,8 @@ class QuillenLimit:
 def quillen_limits(G, p, degrees):
     """The same limit over the Quillen category of a finite group, at each
     of degrees, building the sites and morphisms once."""
-    sites, limits = _limits(lambda: quillen_morphisms(G, p), p, degrees)
-    return [QuillenLimit(G, p, d, len(families), families, tuple(sites))
+    sites, limits = _limits(degrees, p, quillen_morphisms, G, p)
+    return [QuillenLimit(G, p, d, len(families), families, sites)
             for d, families in zip(degrees, limits)]
 
 

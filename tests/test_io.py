@@ -304,6 +304,9 @@ def test_family_round_trip():
         again = parse_family(F, text)
         assert serialize_family(again) == text
         assert again.degree == 3
+        # the sites are those of F's kept limit, the very Site objects
+        assert len(again.sites) == len(fam.sites)
+        assert all(a is b for a, b in zip(again.sites, fam.sites))
 
 
 def test_family_parse_errors():

@@ -382,7 +382,7 @@ def test_fusion_ea_morphisms_match_the_old_builder(name):
                  for V in groups._elementary_abelian_search(F.group, F.p)]
     sites, homs, pulls = fusion_ea_morphisms(F, generating=False)
     assert [s.key for s in sites] == [s.key for s in ref_sites]
-    assert pulls == []
+    assert pulls == ()
     ref = reference_fusion_ea_morphisms(F, ref_sites, generating=False)
     # the same morphisms; within a source site they now come by images
     assert sorted(_triples(homs)) == sorted(_triples(ref))

@@ -39,9 +39,9 @@ from fusionwb.groups import (
     full_subgroup,
     sylow_p,
 )
-from fusionwb import cohomology, corpus
+from fusionwb import cohomology, corpus, stable
 from fusionwb.corpus import corpus_dir
-from fusionwb.io import load_fusion_spec
+from fusionwb.io import load_fusion_spec, serialize_family
 from fusionwb.linalg import canonical_kernel, nullspace, rref
 from fusionwb.stable import (
     MAX_DEGREE,
@@ -436,36 +436,47 @@ KERNEL_SYSTEMS = {
 KERNEL_COUNTS = {"c2e4_shift": (67, 75, 44, 1729), "c3e2_q8": (6, 6, 3, 78)}
 
 
+def _is_identity(phi, sw, sv):
+    return sw.key == sv.key and phi.images == sw.key
+
+
 @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
 def test_restriction_on_generating_morphisms(name):
     F = KERNEL_SYSTEMS[name]()
-    sites, homs, pulls = fusion_ea_morphisms(F)
-    every = fusion_ea_morphisms(F, generating=False)[1]
-    assert (len(sites), len(homs), len(pulls), len(every)) == \
+    limit = fusion_ea_morphisms(F)
+    sites, homs, pulls = limit
+    every = fusion_ea_morphisms(F, generating=False)
+    assert (len(sites), len(homs), len(pulls), len(every[1])) == \
         KERNEL_COUNTS[name]
     pulled = {sw.key for _, sw, _ in pulls}
     solved = [s for s in sites if s.key not in pulled]
-    for maps in (homs + pulls, every):
+    for lim in (limit, every):
+        maps = lim[1] + lim[2]
         for d in range(4):
             want = [reference_restriction_matrix(phi, sw, sv, d)
                     for phi, sw, sv in maps]
             for (phi, sw, sv), ref in zip(maps, want):
                 assert np.array_equal(restriction_matrix(phi, sw, sv, d), ref)
             seen = []
-            for positions, images in _restrictions(maps, d, F.p):
+            for positions, w, v, images in _restrictions(lim, d, F.p):
                 seen.extend(positions.tolist())
-                for k, image in zip(positions, images):
+                for k, i, j, image in zip(positions, w, v, images):
+                    assert (lim[0][i], lim[0][j]) == maps[k][1:]
                     assert np.array_equal(image, want[k])
-            assert sorted(seen) == list(range(len(maps)))
+            # every map but the identities, which constrain nothing
+            assert sorted(seen) == [k for k, m in enumerate(maps)
+                                    if not _is_identity(*m)]
+    index = {s.key: i for i, s in enumerate(sites)}
     for d in range(4):
-        want = [reference_restriction_matrix(phi, sw, sv, d)
-                for phi, sw, sv in pulls]
-        *_, system, images = _constraints(solved, homs, d, F.p, pulls)
+        *_, system, pulled = _constraints(limit, d, F.p)
         assert np.array_equal(system,
                               reference_constraints(solved, homs, d, F.p))
-        assert len(images) == len(pulls)
-        for image, ref in zip(images, want):
-            assert np.array_equal(image, ref)
+        assert len(pulled) == len(pulls)
+        for phi, sw, sr in pulls:
+            r, image = pulled[index[sw.key]]
+            assert sites[r] is sr
+            assert np.array_equal(image,
+                                  reference_restriction_matrix(phi, sw, sr, d))
 
 
 def test_constraints_match_the_per_morphism_assembly():
@@ -477,11 +488,14 @@ def test_constraints_match_the_per_morphism_assembly():
                  generating=False),
              fusion_ea_morphisms(fusion_from_group(sylow_p(S4, 2), S4)),
              quillen_morphisms(S4, 2), quillen_morphisms(S4, 3)]
-    for sites, homs, _ in cases:
+    for limit in cases:
+        sites, homs, pulls = limit
+        pulled = {sw.key for _, sw, _ in pulls}
+        solved = [s for s in sites if s.key not in pulled]
         p = sites[0].p
         for d in range(6):
-            assert np.array_equal(_constraints(sites, homs, d, p)[3],
-                                  reference_constraints(sites, homs, d, p))
+            assert np.array_equal(_constraints(limit, d, p)[2],
+                                  reference_constraints(solved, homs, d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -721,13 +735,95 @@ def test_quillen_limits_of_a_composite_p_are_refused():
         quillen_limits(symmetric(4), 4, [1])
 
 
-def test_degree_cap():
-    C2 = cyclic(2)
-    F = fusion_from_group(full_subgroup(C2), C2)
+def _count_calls(monkeypatch, name):
+    """Wrap stable.<name> so that each call appends its arguments to the
+    returned list."""
+    calls, real = [], getattr(stable, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stable, name, counting)
+    return calls
+
+
+def test_degree_cap(monkeypatch):
+    # the degrees are checked before the sites and maps of a cold system
+    # are built
+    builds = _count_calls(monkeypatch, "_site_morphisms")
+    F = KERNEL_SYSTEMS["c2e4_shift"]()
     with pytest.raises(DegreeBoundExceeded):
         stable_basis(F, 41)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        stable_basis(F, -1)
     with pytest.raises(DegreeBoundExceeded):
         poincare_series(F, 50)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        quillen_limits(symmetric(4), 2, [3, -1])
+    assert builds == []
+
+
+def test_sites_and_maps_are_built_once_per_fusion_system(monkeypatch):
+    builds = _count_calls(monkeypatch, "_site_morphisms")
+    F = SERIES_SYSTEMS["c2e3_singer"][0]()
+    limit = fusion_ea_morphisms(F)
+    assert fusion_ea_morphisms(F) is limit
+    dims = [len(stable_basis(F, d)) for d in range(7)]
+    assert [len(fams) for fams in stable_bases(F, 6)] == dims
+    assert poincare_series(F, 6) == dims
+    assert len(builds) == 1
+    assert all(fam.sites is limit[0] for fam in stable_basis(F, 4))
+
+
+def test_every_morphism_is_built_once_per_fusion_system(monkeypatch):
+    C33 = elementary(3, 2)
+    F = fusion_from_group(full_subgroup(C33), C33, p=3)
+    fams = stable_basis(F, 3)
+    assert fams
+    searches = _count_calls(monkeypatch, "elementary_abelians")
+    for _ in range(2):
+        for fam in fams:
+            assert check_family(fam)
+            is_nilpotent(fam)
+    assert len(searches) == 1
+    assert fusion_ea_morphisms(F, generating=False) is \
+        fusion_ea_morphisms(F, generating=False)
+
+
+def test_quillen_maps_are_built_once_per_group_and_prime(monkeypatch):
+    builds = _count_calls(monkeypatch, "_site_morphisms")
+    S4 = symmetric(4)
+    for p in (2, 3):
+        for d in range(4):
+            quillen_limit_finite_group(S4, p, d)
+    assert [args[2] for args in builds] == [2, 3]
+    assert quillen_morphisms(S4, 3) is quillen_morphisms(S4, 3)
+
+
+# name -> a fresh system, for the warm-equals-cold check
+WARM_SYSTEMS = {
+    "v4_gl2": lambda: _corpus_system("v4_gl2"),
+    "c3_inversion": lambda: _corpus_system("c3_inversion"),
+    "c2e3_singer": SERIES_SYSTEMS["c2e3_singer"][0],
+    "c2e4_shift": KERNEL_SYSTEMS["c2e4_shift"],
+}
+
+
+@pytest.mark.parametrize("name", WARM_SYSTEMS)
+def test_a_warm_system_answers_as_a_cold_one(name):
+    warm = WARM_SYSTEMS[name]()
+    for fams in stable_bases(warm, 8):
+        for fam in fams:
+            assert check_family(fam)
+    for generating in (True, False):
+        limit = fusion_ea_morphisms(warm, generating)
+        assert isinstance(limit, tuple) and len(limit) == 3
+        assert all(type(part) is tuple for part in limit)
+    for d in range(9):
+        cold = WARM_SYSTEMS[name]()
+        assert [serialize_family(f) for f in stable_basis(warm, d)] == \
+            [serialize_family(f) for f in stable_basis(cold, d)]
 
 
 def test_degree_forty_at_the_cap():
