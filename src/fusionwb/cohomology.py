@@ -4,6 +4,9 @@ At p = 2 a rank-n site carries the polynomial algebra F_2[x_1..x_n] with the
 x_i in degree 1.  At odd p it carries Lambda(a_1..a_n) (x) F_p[x_1..x_n] with
 a_i in degree 1 and x_i in degree 2.  A monomial is a pair (eps, alpha) of
 exponent tuples for the exterior and polynomial parts; eps stays zero at p=2.
+A class is its degree and its coordinate tuple in the basis of that degree,
+and the cup product runs on the product tables (_products) that the
+restriction kernel's product steps use.
 """
 
 from __future__ import annotations
@@ -109,87 +112,75 @@ def _eps_tuples(n, k):
 
 def _merge_exterior(e1, e2):
     """Sign and union of exterior exponents; None on a repeated generator."""
-    merged = []
-    inversions = 0
-    seen_right = 0
-    for i in range(len(e1)):
-        if e1[i] and e2[i]:
-            return None
-        merged.append(e1[i] | e2[i])
-    ones2 = [i for i, v in enumerate(e2) if v]
-    for i, v in enumerate(e1):
-        if v:
-            inversions += sum(1 for j in ones2 if j < i)
-    return (-1) ** inversions, tuple(merged)
+    if any(x and y for x, y in zip(e1, e2)):
+        return None
+    inversions = sum(sum(e2[:i]) for i, x in enumerate(e1) if x)
+    return (-1) ** inversions, tuple(x | y for x, y in zip(e1, e2))
 
 
 class CohoElement:
-    """A cohomology class on one site: monomials with nonzero F_p coefficients."""
+    """A degree-d class on one site: its coordinates in cohomology_basis(site,
+    d), a tuple of ints in [0, p)."""
 
-    def __init__(self, site, terms):
+    __slots__ = ("site", "degree", "coords")
+
+    def __init__(self, site, degree, coords):
         self.site = site
-        p = site.p
-        clean = {}
-        for mono, c in terms.items():
-            c %= p
-            if c:
-                clean[mono] = c
-        self.terms = clean
+        self.degree = degree
+        self.coords = tuple(coords)
 
     @classmethod
-    def zero(cls, site):
-        return cls(site, {})
+    def from_terms(cls, site, degree, terms):
+        """The class sum c m over terms {monomial m: c}, every m of degree."""
+        index = _index(site.rank, site.p, degree)
+        coords = [0] * len(index)
+        for mono, c in terms.items():
+            if mono not in index:
+                raise ValueError(f"{mono} is not of degree {degree}")
+            coords[index[mono]] += c
+        return cls(site, degree, (c % site.p for c in coords))
+
+    @property
+    def terms(self):
+        """{monomial: nonzero coefficient}."""
+        basis = _basis(self.site.rank, self.site.p, self.degree)
+        return {mono: c for mono, c in zip(basis, self.coords) if c}
 
     def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        """The common degree of all terms; None when zero."""
-        degs = {monomial_degree(m, self.site.p) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
+        return not any(self.coords)
 
     def mul(self, other):
-        p = self.site.p
-        out = {}
-        for (e1, a1), c1 in self.terms.items():
-            for (e2, a2), c2 in other.terms.items():
-                merged = _merge_exterior(e1, e2)
-                if merged is None:
-                    continue
-                sign, eps = merged
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                key = (eps, alpha)
-                out[key] = out.get(key, 0) + sign * c1 * c2
-        return CohoElement(self.site, out)
+        """The cup product, through the table _products that the
+        restriction kernel's product steps use."""
+        n, p = self.site.rank, self.site.p
+        a, b = self.degree, other.degree
+        u, v, sign, starts, reached = _products(n, p, a, b)
+        out = np.zeros(len(_basis(n, p, a + b)), dtype=np.int64)
+        if len(u):
+            terms = np.array(self.coords)[u] * np.array(other.coords)[v]
+            if sign is not None:
+                terms *= sign[:, 0]
+            out[reached] = np.add.reduceat(terms, starts)
+        return CohoElement(self.site, a + b, (out % p).tolist())
 
     def poly_projection(self):
         """Image in F_p[V]: all exterior coordinates set to zero."""
-        n = self.site.rank
-        zero = (0,) * n
-        return CohoElement(self.site, {m: c for m, c in self.terms.items()
-                                       if m[0] == zero})
-
-    def coords_in(self, basis):
-        return [self.terms.get(mono, 0) for mono in basis]
+        basis = _basis(self.site.rank, self.site.p, self.degree)
+        return CohoElement(self.site, self.degree, (
+            0 if 1 in eps else c for (eps, _), c in zip(basis, self.coords)))
 
     def __eq__(self, other):
         if not isinstance(other, CohoElement):
             return NotImplemented
-        return self.site.key == other.site.key and self.terms == other.terms
+        return (self.site.key, self.degree, self.coords) == \
+            (other.site.key, other.degree, other.coords)
 
     __hash__ = None
 
     def describe(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            parts.append(f"{format_monomial(mono, self.site.p)}:{self.terms[mono]}")
-        return " ".join(parts)
+        """The nonzero terms as "monomial:c", in basis order, or "0"."""
+        return " ".join(f"{format_monomial(mono, self.site.p)}:{c}"
+                        for mono, c in self.terms.items()) or "0"
 
     def __repr__(self):
         return f"CohoElement({self.describe()})"
@@ -369,14 +360,6 @@ def restriction_matrix(phi, site_w, site_v, d):
 
 def restrict_element(phi, site_w, site_v, elem):
     """Pull a class on the target site back along phi: W -> V."""
-    p = site_v.p
-    by_degree = {}
-    for mono, c in elem.terms.items():
-        by_degree.setdefault(monomial_degree(mono, p), {})[mono] = c
-    terms = {}
-    for d, part in by_degree.items():
-        vec = np.array(CohoElement(site_v, part).coords_in(
-            _basis(site_v.rank, p, d)), dtype=np.int32)
-        image = restriction_matrix(phi, site_w, site_v, d) @ vec % p
-        terms.update(zip(_basis(site_w.rank, p, d), image.tolist()))
-    return CohoElement(site_w, terms)
+    image = restriction_matrix(phi, site_w, site_v, elem.degree) @ \
+        np.array(elem.coords, dtype=np.int64) % site_v.p
+    return CohoElement(site_w, elem.degree, image.tolist())

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cohomology import CohoElement
+from .cohomology import CohoElement, monomial_degree
 from .errors import DegreeBoundExceeded, WorkbenchError
 from .fusion import FusionSystem, fusion_from_group, generate_fusion
 from .groups import (
@@ -410,7 +410,7 @@ def serialize_family(fam):
 def parse_family(F, text):
     sites = fusion_ea_morphisms(F)[0]
     by_key = {s.key: s for s in sites}
-    comps = {}
+    parsed = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -422,32 +422,30 @@ def parse_family(F, text):
         if key not in by_key:
             raise ParseError(f"{list(key)} is not an elementary abelian "
                              f"subgroup of S")
-        if key in comps:
+        if key in parsed:
             raise ParseError(f"site {list(key)} is given twice")
-        site = by_key[key]
-        comps[key] = _parse_terms(site, m.group(2))
+        parsed[key] = _parse_terms(by_key[key], m.group(2))
     degrees = set()
-    for comp in comps.values():
-        try:
-            d = comp.degree()
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        if d is not None:
-            degrees.add(d)
+    for terms in parsed.values():
+        found = {monomial_degree(mono, F.p) for mono in terms}
+        if len(found) > 1:
+            raise ParseError("element is not homogeneous")
+        degrees |= found
     if len(degrees) > 1:
         raise ParseError(f"components have mixed degrees {sorted(degrees)}")
     degree = degrees.pop() if degrees else 0
     if degree > MAX_DEGREE:
         raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
-    for key in by_key:
-        comps.setdefault(key, CohoElement.zero(by_key[key]))
+    comps = {s.key: CohoElement.from_terms(s, degree, parsed.get(s.key, {}))
+             for s in sites}
     return StableFamily(F, degree, comps, sites)
 
 
 def _parse_terms(site, text):
+    """{monomial: coefficient} of the nonzero terms mod p of a class."""
     text = text.strip()
     if text == "0":
-        return CohoElement.zero(site)
+        return {}
     terms = {}
     factors = []
     for tok in text.split():
@@ -461,7 +459,7 @@ def _parse_terms(site, text):
             factors.append(tok)
     if factors:
         raise ParseError(f"dangling monomial factors {factors!r}")
-    return CohoElement(site, terms)
+    return {mono: c % site.p for mono, c in terms.items() if c % site.p}
 
 
 def _parse_monomial(site, factors):

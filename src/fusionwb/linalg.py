@@ -43,12 +43,13 @@ def rref(rows, ncols, p):
 def nullspace(rows, ncols, p):
     """Canonical basis of the kernel: one vector per free column, as lists."""
     red, pivots = rref(rows, ncols, p)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((len(free), ncols), dtype=np.int32)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-red[:, free].T) % p
     return basis.tolist()
-
 
 
 def canonical_kernel(rows, ncols, p):

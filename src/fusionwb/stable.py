@@ -208,13 +208,10 @@ def _limit_basis(limit, d, p):
     for w, (r, image) in pulled.items():
         comps[w] = comps[r] @ image.T % p
     full = np.concatenate(comps, axis=1)
-    monos = [(s, cohomology_basis(s, d)) for s in limit[0]]
-    families = []
-    for vec in canonical_kernel(full, full.shape[1], p).tolist():
-        coeffs = iter(vec)      # zip takes len(basis) of them at each site
-        families.append({s.key: CohoElement(s, dict(zip(basis, coeffs)))
-                         for s, basis in monos})
-    return families
+    bounds = np.cumsum([0] + [c.shape[1] for c in comps]).tolist()
+    return [{s.key: CohoElement(s, d, vec[i:j])
+             for s, i, j in zip(limit[0], bounds, bounds[1:])}
+            for vec in canonical_kernel(full, full.shape[1], p).tolist()]
 
 
 def _limits(degrees, p, morphisms, *args):
@@ -269,9 +266,17 @@ def poincare_series(F, max_degree):
 
 
 def family_product(f1, f2):
+    """The cup product of two families over the same fusion system."""
+    degree = f1.degree + f2.degree
+    if degree > MAX_DEGREE:
+        raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
+    F = f1.F
+    # fusion_equal (F2 != F) raises MismatchedBase on another S or p
+    if f2.F is not F and (f2.F.S != F.S or f2.F.p != F.p or f2.F != F):
+        raise IncompatibleFamily("families over different fusion systems")
     comps = {key: f1.components[key].mul(f2.components[key])
              for key in f1.components}
-    return StableFamily(f1.F, f1.degree + f2.degree, comps, f1.sites)
+    return StableFamily(F, degree, comps, f1.sites)
 
 
 def family_power(fam, k):
@@ -297,14 +302,12 @@ def check_family(fam):
     if missing:
         raise IncompatibleFamily(f"missing components at {missing}")
     d, p = fam.degree, fam.F.p
-    coords = []
     for s in sites:
-        comp = fam.components[s.key]
-        coords.append(np.array(comp.coords_in(cohomology_basis(s, d)),
-                               dtype=np.int64))
-        if np.count_nonzero(coords[-1]) != len(comp.terms):
+        if fam.components[s.key].degree != d:
             raise IncompatibleFamily(
                 f"component at {list(s.key)} is not of degree {d}")
+    coords = [np.array(fam.components[s.key].coords, dtype=np.int64)
+              for s in sites]
     bad = []
     for positions, w, v, images in _restrictions(limit, d, p):
         got = np.einsum("mwv,mv->mw", images,

@@ -7,7 +7,8 @@ constraint system into one preallocated array, and solves it with
 unknowns on one site per F-class only.  The tests keep the per-morphism
 kernel that peels one generator per degree, the per-morphism block
 assembly, and the limit with one block of unknowns on every site, as the
-oracles for all three.
+oracles for all three, and the monomial-by-monomial cup product as the
+oracle for CohoElement.mul, which runs on the kernel's product tables.
 """
 
 import functools
@@ -163,3 +164,23 @@ def reference_limit_terms(sites, homs, d, p):
             vec = vec[len(basis):]
         families.append(family)
     return families
+
+
+def reference_cup(x, y):
+    """The cup product of two classes on one site as {monomial: nonzero
+    coefficient mod p}, term by term: a product with a repeated a_i is
+    zero, the others take the sign of the transpositions that sort their
+    a_i (one per a_j of y before an a_i of x with j < i) and add their
+    polynomial exponents."""
+    p = x.site.p
+    out = {}
+    for (e1, a1), c1 in x.terms.items():
+        for (e2, a2), c2 in y.terms.items():
+            if any(i and j for i, j in zip(e1, e2)):
+                continue
+            swaps = sum(e2[j] for i in range(len(e1)) if e1[i]
+                        for j in range(i))
+            mono = (tuple(i | j for i, j in zip(e1, e2)),
+                    tuple(i + j for i, j in zip(a1, a2)))
+            out[mono] = out.get(mono, 0) + (-1) ** swaps * c1 * c2
+    return {mono: c % p for mono, c in out.items() if c % p}

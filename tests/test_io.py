@@ -321,6 +321,10 @@ def test_family_parse_errors():
         parse_family(F, "V=[0,5] ; x1:1\n")      # not a subgroup of S
     with pytest.raises(ParseError):
         parse_family(F, "V=[0,1] ; x1:1\nV=[0,2] ; x1^2:1\n")  # mixed degree
+    with pytest.raises(ParseError, match="^element is not homogeneous$"):
+        parse_family(F, "V=[0,1,2,3] ; x1:1 x1^2:1\n")
+    # a term that vanishes mod p has no degree
+    assert parse_family(F, "V=[0,1,2,3] ; x1:2 x1^2:1\n").degree == 2
 
 
 def test_family_above_the_degree_cap_is_refused_at_parse(tmp_path, capsys):

@@ -9,6 +9,7 @@ from elimination_oracle import reference_nullspace, reference_rref
 from group_oracle import reference_check_family
 from restriction_oracle import (
     reference_constraints,
+    reference_cup,
     reference_limit_terms,
     reference_restriction_matrix,
     reference_restrictions,
@@ -236,8 +237,10 @@ def test_graded_commutativity_random():
     for _ in range(60):
         d1, d2 = rng.randint(1, 4), rng.randint(1, 4)
         b1, b2 = cohomology_basis(s, d1), cohomology_basis(s, d2)
-        u = CohoElement(s, {rng.choice(b1): rng.randint(1, 2)})
-        v = CohoElement(s, {rng.choice(b2): rng.randint(1, 2)})
+        u = CohoElement.from_terms(s, d1,
+                                   {rng.choice(b1): rng.randint(1, 2)})
+        v = CohoElement.from_terms(s, d2,
+                                   {rng.choice(b2): rng.randint(1, 2)})
         uv = u.mul(v)
         vu = v.mul(u)
         sign = (-1) ** (d1 * d2)
@@ -247,8 +250,35 @@ def test_graded_commutativity_random():
 def test_exterior_squares_vanish():
     C33 = elementary(3, 2)
     s = Site(full_subgroup(C33), 3)
-    a1 = CohoElement(s, {((1, 0), (0, 0)): 1})
+    a1 = CohoElement.from_terms(s, 1, {((1, 0), (0, 0)): 1})
     assert a1.mul(a1).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cup_product_matches_the_term_by_term_oracle(p):
+    # random classes of several terms, zero factors among them, against the
+    # monomial-by-monomial product; at odd p the a_i a_i, whose pair table
+    # at rank 1 is empty, and every product of two a_i
+    rng = random.Random(p)
+    for rank in (1, 2, 3):
+        s = Site(full_subgroup(elementary(p, rank)), p)
+        for _ in range(40):
+            x, y = [CohoElement(s, d, [rng.randrange(p) * (rng.random() < .6)
+                                       for _ in cohomology_basis(s, d)])
+                    for d in (rng.randint(0, 6), rng.randint(0, 6))]
+            for u, v in ((x, y), (x, x), (x, CohoElement.from_terms(
+                    s, y.degree, {}))):
+                uv = u.mul(v)
+                assert uv.degree == u.degree + v.degree
+                assert all(type(c) is int and 0 <= c < p for c in uv.coords)
+                assert uv.terms == reference_cup(u, v)
+        if p != 2:
+            gens = [CohoElement(s, 1, [int(i == j) for j in range(rank)])
+                    for i in range(rank)]
+            for i, ai in enumerate(gens):
+                for j, aj in enumerate(gens):
+                    assert ai.mul(aj).terms == reference_cup(ai, aj)
+                    assert ai.mul(aj).is_zero() == (i == j)
 
 
 def test_restriction_identity_and_axis():
@@ -642,7 +672,7 @@ def test_check_family_matches_the_per_morphism_check(name):
             comps = dict(fam.components)
             terms = dict(comps[site.key].terms)
             terms[mono] = terms.get(mono, 0) + 1
-            comps[site.key] = CohoElement(site, terms)
+            comps[site.key] = CohoElement.from_terms(site, d, terms)
             moved = StableFamily(F, d, comps, fam.sites)
             verdict = _verdict(check_family, moved)
             assert verdict == _verdict(reference_check_family, moved)
@@ -901,7 +931,8 @@ def test_non_nilpotent_polynomial_class(f33):
 def test_antisymmetric_class_squares_to_zero(f33):
     site = next(s for s in (Site(V, 3) for V in
                             [f33.S]) if s.rank == 2)
-    u = CohoElement(site, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1})
+    u = CohoElement.from_terms(site, 3, {((1, 0), (0, 1)): 1,
+                                         ((0, 1), (1, 0)): -1})
     assert u.mul(u).is_zero()
     assert u.poly_projection().is_zero()
 
@@ -921,7 +952,7 @@ def test_p2_nilpotent_iff_zero():
     for d in range(5):
         for fam in stable_basis(F, d):
             assert not is_nilpotent(fam)
-        zero = StableFamily(F, d, {s.key: CohoElement.zero(s)
+        zero = StableFamily(F, d, {s.key: CohoElement.from_terms(s, d, {})
                                    for s in stable_basis(F, 0)[0].sites},
                             stable_basis(F, 0)[0].sites)
         assert is_nilpotent(zero)
@@ -935,12 +966,37 @@ def test_family_power_needs_a_positive_exponent(f33):
             family_power(fam, k)
 
 
+def test_family_product_refuses_a_degree_above_the_cap():
+    V4 = klein_four()
+    x = stable_basis(fusion_from_group(full_subgroup(V4), V4, p=2), 1)[0]
+    top = family_power(x, MAX_DEGREE)
+    assert top.degree == MAX_DEGREE and check_family(top)
+    with pytest.raises(DegreeBoundExceeded, match="degree 41 exceeds cap 40"):
+        family_product(top, x)
+    with pytest.raises(DegreeBoundExceeded, match="degree 41 exceeds cap 40"):
+        family_power(x, 45)
+
+
+def test_family_product_refuses_families_over_different_systems(f33):
+    path = corpus_dir() / "v4_gl2.fus"
+    F = load_fusion_spec(path).fusion()
+    trivial = fusion_from_group(F.S, F.group, p=2)
+    x = stable_basis(F, 2)[0]
+    for y in (stable_basis(trivial, 1)[0], stable_basis(f33, 1)[0]):
+        with pytest.raises(IncompatibleFamily, match="different fusion"):
+            family_product(x, y)
+    # an equal system built again is the same system
+    same = stable_basis(load_fusion_spec(path).fusion(), 2)[0]
+    assert family_product(x, same).F is F
+    assert check_family(family_product(x, same))
+
+
 def test_incompatible_family_rejected(f33):
     fam = stable_basis(f33, 2)[0]
     broken = dict(fam.components)
     top = f33.S.elements
     site = next(s for s in fam.sites if s.key == top)
-    broken[top] = CohoElement(site, {((0, 0), (2, 0)): 1})
+    broken[top] = CohoElement.from_terms(site, 4, {((0, 0), (2, 0)): 1})
     bad = StableFamily(f33, 2, broken, fam.sites)
     with pytest.raises(IncompatibleFamily):
         is_nilpotent(bad)
