@@ -452,8 +452,8 @@ def _parse_terms(site, text):
         if ":" in tok:
             last, _, coeff = tok.partition(":")
             factors.append(last)
-            mono = _parse_monomial(site, factors)
-            terms[mono] = terms.get(mono, 0) + int(coeff)
+            sign, mono = _parse_monomial(site, factors)
+            terms[mono] = terms.get(mono, 0) + sign * int(coeff)
             factors = []
         else:
             factors.append(tok)
@@ -463,9 +463,12 @@ def _parse_terms(site, text):
 
 
 def _parse_monomial(site, factors):
+    """(sign, monomial) of a product of factors: the sign of putting its
+    exterior generators in index order, as the x_i are of even degree."""
     n = site.rank
     eps = [0] * n
     alpha = [0] * n
+    inversions = 0
     for f in factors:
         if f == "1":
             continue
@@ -480,10 +483,11 @@ def _parse_monomial(site, factors):
                 raise ParseError("exterior generators do not exist at p=2")
             if eps[i] or e != 1:
                 raise ParseError(f"exterior square in {f!r}")
+            inversions += sum(eps[i + 1:])
             eps[i] = 1
         else:
             alpha[i] += e
-    return tuple(eps), tuple(alpha)
+    return (-1) ** inversions, (tuple(eps), tuple(alpha))
 
 
 def load_family(F, path):

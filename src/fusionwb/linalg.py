@@ -1,8 +1,15 @@
 """Dense row reduction and nullspaces over a prime field.
 
-Matrices are int32 numpy arrays.  Entries are kept in [0, p), and p is at
-most 509 (tables are capped at order 512), so (p - 1)^2 and every
-intermediate below fit in int32.
+Matrices are int32 numpy arrays with entries in [0, p).  At odd p rref
+clears one column at a time on the array; p is at most 509 (tables are
+capped at order 512), so (p - 1)^2 and every intermediate fit in int32.
+
+At p = 2 rref packs each row into one Python int, column c at bit
+w - 1 - c for a width w of ncols rounded up to whole bytes, so the leftmost
+nonzero column of a row is w - row.bit_length(), and clears a pivot by XOR.
+It eliminates in another order than the column loop of odd p, but the
+reduced row echelon form of a matrix is unique, so both give the same rows
+and pivots.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ def rref(rows, ncols, p):
     rows is any nrows x ncols integer array or list of lists; the returned
     rows are an int32 array holding only the nonzero rows.
     """
-    m = np.asarray(rows, dtype=np.int32).reshape(len(rows), ncols) % p
+    m = np.asarray(rows, dtype=np.int32).reshape(len(rows), ncols)
+    if p == 2:
+        return _rref_gf2(m)
+    m = m % p
     pivots = []
     r = 0
     for c in range(ncols):
@@ -38,6 +48,44 @@ def rref(rows, ncols, p):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _rref_gf2(m):
+    """rref mod 2 on packed rows: each row is cleared against the rows kept
+    so far by their leading bits, then the kept rows are reduced in place
+    from the rightmost pivot leftwards."""
+    nrows, ncols = m.shape
+    nbytes = -(-ncols // 8)
+    data = np.packbits(m % 2, axis=1).tobytes()
+    lead = {}                   # bit_length of a kept row -> the row
+    for i in range(nrows):
+        row = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
+        while row:
+            top = row.bit_length()
+            kept = lead.get(top)
+            if kept is None:
+                lead[top] = row
+                break
+            row ^= kept
+    # each reduced row is zero at the pivots of the rows reduced before it,
+    # so clearing one of those pivots from a row sets or clears no other
+    tops = sorted(lead)
+    pivot_bits = 0
+    for top in tops:
+        row = lead[top]
+        hits = row & pivot_bits
+        while hits:
+            bit = hits.bit_length()
+            row ^= lead[bit]
+            hits ^= 1 << bit - 1
+        lead[top] = row
+        pivot_bits |= 1 << top - 1
+    tops.reverse()
+    width = 8 * nbytes
+    bits = np.unpackbits(np.frombuffer(
+        b"".join(lead[top].to_bytes(nbytes, "big") for top in tops),
+        dtype=np.uint8)).reshape(len(tops), width)
+    return bits[:, :ncols].astype(np.int32), [width - top for top in tops]
 
 
 def nullspace(rows, ncols, p):

@@ -283,6 +283,9 @@ def family_power(fam, k):
     """The k-th cup power of fam, for k >= 1."""
     if k < 1:
         raise ValueError(f"power must be at least 1, not {k}")
+    degree = fam.degree * k
+    if degree > MAX_DEGREE:
+        raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
     out = fam
     for _ in range(k - 1):
         out = family_product(out, fam)

@@ -1,5 +1,6 @@
 import hashlib
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +326,19 @@ def test_family_parse_errors():
         parse_family(F, "V=[0,1,2,3] ; x1:1 x1^2:1\n")
     # a term that vanishes mod p has no degree
     assert parse_family(F, "V=[0,1,2,3] ; x1:2 x1^2:1\n").degree == 2
+
+
+def test_family_parse_signs_reordered_exterior_factors():
+    # at p = 3, a2 a1 = -a1 a2 = 2 a1 a2; the x_i are even and commute
+    F = load_fusion_spec(Path(__file__).parent / "golden/c3e2_q8.fus").fusion()
+
+    def parsed(terms):
+        return serialize_family(parse_family(F, f"V=[0,1,2,3,4,5,6,7,8] ; "
+                                                f"{terms}\n"))
+
+    assert parsed("a2 a1:1") == parsed("a1 a2:2") != parsed("a1 a2:1")
+    assert parsed("a2 x1 a1:1") == parsed("a1 a2 x1:2")
+    assert parsed("a2 a1:1 a1 a2:1") == parsed("0")
 
 
 def test_family_above_the_degree_cap_is_refused_at_parse(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 from conjugation_oracle import inclusion_hom, reference_fusion_ea_morphisms
 from elimination_oracle import reference_nullspace, reference_rref
 from group_oracle import reference_check_family
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from restriction_oracle import (
     reference_constraints,
     reference_cup,
@@ -191,6 +193,58 @@ def test_canonical_kernel_of_any_kernel_basis(p):
         got = canonical_kernel(mixed, ncols, p)
         assert got.shape == (k, ncols)
         assert got.tolist() == want
+
+
+@st.composite
+def _gf2_systems(draw):
+    """(rows, ncols) at p = 2: widths about the 64-bit word boundaries,
+    dense, sparse and low-rank rows, entries in [-4, 5), zero rows and zero
+    columns."""
+    ncols = draw(st.sampled_from([0, 1, 63, 64, 65, 128]))
+    nrows = draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+
+    def entry():
+        return rng.randrange(-4, 5) if rng.random() < density else 0
+
+    if draw(st.booleans()):
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        # rank at most k over the integers
+        k = draw(st.integers(1, 3))
+        left = [[entry() for _ in range(k)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                for row in left]
+    for i in draw(st.sets(st.integers(0, 11), max_size=4)):
+        if i < nrows:
+            rows[i] = [0] * ncols
+    for c in draw(st.sets(st.integers(0, 127), max_size=4)):
+        for row in rows:
+            if c < ncols:
+                row[c] = 0
+    return rows, ncols
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_gf2_systems())
+@example(([], 0))
+@example(([], 4))
+@example(([[], [], []], 0))
+def test_gf2_elimination_matches_reference(system):
+    rows, ncols = system
+    red, pivots = rref(rows, ncols, 2)
+    ref_red, ref_pivots = reference_rref(rows, ncols, 2)
+    assert pivots == ref_pivots
+    assert all(type(c) is int for c in pivots)
+    assert red.dtype == np.int32 and red.shape == (len(pivots), ncols)
+    assert red.tolist() == ref_red
+    assert nullspace(rows, ncols, 2) == reference_nullspace(rows, ncols, 2)
+    # canonical_kernel is the rref with the columns taken from the right
+    flipped = [row[::-1] for row in rows]
+    assert canonical_kernel(rows, ncols, 2).tolist() == [
+        row[::-1] for row in reference_rref(flipped, ncols, 2)[0][::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +674,18 @@ SERIES_SYSTEMS = {
 
 
 @pytest.mark.parametrize("name", SERIES_SYSTEMS)
+def test_elimination_on_the_series_systems(name):
+    # the packed path at p = 2 on the benchmark's constraint systems
+    F = SERIES_SYSTEMS[name][0]()
+    limit = fusion_ea_morphisms(F)
+    for d in range(5):
+        system = _constraints(limit, d, F.p)[2]
+        red, pivots = rref(system, system.shape[1], F.p)
+        assert (red.tolist(), pivots) == reference_rref(
+            system.tolist(), system.shape[1], F.p)
+
+
+@pytest.mark.parametrize("name", SERIES_SYSTEMS)
 def test_class_reduced_limit_matches_every_site(name):
     # term by term: the old generating set with unknowns on every site, and
     # every morphism through the library's own solver
@@ -966,15 +1032,25 @@ def test_family_power_needs_a_positive_exponent(f33):
             family_power(fam, k)
 
 
-def test_family_product_refuses_a_degree_above_the_cap():
+def test_family_product_refuses_a_degree_above_the_cap(monkeypatch):
     V4 = klein_four()
     x = stable_basis(fusion_from_group(full_subgroup(V4), V4, p=2), 1)[0]
     top = family_power(x, MAX_DEGREE)
     assert top.degree == MAX_DEGREE and check_family(top)
     with pytest.raises(DegreeBoundExceeded, match="degree 41 exceeds cap 40"):
         family_product(top, x)
-    with pytest.raises(DegreeBoundExceeded, match="degree 41 exceeds cap 40"):
+    # family_power refuses before its first product
+    calls = []
+
+    def counted(f1, f2):
+        calls.append(f1.degree)
+        return family_product(f1, f2)
+
+    monkeypatch.setattr(stable, "family_product", counted)
+    with pytest.raises(DegreeBoundExceeded, match="degree 45 exceeds cap 40"):
         family_power(x, 45)
+    assert calls == []
+    assert family_power(x, 3).degree == 3 and calls == [1, 2]
 
 
 def test_family_product_refuses_families_over_different_systems(f33):
