@@ -98,6 +98,39 @@ def _index(n, p, d):
     return {mono: k for k, mono in enumerate(_basis(n, p, d))}
 
 
+def basis_size(n, p, d):
+    """The number of degree-d monomials on a rank-n site."""
+    return len(_basis(n, p, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _labels(n, p, d):
+    """format_monomial of each monomial of the degree-d basis."""
+    return tuple(format_monomial(mono, p) for mono in _basis(n, p, d))
+
+
+@functools.lru_cache(maxsize=None)
+def polynomial_mask(n, p, d):
+    """For each monomial of the degree-d basis, whether it lies in F_p[V]
+    (has no exterior factor)."""
+    return tuple(1 not in eps for eps, _ in _basis(n, p, d))
+
+
+def _codes(n, p, d, radix):
+    """The degree-d basis as (exterior exponents, codes): a (B, n) int64
+    array, and per monomial the digits eps then alpha, first index first,
+    read in mixed radix 2 and radix (above every exponent in play).  So the
+    codes decrease along the basis, and the code of a product with no
+    repeated a_i is the sum of the codes of its factors.  Every code is
+    below 2^n radix^n, which fits int64 for n <= 9 and radix <= 63."""
+    weights = np.array([2 ** (n - 1 - i) * radix ** n for i in range(n)]
+                       + [radix ** (n - 1 - i) for i in range(n)],
+                       dtype=np.int64)
+    basis = _basis(n, p, d)
+    digits = np.array(basis, dtype=np.int64).reshape(len(basis), 2 * n)
+    return digits[:, :n], digits @ weights
+
+
 def _eps_tuples(n, k):
     if k == 0:
         yield (0,) * n
@@ -108,14 +141,6 @@ def _eps_tuples(n, k):
         yield (0,) + rest
     for rest in _eps_tuples(n - 1, k - 1):
         yield (1,) + rest
-
-
-def _merge_exterior(e1, e2):
-    """Sign and union of exterior exponents; None on a repeated generator."""
-    if any(x and y for x, y in zip(e1, e2)):
-        return None
-    inversions = sum(sum(e2[:i]) for i, x in enumerate(e1) if x)
-    return (-1) ** inversions, tuple(x | y for x, y in zip(e1, e2))
 
 
 class CohoElement:
@@ -163,12 +188,6 @@ class CohoElement:
             out[reached] = np.add.reduceat(terms, starts)
         return CohoElement(self.site, a + b, (out % p).tolist())
 
-    def poly_projection(self):
-        """Image in F_p[V]: all exterior coordinates set to zero."""
-        basis = _basis(self.site.rank, self.site.p, self.degree)
-        return CohoElement(self.site, self.degree, (
-            0 if 1 in eps else c for (eps, _), c in zip(basis, self.coords)))
-
     def __eq__(self, other):
         if not isinstance(other, CohoElement):
             return NotImplemented
@@ -179,8 +198,9 @@ class CohoElement:
 
     def describe(self):
         """The nonzero terms as "monomial:c", in basis order, or "0"."""
-        return " ".join(f"{format_monomial(mono, self.site.p)}:{c}"
-                        for mono, c in self.terms.items()) or "0"
+        labels = _labels(self.site.rank, self.site.p, self.degree)
+        return " ".join([f"{label}:{c}" for label, c in zip(labels, self.coords)
+                         if c]) or "0"
 
     def __repr__(self):
         return f"CohoElement({self.describe()})"
@@ -257,17 +277,16 @@ def _products(n, p, a, b):
     signs (None when all are +1), the start of each run of equal products,
     and the product of each run.
     """
-    up = _index(n, p, a + b)
-    rows = []
-    for u, (e1, a1) in enumerate(_basis(n, p, a)):
-        for v, (e2, a2) in enumerate(_basis(n, p, b)):
-            merged = _merge_exterior(e1, e2)
-            if merged is not None:
-                sign, eps = merged
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                rows.append((up[(eps, alpha)], u, v, sign))
-    rows.sort()
-    t, u, v, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    e1, code1 = _codes(n, p, a, a + b + 1)
+    e2, code2 = _codes(n, p, b, a + b + 1)
+    up = _codes(n, p, a + b, a + b + 1)[1][::-1]
+    u, v = np.nonzero(e1 @ e2.T == 0)   # no a_i in both
+    # the a_j of v that pass an a_i of u on the way to index order
+    inversions = (e1 @ (np.cumsum(e2, axis=1) - e2).T)[u, v]
+    t = len(up) - 1 - np.searchsorted(up, code1[u] + code2[v])
+    order = np.argsort(t, kind="stable")
+    t, u, v = t[order], u[order], v[order]
+    sign = 1 - 2 * (inversions[order] % 2)
     starts = np.flatnonzero(np.diff(t, prepend=-1))
     sign = None if (sign == 1).all() else sign.astype(np.int32)[:, None]
     return u, v, sign, starts, t[starts]

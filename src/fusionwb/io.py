@@ -39,7 +39,7 @@ class ParseError(WorkbenchError):
 
 
 def format_elems(elems):
-    return "[" + ",".join(str(x) for x in elems) + "]"
+    return "[" + ",".join(map(str, elems)) + "]"
 
 
 def parse_elems(text):

@@ -14,20 +14,26 @@ come from the fusion category; for a finite group they come from
 conjugation and inclusion (the Quillen category), which is what the
 cross-check compares.  The sites and maps do not depend on the degree:
 they are built once per fusion system and once per (group, p), and kept
-there, so a degree runs only the restriction kernel and the elimination.
+there as a Limit, with the maps stacked by shape, the constraints of each
+shape first, and the rank of each site and whether it carries unknowns.
+A degree then does only per-degree work: the restriction kernel on the
+shapes whose source has a class in that degree, the elimination, and one
+float64 product per shape for the pullbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .cohomology import (
     CohoElement,
     Site,
-    cohomology_basis,
+    basis_size,
     hom_matrix,
+    polynomial_mask,
     restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
@@ -104,21 +110,28 @@ def _site_morphisms(sites, images_of, p):
 
 class Limit(tuple):
     """The part of a limit that no degree changes: the triple (sites, homs,
-    pulls) as tuples, and in shapes the non-identity maps of homs + pulls
-    by (rank W, rank V) shape, each shape with the positions of its maps in
-    homs + pulls, the indices in sites of their W and V, and the stack of
-    their hom matrices."""
+    pulls) as tuples; ranks, the rank of each site; free, whether a site
+    carries unknowns (no pullback leaves it); and in shapes the
+    non-identity maps of homs + pulls by (rank W, rank V) shape, each shape
+    with k, the number of its maps that are constraints (from homs, so they
+    come first), the positions of its maps in homs + pulls, the indices in
+    sites of their W and V, and the stack of their hom matrices."""
 
     def __new__(cls, sites, homs, pulls):
         self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
         index = {s.key: i for i, s in enumerate(sites)}
+        self.ranks = np.array([s.rank for s in sites], dtype=np.intp)
+        self.free = np.ones(len(sites), dtype=bool)
+        self.free[[index[sw.key] for _, sw, _ in pulls]] = False
         shapes = {}
         for k, (phi, sw, sv) in enumerate(self[1] + self[2]):
             if sw.key != sv.key or phi.images != sw.key:
                 shapes.setdefault((sw.rank, sv.rank), []).append(
                     (k, index[sw.key], index[sv.key], hom_matrix(phi, sw, sv)))
-        self.shapes = tuple((shape, *map(np.array, zip(*rows)))
-                            for shape, rows in shapes.items())
+        self.shapes = tuple(
+            (shape, sum(k < len(homs) for k, *_ in rows),
+             *map(np.array, zip(*rows)))
+            for shape, rows in shapes.items())
         return self
 
 
@@ -153,36 +166,40 @@ def quillen_morphisms(G, p):
 
 
 def _restrictions(limit, d, p):
-    """The degree-d restriction matrices along the maps of limit.shapes:
-    per shape, the positions of its maps in homs + pulls, the indices of
-    their W and V in sites, and the stack of their images."""
-    for (n_w, n_v), positions, w, v, mats in limit.shapes:
-        yield positions, w, v, restriction_matrices(mats, n_w, n_v, p, d)
+    """The degree-d restriction matrices along the maps of limit.shapes
+    whose source has a nonzero degree-d basis: per shape, k, the positions
+    of its maps in homs + pulls, the indices of their W and V in sites, and
+    the stack of their images."""
+    for (n_w, n_v), k, positions, w, v, mats in limit.shapes:
+        if basis_size(n_w, p, d):
+            yield k, positions, w, v, restriction_matrices(mats, n_w, n_v,
+                                                           p, d)
 
 
 def _constraints(limit, d, p):
-    """(offsets, widths, nonzero rows of the linear system, pulled).
+    """(widths, nonzero rows of the linear system, pulls).
 
-    One block of unknowns per site, of width zero at a site that a pullback
-    leaves, and one block of equations per non-identity morphism phi: W ->
-    V of homs, in their order, saying that the restriction of the V
-    component equals the W component.  pulled maps the index of each pulled
-    site W to that of R and the restriction matrix along iota: W -> R.
+    widths holds the size of the degree-d basis at each site.  One block
+    of unknowns per site of limit.free, and one block of equations per
+    non-identity morphism phi: W -> V of homs, in their order, saying that
+    the restriction of the V component equals the W component.  pulls
+    holds, per shape, the indices of its pulled sites W and of their R,
+    and the stack of the restriction matrices along iota: W -> R.
     """
-    sites, homs, pulls = limit
-    widths = np.array([len(cohomology_basis(s, d)) for s in sites])
-    heights = np.zeros(len(homs) + len(pulls), dtype=np.intp)
-    parts, pulled = [], {}
-    for positions, w, v, images in _restrictions(limit, d, p):
-        mine = positions < len(homs)
-        pulled.update(zip(w[~mine].tolist(), zip(v[~mine].tolist(),
-                                                 images[~mine])))
-        parts.append([a[mine] for a in (positions, w, v, images)])
-        heights[positions[mine]] = widths[w[mine]]
-    widths[list(pulled)] = 0
-    offsets = np.cumsum(widths) - widths
+    sizes = [basis_size(n, p, d) for n in range(limit.ranks.max() + 1)]
+    widths = np.array(sizes, dtype=np.intp)[limit.ranks]
+    solved = widths * limit.free
+    offsets = np.cumsum(solved) - solved
+    heights = np.zeros(len(limit[1]), dtype=np.intp)
+    parts, pulls = [], []
+    for k, positions, w, v, images in _restrictions(limit, d, p):
+        if k:
+            parts.append((positions[:k], w[:k], v[:k], images[:k]))
+            heights[positions[:k]] = images.shape[1]
+        if k < len(positions):
+            pulls.append((w[k:], v[k:], images[k:]))
     starts = np.cumsum(heights) - heights
-    system = np.zeros((heights.sum(), widths.sum()), dtype=np.int32)
+    system = np.zeros((heights.sum(), solved.sum()), dtype=np.int32)
     for positions, w, v, images in parts:
         _, n_w, n_v = images.shape
         rows = starts[positions, None] + np.arange(n_w)
@@ -190,25 +207,35 @@ def _constraints(limit, d, p):
         system[rows[:, :, None], cols[:, None, :]] = images
         diag = offsets[w, None] + np.arange(n_w)
         system[rows, diag] = (system[rows, diag] - 1) % p
-    return offsets, widths, system[system.any(axis=1)], pulled
+    return widths, system[system.any(axis=1)], pulls
 
 
 def _limit_basis(limit, d, p):
     """Families (one class per site) compatible under every given morphism,
     in the basis nullspace gives for the system with unknowns on every site.
 
-    The unknowns sit on the sites that no pullback (iota, W, R) leaves, and
-    the W component is iota^* of the R component.
+    The unknowns sit on the sites of limit.free, and the W component of a
+    pullback (iota, W, R) is iota^* of the R component: per shape, one
+    float64 product of the stacked R components with the stacked
+    restriction matrices, exact as long as (p - 1)^2 B_R < 2^53.
     """
-    offsets, widths, system, pulled = _constraints(limit, d, p)
-    total = int(widths.sum())
+    widths, system, pulls = _constraints(limit, d, p)
+    unknown = np.repeat(limit.free, widths)     # the columns solved for
+    total = int(unknown.sum())
     kernel = nullspace(system, total, p)
-    kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), total)
-    comps = [kernel[:, o:o + n] for o, n in zip(offsets, widths)]
-    for w, (r, image) in pulled.items():
-        comps[w] = comps[r] @ image.T % p
-    full = np.concatenate(comps, axis=1)
-    bounds = np.cumsum([0] + [c.shape[1] for c in comps]).tolist()
+    full = np.zeros((len(kernel), len(unknown)), dtype=np.int64)
+    full[:, unknown] = np.array(kernel, dtype=np.int64).reshape(len(kernel),
+                                                                 total)
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    offsets = bounds[:-1]
+    for w, r, images in pulls:
+        _, n_w, n_r = images.shape
+        reps = full[:, offsets[r, None] + np.arange(n_r)]
+        reps = np.ascontiguousarray(reps.transpose(1, 2, 0), dtype=np.float64)
+        comps = images.astype(np.float64) @ reps      # (pulls, n_w, kernel)
+        full[:, offsets[w, None] + np.arange(n_w)] = (
+            comps.astype(np.int64) % p).transpose(2, 0, 1)
+    bounds = bounds.tolist()
     return [{s.key: CohoElement(s, d, vec[i:j])
              for s, i, j in zip(limit[0], bounds, bounds[1:])}
             for vec in canonical_kernel(full, full.shape[1], p).tolist()]
@@ -312,7 +339,7 @@ def check_family(fam):
     coords = [np.array(fam.components[s.key].coords, dtype=np.int64)
               for s in sites]
     bad = []
-    for positions, w, v, images in _restrictions(limit, d, p):
+    for _, positions, w, v, images in _restrictions(limit, d, p):
         got = np.einsum("mwv,mv->mw", images,
                         np.stack([coords[k] for k in v])) % p
         want = np.stack([coords[k] for k in w])
@@ -327,8 +354,11 @@ def check_family(fam):
 def is_nilpotent(fam):
     """True iff every component dies in F_p[V], i.e. some power is zero."""
     check_family(fam)
-    return all(c.poly_projection().is_zero()
-               for c in fam.components.values())
+    for c in fam.components.values():
+        if any(compress(c.coords, polynomial_mask(c.site.rank, c.site.p,
+                                                  c.degree))):
+            return False
+    return True
 
 
 @dataclass

@@ -7,8 +7,9 @@ constraint system into one preallocated array, and solves it with
 unknowns on one site per F-class only.  The tests keep the per-morphism
 kernel that peels one generator per degree, the per-morphism block
 assembly, and the limit with one block of unknowns on every site, as the
-oracles for all three, and the monomial-by-monomial cup product as the
-oracle for CohoElement.mul, which runs on the kernel's product tables.
+oracles for all three, the monomial-by-monomial cup product as the
+oracle for CohoElement.mul, which runs on the kernel's product tables, and
+the pair-by-pair loop that the library once built those tables with.
 """
 
 import functools
@@ -184,3 +185,35 @@ def reference_cup(x, y):
                     tuple(i + j for i, j in zip(a1, a2)))
             out[mono] = out.get(mono, 0) + (-1) ** swaps * c1 * c2
     return {mono: c % p for mono, c in out.items() if c % p}
+
+
+def _merge_exterior(e1, e2):
+    """Sign and union of exterior exponents; None on a repeated generator."""
+    if any(x and y for x, y in zip(e1, e2)):
+        return None
+    inversions = sum(sum(e2[:i]) for i, x in enumerate(e1) if x)
+    return (-1) ** inversions, tuple(x | y for x, y in zip(e1, e2))
+
+
+def reference_products(n, p, a, b):
+    """cohomology._products pair by pair: (u, v, sign, starts, reached)."""
+    up = _index(n, p, a + b)
+    rows = []
+    for u, (e1, a1) in enumerate(_basis(n, p, a)):
+        for v, (e2, a2) in enumerate(_basis(n, p, b)):
+            merged = _merge_exterior(e1, e2)
+            if merged is not None:
+                sign, eps = merged
+                alpha = tuple(x + y for x, y in zip(a1, a2))
+                rows.append((up[(eps, alpha)], u, v, sign))
+    rows.sort()
+    t, u, v, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    sign = None if (sign == 1).all() else sign.astype(np.int32)[:, None]
+    return u, v, sign, starts, t[starts]
+
+
+def reference_polynomial_part(x):
+    """The terms of a class that lie in F_p[V], with no exterior factor."""
+    return {(eps, alpha): c for (eps, alpha), c in x.terms.items()
+            if 1 not in eps}
