@@ -25,6 +25,7 @@ class Site:
     def __init__(self, V, p):
         t = V.parent.table
         self.V = V
+        self.key = V.elements
         self.p = p
         self.basis = generating_sequence(V)
         self.rank = len(self.basis)
@@ -41,10 +42,6 @@ class Site:
         for vec, elem in combos:
             coords[elem] = vec
         self.coords = coords
-
-    @property
-    def key(self):
-        return self.V.elements
 
     def __repr__(self):
         return f"Site({list(self.V.elements)}, p={self.p})"

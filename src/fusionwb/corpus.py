@@ -59,10 +59,10 @@ from .models import (
 )
 from .report import RunReport
 from .stable import (
+    _all_morphisms,
     family_power,
     family_product,
     check_family,
-    fusion_ea_morphisms,
     is_nilpotent,
     poincare_series,
     quillen_limits,
@@ -269,9 +269,8 @@ def corpus_check(directory=None):
             raise AssertionError("A4 Quillen limit differs from F_{V4}(A4)")
         for F in (FGL, FA):
             for d in range(7):
-                full = list(map(serialize_family,
-                                stable_basis_all_morphisms(F, d)))
-                if full != list(map(serialize_family, stable_basis(F, d))):
+                if ([f.coords for f in stable_basis_all_morphisms(F, d)]
+                        != [f.coords for f in stable_basis(F, d)]):
                     raise AssertionError(
                         "generating morphisms are not sufficient")
         _check_functoriality(FA)
@@ -319,7 +318,7 @@ def _check_functoriality(F):
     """Degree-3 restriction matrices compose contravariantly on composable
     pairs."""
     d = 3
-    _, homs, _ = fusion_ea_morphisms(F, generating=False)
+    _, homs, _ = _all_morphisms(F)
     mats = [restriction_matrix(phi, sw, sv, d) for phi, sw, sv in homs]
     for (phi, sw, sv), r_phi in zip(homs, mats):
         for (psi, _, su), r_psi in zip(homs, mats):

@@ -50,7 +50,7 @@ class FusionSystem:
                                      key=lambda h: h.images))
             for P in self.subgroups}
         self._classes = None
-        self._limits = {}   # generating -> stable.fusion_ea_morphisms
+        self._limit = None  # the Limit of stable.fusion_ea_morphisms
         self._check_category()
 
     def subgroup(self, elements):

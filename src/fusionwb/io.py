@@ -436,9 +436,9 @@ def parse_family(F, text):
     degree = degrees.pop() if degrees else 0
     if degree > MAX_DEGREE:
         raise DegreeBoundExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
-    comps = {s.key: CohoElement.from_terms(s, degree, parsed.get(s.key, {}))
-             for s in sites}
-    return StableFamily(F, degree, comps, sites)
+    return StableFamily(F, degree, tuple(
+        c for s in sites for c in CohoElement.from_terms(
+            s, degree, parsed.get(s.key, {})).coords))
 
 
 def _parse_terms(site, text):

@@ -6,25 +6,20 @@ degree as the solution space of a linear system.  A limit over a category
 is the limit over a skeleton of it, so the unknowns are one block per
 F-class representative, and the equations one block per generator of the
 automorphisms of a representative and per orbit of them on its index-p
-subsites, up to F-isomorphism: the restriction of the larger component
-equals the smaller one.  The solutions are pulled back to every site and
-put in the basis that the system with unknowns on every site gives, which
-depends only on the solution space.  For a fusion system the maps
-come from the fusion category; for a finite group they come from
-conjugation and inclusion (the Quillen category), which is what the
-cross-check compares.  The sites and maps do not depend on the degree:
-they are built once per fusion system and once per (group, p), and kept
-there as a Limit, with the maps stacked by shape, the constraints of each
-shape first, and the rank of each site and whether it carries unknowns.
-A degree then does only per-degree work: the restriction kernel on the
-shapes whose source has a class in that degree, the elimination, and one
-float64 product per shape for the pullbacks.
+subsites, up to F-isomorphism.  The solutions are pulled back to every
+site and put in the basis that the system with unknowns on every site
+gives.  The maps come from the fusion category, or for a finite group
+from the Quillen category, which the cross-check compares; they are built
+once per fusion system or (group, p) and kept there as a Limit.  A family
+is its coordinate row over every site, and check_family tests it on the
+same Limit.  Every morphism is listed only for the brute-force references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -110,17 +105,17 @@ def _site_morphisms(sites, images_of, p):
 
 class Limit(tuple):
     """The part of a limit that no degree changes: the triple (sites, homs,
-    pulls) as tuples; ranks, the rank of each site; free, whether a site
-    carries unknowns (no pullback leaves it); and in shapes the
-    non-identity maps of homs + pulls by (rank W, rank V) shape, each shape
-    with k, the number of its maps that are constraints (from homs, so they
-    come first), the positions of its maps in homs + pulls, the indices in
-    sites of their W and V, and the stack of their hom matrices."""
+    pulls) as tuples; free, whether a site carries unknowns (no pullback
+    leaves it); and in shapes the non-identity maps of homs + pulls by
+    (rank W, rank V) shape, each shape with k, the number of its maps that
+    are constraints (from homs, so they come first), the positions of its
+    maps in homs + pulls, the indices in sites of their W and V, and the
+    stack of their hom matrices."""
 
     def __new__(cls, sites, homs, pulls):
         self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
         index = {s.key: i for i, s in enumerate(sites)}
-        self.ranks = np.array([s.rank for s in sites], dtype=np.intp)
+        self._bounds = {}
         self.free = np.ones(len(sites), dtype=bool)
         self.free[[index[sw.key] for _, sw, _ in pulls]] = False
         shapes = {}
@@ -134,25 +129,34 @@ class Limit(tuple):
             for shape, rows in shapes.items())
         return self
 
+    def bounds(self, d):
+        """The start of each site's block in a degree-d coordinate row, then
+        the row's length, as a list kept per degree."""
+        if d not in self._bounds:
+            self._bounds[d] = list(accumulate(
+                (basis_size(s.rank, s.p, d) for s in self[0]), initial=0))
+        return self._bounds[d]
 
-def fusion_ea_morphisms(F, generating=True):
-    """The Limit of the morphisms between the sites, a Site on each
-    elementary abelian subgroup in (size, elements) order, from the stored
-    maps Hom_F(W, S): _site_morphisms, or (sites, every morphism, no
-    pullbacks), each h paired with every site above h(W).  It is built on
-    first use and kept on F."""
-    if generating not in F._limits:
+
+def fusion_ea_morphisms(F):
+    """The Limit of _site_morphisms over the stored maps Hom_F(W, S), on a
+    Site per elementary abelian subgroup in (size, elements) order, built
+    on first use and kept on F."""
+    if F._limit is None:
         sites = [Site(V, F.p) for V in elementary_abelians(F.group, F.p)]
-        if generating:
-            limit = _site_morphisms(sites, {s.key: [
-                h.images for h in F.homsets[s.key]] for s in sites}, F.p)
-        else:
-            limit = sites, [
-                (InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
-                for sw in sites for h in F.homsets[sw.key] for sv in sites
-                if sv.V.as_set().issuperset(h.images)], ()
-        F._limits[generating] = Limit(*limit)
-    return F._limits[generating]
+        F._limit = Limit(*_site_morphisms(sites, {s.key: [
+            h.images for h in F.homsets[s.key]] for s in sites}, F.p))
+    return F._limit
+
+
+def _all_morphisms(F):
+    """The Limit (sites, every morphism, no pullbacks) of the brute-force
+    references: each stored h : W -> S paired with every site above h(W)."""
+    sites = fusion_ea_morphisms(F)[0]
+    return Limit(sites, [(InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
+                         for sw in sites for h in F.homsets[sw.key]
+                         for sv in sites
+                         if sv.V.as_set().issuperset(h.images)], ())
 
 
 def quillen_morphisms(G, p):
@@ -186,8 +190,7 @@ def _constraints(limit, d, p):
     holds, per shape, the indices of its pulled sites W and of their R,
     and the stack of the restriction matrices along iota: W -> R.
     """
-    sizes = [basis_size(n, p, d) for n in range(limit.ranks.max() + 1)]
-    widths = np.array(sizes, dtype=np.intp)[limit.ranks]
+    widths = np.diff(limit.bounds(d))
     solved = widths * limit.free
     offsets = np.cumsum(solved) - solved
     heights = np.zeros(len(limit[1]), dtype=np.intp)
@@ -211,8 +214,9 @@ def _constraints(limit, d, p):
 
 
 def _limit_basis(limit, d, p):
-    """Families (one class per site) compatible under every given morphism,
-    in the basis nullspace gives for the system with unknowns on every site.
+    """Families compatible under every given morphism, as coordinate rows
+    over the sites, one site after another, in the basis nullspace gives
+    for the system with unknowns on every site.
 
     The unknowns sit on the sites of limit.free, and the W component of a
     pullback (iota, W, R) is iota^* of the R component: per shape, one
@@ -226,8 +230,7 @@ def _limit_basis(limit, d, p):
     full = np.zeros((len(kernel), len(unknown)), dtype=np.int64)
     full[:, unknown] = np.array(kernel, dtype=np.int64).reshape(len(kernel),
                                                                  total)
-    bounds = np.concatenate(([0], np.cumsum(widths)))
-    offsets = bounds[:-1]
+    offsets = np.array(limit.bounds(d))
     for w, r, images in pulls:
         _, n_w, n_r = images.shape
         reps = full[:, offsets[r, None] + np.arange(n_r)]
@@ -235,10 +238,7 @@ def _limit_basis(limit, d, p):
         comps = images.astype(np.float64) @ reps      # (pulls, n_w, kernel)
         full[:, offsets[w, None] + np.arange(n_w)] = (
             comps.astype(np.int64) % p).transpose(2, 0, 1)
-    bounds = bounds.tolist()
-    return [{s.key: CohoElement(s, d, vec[i:j])
-             for s, i, j in zip(limit[0], bounds, bounds[1:])}
-            for vec in canonical_kernel(full, full.shape[1], p).tolist()]
+    return list(map(tuple, canonical_kernel(full, full.shape[1], p).tolist()))
 
 
 def _limits(degrees, p, morphisms, *args):
@@ -255,37 +255,48 @@ def _limits(degrees, p, morphisms, *args):
 
 @dataclass
 class StableFamily:
-    """A compatible family of classes over the elementary abelian subgroups."""
+    """A compatible family of classes over the elementary abelian subgroups:
+    its coordinates at each site of fusion_ea_morphisms(F), one site after
+    another; components reads them as {site key: CohoElement}."""
 
     F: object
     degree: int
-    components: dict          # site key -> CohoElement
-    sites: tuple
+    coords: tuple
+
+    @property
+    def sites(self):
+        return fusion_ea_morphisms(self.F)[0]
+
+    @cached_property
+    def components(self):
+        limit, d, row = fusion_ea_morphisms(self.F), self.degree, self.coords
+        bounds = limit.bounds(d)
+        return {s.key: CohoElement(s, d, row[i:j])
+                for s, i, j in zip(limit[0], bounds, bounds[1:])}
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components.values())
+        return not any(self.coords)
 
 
-def _stable_series(F, degrees, generating=True):
-    sites, limits = _limits(degrees, F.p, fusion_ea_morphisms, F, generating)
-    return [[StableFamily(F, d, comps, sites) for comps in families]
-            for d, families in zip(degrees, limits)]
+def _stable_series(F, degrees, morphisms):
+    return [[StableFamily(F, d, row) for row in rows] for d, rows in
+            zip(degrees, _limits(degrees, F.p, morphisms, F)[1])]
 
 
 def stable_basis(F, d):
     """Basis of the degree-d stable elements of F at the elementary-abelian level."""
-    return _stable_series(F, [d])[0]
+    return _stable_series(F, [d], fusion_ea_morphisms)[0]
 
 
 def stable_bases(F, max_degree):
     """stable_basis(F, d) for d = 0..max_degree, building the sites and
     morphisms once; a list with one list of families per degree."""
-    return _stable_series(F, range(max_degree + 1))
+    return _stable_series(F, range(max_degree + 1), fusion_ea_morphisms)
 
 
 def stable_basis_all_morphisms(F, d):
     """Same limit over every fusion morphism; the brute-force cross-check."""
-    return _stable_series(F, [d], generating=False)[0]
+    return _stable_series(F, [d], _all_morphisms)[0]
 
 
 def poincare_series(F, max_degree):
@@ -301,9 +312,9 @@ def family_product(f1, f2):
     # fusion_equal (F2 != F) raises MismatchedBase on another S or p
     if f2.F is not F and (f2.F.S != F.S or f2.F.p != F.p or f2.F != F):
         raise IncompatibleFamily("families over different fusion systems")
-    comps = {key: f1.components[key].mul(f2.components[key])
-             for key in f1.components}
-    return StableFamily(F, degree, comps, f1.sites)
+    pairs = zip(f1.components.values(), f2.components.values())
+    return StableFamily(F, degree, tuple(c for x, y in pairs
+                                         for c in x.mul(y).coords))
 
 
 def family_power(fam, k):
@@ -320,32 +331,23 @@ def family_power(fam, k):
 
 
 def check_family(fam):
-    """Verify compatibility under every fusion morphism between sites: each
-    component is of degree fam.degree, and the restriction along phi: W -> V
-    of the V component is the W component."""
-    limit = fusion_ea_morphisms(fam.F, generating=False)
-    sites, homs, _ = limit
-    for key, comp in fam.components.items():
-        if comp.site.key != key:
-            raise IncompatibleFamily("component stored under the wrong site")
-    missing = [s.key for s in sites if s.key not in fam.components]
-    if missing:
-        raise IncompatibleFamily(f"missing components at {missing}")
-    d, p = fam.degree, fam.F.p
-    for s in sites:
-        if fam.components[s.key].degree != d:
-            raise IncompatibleFamily(
-                f"component at {list(s.key)} is not of degree {d}")
-    coords = [np.array(fam.components[s.key].coords, dtype=np.int64)
-              for s in sites]
+    """Verify that fam's row is of its degree and that along each map
+    phi: W -> V of the Limit on fam.F, which has the solutions of every
+    morphism, the restriction of the V component is the W component."""
+    limit, d, p = fusion_ea_morphisms(fam.F), fam.degree, fam.F.p
+    bounds = limit.bounds(d)
+    if len(fam.coords) != bounds[-1]:
+        raise IncompatibleFamily(f"the row is not of degree {d}")
+    row, offsets = np.array(fam.coords, dtype=np.int64), np.array(bounds)
     bad = []
     for _, positions, w, v, images in _restrictions(limit, d, p):
+        _, n_w, n_v = images.shape
         got = np.einsum("mwv,mv->mw", images,
-                        np.stack([coords[k] for k in v])) % p
-        want = np.stack([coords[k] for k in w])
+                        row[offsets[v, None] + np.arange(n_v)]) % p
+        want = row[offsets[w, None] + np.arange(n_w)]
         bad += positions[(got != want).any(axis=1)].tolist()
     if bad:
-        phi, sw, _ = homs[min(bad)]
+        phi, sw, _ = (limit[1] + limit[2])[min(bad)]
         raise IncompatibleFamily(
             f"restriction along {phi!r} disagrees at {list(sw.key)}")
     return True
@@ -354,11 +356,9 @@ def check_family(fam):
 def is_nilpotent(fam):
     """True iff every component dies in F_p[V], i.e. some power is zero."""
     check_family(fam)
-    for c in fam.components.values():
-        if any(compress(c.coords, polynomial_mask(c.site.rank, c.site.p,
-                                                  c.degree))):
-            return False
-    return True
+    mask = (m for s in fam.sites
+            for m in polynomial_mask(s.rank, s.p, fam.degree))
+    return not any(compress(fam.coords, mask))
 
 
 @dataclass

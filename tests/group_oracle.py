@@ -5,18 +5,21 @@ generators, finds the subgroup lattice and the elementary abelian
 subgroups by one prime-index step search from the trivial subgroup, picks
 the generators of a group and the basis of a site by one greedy pick
 (groups.generating_sequence), and checks a stable family on the batched
-restriction kernel, one call per (rank W, rank V) shape.  The tests keep
-the code these replaced as the independent oracles for them: the bodies
-are the earlier groups.group_from_elements (all n^2 products),
-groups.subgroups, groups._elementary_abelian_search,
-groups.elementary_basis, groups.generating_sequence and
-stable.check_family, verbatim, under reference_ names.
+restriction kernel along the maps of its class-reduced limit, one call per
+(rank W, rank V) shape.  The tests keep the code these replaced as the
+independent oracles for them: the bodies are the earlier
+groups.group_from_elements (all n^2 products), groups.subgroups,
+groups._elementary_abelian_search, groups.elementary_basis and
+groups.generating_sequence, verbatim, under reference_ names, and
+reference_check_family, the per-morphism check over every fusion morphism
+of conjugation_oracle.reference_fusion_ea_morphisms.
 """
 
-from fusionwb.cohomology import restrict_element
+from conjugation_oracle import reference_fusion_ea_morphisms
+
+from fusionwb.cohomology import cohomology_basis, restrict_element
 from fusionwb.errors import IncompatibleFamily, OrderBoundExceeded
 from fusionwb.groups import MAX_TABLE_ORDER, Group, Subgroup, closure
-from fusionwb.stable import fusion_ea_morphisms
 
 
 def reference_group_from_elements(items, compose, name="G"):
@@ -104,15 +107,16 @@ def reference_generating_sequence(G):
     return gens
 
 
-def reference_check_family(fam):
-    """Verify compatibility under every fusion morphism between sites."""
-    sites, homs, _ = fusion_ea_morphisms(fam.F, generating=False)
-    for key, comp in fam.components.items():
-        if comp.site.key != key:
-            raise IncompatibleFamily("component stored under the wrong site")
-    missing = [s.key for s in sites if s.key not in fam.components]
-    if missing:
-        raise IncompatibleFamily(f"missing components at {missing}")
+def reference_check_family(fam, homs=None):
+    """Verify compatibility under every fusion morphism between sites: homs,
+    if given, is reference_fusion_ea_morphisms(fam.F, fam.sites,
+    generating=False), built once for the families of one system."""
+    sites = fam.sites
+    if len(fam.coords) != sum(len(cohomology_basis(s, fam.degree))
+                              for s in sites):
+        raise IncompatibleFamily(f"row not of degree {fam.degree}")
+    if homs is None:
+        homs = reference_fusion_ea_morphisms(fam.F, sites, generating=False)
     for phi, sw, sv in homs:
         got = restrict_element(phi, sw, sv, fam.components[sv.key])
         want = fam.components[sw.key]

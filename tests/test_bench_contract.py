@@ -1,28 +1,46 @@
-"""What perfbench/ reads of the library: the functions its tracer wraps and
-the reduce entry point its smoke check calls.  A rename here would
-otherwise show only as the benchmark's smoke check stopping early."""
+"""What perfbench/ reads of the library: the functions its tracer wraps,
+the reduce entry point its smoke check calls and what its stable-series
+check reads of a family.  A change here would otherwise show only as the
+benchmark's smoke check stopping early or its answers going wrong."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from fusionwb import models
 from fusionwb.catalog import cyclic
+from fusionwb.cli import main
 from fusionwb.corpus import corpus_dir
 from fusionwb.groups import InjHom, Subgroup, full_subgroup
-from fusionwb.io import load_datum
+from fusionwb.io import load_datum, load_fusion_spec
+from fusionwb.stable import stable_basis
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _load(name):
+    """perfbench/<name>.py, loaded by path with perfbench/ on sys.path for
+    the modules it imports."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return _load("tracing").TARGETS
 
 
 @pytest.mark.parametrize("target", _targets())
@@ -52,3 +70,23 @@ def test_reduce_hnn_is_the_canonical_reduce(model):
         w = models.random_word(model, rng, 12)
         assert (models._reduce_hnn(w, canonical=True).letters
                 == models._reduce(w, canonical=True).letters)
+
+
+@pytest.mark.parametrize("path", [corpus_dir() / "v4_gl2.fus",
+                                  GOLDEN / "c3e2_q8.fus"],
+                         ids=["v4_gl2", "c3e2_q8"])
+def test_render_stable_is_the_cli_basis_block(path):
+    # the stable-series answers are rendered from fam.sites and
+    # fam.components[key].describe(), as `stable basis` prints them
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["stable", "basis", "--fusion", str(path),
+                     "--max-degree", "6"]) == 0
+    blocks = stdout.getvalue().split("\ndegree ")[1:]
+    blocks[-1] = blocks[-1].rsplit("\nstatus: ", 1)[0]
+    assert len(blocks) == 7
+    render_stable = _load("workloads").render_stable
+    F = load_fusion_spec(path).fusion()
+    for d, block in enumerate(blocks):
+        assert render_stable(d, stable_basis(F, d)) == f"degree {block}"

@@ -31,7 +31,7 @@ from fusionwb.catalog import (
     sl23,
     symmetric,
 )
-from fusionwb.cohomology import Site
+from fusionwb.cohomology import Site, cohomology_basis
 from fusionwb.corpus import corpus_dir, load_corpus
 from fusionwb.fusion import (
     conjugation_homs,
@@ -52,7 +52,7 @@ from fusionwb.groups import (
 )
 from fusionwb.io import load_datum, load_fusion_spec
 from fusionwb.stable import (
-    fusion_ea_morphisms,
+    _all_morphisms,
     quillen_limits,
     quillen_morphisms,
     stable_bases,
@@ -342,10 +342,18 @@ def _quillen_groups():
             for p in sorted(G.order_factors)]
 
 
-def _terms(families):
-    """Each family of a limit as {site key: terms of its component}."""
-    return [{key: comp.terms for key, comp in family.items()}
-            for family in families]
+def _terms(sites, d, rows):
+    """Each degree-d coordinate row over sites as {site key: terms of its
+    component}."""
+    families = []
+    for row in rows:
+        family = {}
+        for s in sites:
+            basis = cohomology_basis(s, d)
+            family[s.key] = {mono: c for mono, c in zip(basis, row) if c}
+            row = row[len(basis):]
+        families.append(family)
+    return families
 
 
 @pytest.mark.parametrize("G, p", _quillen_groups(),
@@ -358,8 +366,8 @@ def test_quillen_morphisms_match_the_per_site_loop(G, p):
     assert [s.key for s in sites] == [s.key for s in ref_sites]
     ref = reference_quillen_morphisms(G, p, ref_sites)
     for q in quillen_limits(G, p, range(5)):
-        assert _terms(q.families) == reference_limit_terms(ref_sites, ref,
-                                                           q.degree, p)
+        assert _terms(q.sites, q.degree, q.families) == \
+            reference_limit_terms(ref_sites, ref, q.degree, p)
 
 
 def _transporter(G):
@@ -380,7 +388,7 @@ def test_fusion_ea_morphisms_match_the_old_builder(name):
     F = SYSTEMS[name]()
     ref_sites = [Site(V, F.p)
                  for V in groups._elementary_abelian_search(F.group, F.p)]
-    sites, homs, pulls = fusion_ea_morphisms(F, generating=False)
+    sites, homs, pulls = _all_morphisms(F)
     assert [s.key for s in sites] == [s.key for s in ref_sites]
     assert pulls == ()
     ref = reference_fusion_ea_morphisms(F, ref_sites, generating=False)
@@ -391,5 +399,5 @@ def test_fusion_ea_morphisms_match_the_old_builder(name):
     # with unknowns on every site over the old generating set
     old = reference_fusion_ea_morphisms(F, ref_sites)
     for d, families in enumerate(stable_bases(F, 8)):
-        assert _terms([fam.components for fam in families]) == \
+        assert _terms(sites, d, [fam.coords for fam in families]) == \
             reference_limit_terms(ref_sites, old, d, F.p)

@@ -53,6 +53,7 @@ from fusionwb.linalg import canonical_kernel, nullspace, rref
 from fusionwb.stable import (
     MAX_DEGREE,
     StableFamily,
+    _all_morphisms,
     check_family,
     family_power,
     family_product,
@@ -460,7 +461,7 @@ def _check_composable_pairs(F, degrees):
     of fusion morphisms; returns the number of pairs checked per degree."""
     # each map W -> V, checked again as a homomorphism
     homs = [(InjHom(sw.V, sv.V, phi.images), sw, sv)
-            for phi, sw, sv in fusion_ea_morphisms(F, generating=False)[1]]
+            for phi, sw, sv in _all_morphisms(F)[1]]
     p = F.p
 
     def matmul(a, b):
@@ -620,7 +621,7 @@ def test_restriction_on_generating_morphisms(name):
     F = KERNEL_SYSTEMS[name]()
     limit = fusion_ea_morphisms(F)
     sites, homs, pulls = limit
-    every = fusion_ea_morphisms(F, generating=False)
+    every = _all_morphisms(F)
     assert (len(sites), len(homs), len(pulls), len(every[1])) == \
         KERNEL_COUNTS[name]
     pulled = {sw.key for _, sw, _ in pulls}
@@ -667,9 +668,8 @@ def test_constraints_match_the_per_morphism_assembly():
     V4 = klein_four()
     S = full_subgroup(V4)
     S4 = symmetric(4)
-    cases = [fusion_ea_morphisms(generate_fusion(
-                 S, 2, [InjHom(S, S, [0, 2, 3, 1]), InjHom(S, S, [0, 2, 1, 3])]),
-                 generating=False),
+    cases = [_all_morphisms(generate_fusion(
+                 S, 2, [InjHom(S, S, [0, 2, 3, 1]), InjHom(S, S, [0, 2, 1, 3])])),
              fusion_ea_morphisms(fusion_from_group(sylow_p(S4, 2), S4)),
              quillen_morphisms(S4, 2), quillen_morphisms(S4, 3)]
     for limit in cases:
@@ -823,34 +823,71 @@ def _verdict(check, fam):
         return str(exc)
 
 
+def _changes(fam, k, every):
+    """The row positions at which the k-th family of its degree is changed:
+    every one, or one by turns, at the k-th site with a class and its k-th
+    monomial."""
+    d, sites = fam.degree, fam.sites
+    widths = [len(cohomology_basis(s, d)) for s in sites]
+    if every:
+        return range(sum(widths))
+    nonzero = [i for i, width in enumerate(widths) if width]
+    i = nonzero[k % len(nonzero)]
+    return [sum(widths[:i]) + k % widths[i]]
+
+
+def _changed(fam, i):
+    """fam with the coordinate at row position i raised by one, mod p."""
+    row = list(fam.coords)
+    row[i] = (row[i] + 1) % fam.F.p
+    return StableFamily(fam.F, fam.degree, tuple(row))
+
+
+# the systems whose every one-coordinate change is checked, with the number
+# of changes; the other two, where that takes the reference seconds, get
+# one change per family, by turns
+CHANGES_CHECKED = {"v4_gl2": 26, "v4_rho": 33, "c2e3_singer": 232,
+                   "c3e2_q8": 21}
+# the number of changed families both checks accept
+CHANGES_ACCEPTED = {**dict.fromkeys(SERIES_SYSTEMS, 0), "c3e2_q8": 1}
+
+
 @pytest.mark.parametrize("name", SERIES_SYSTEMS)
 def test_check_family_matches_the_per_morphism_check(name):
-    # every basis family up to degree 4, and each with one coefficient
-    # moved at one site, by turns, gets the old verdict and message
+    # every basis family up to degree 4, and each with one coordinate
+    # raised by one (_changes), gets the verdict of the check over every
+    # fusion morphism; the message names a map of the class-reduced limit,
+    # which the reference does not have, so only verdicts are compared
     F = SERIES_SYSTEMS[name][0]()
-    refused = 0
+    every = reference_fusion_ea_morphisms(F, fusion_ea_morphisms(F)[0],
+                                          generating=False)
+
+    def reference(fam):
+        return reference_check_family(fam, every)
+
+    verdicts = []
     for d, families in enumerate(stable_bases(F, 4)):
         for k, fam in enumerate(families):
-            assert check_family(fam) is reference_check_family(fam) is True
-            sites = [s for s in fam.sites if cohomology_basis(s, d)]
-            site = sites[k % len(sites)]
-            mono = cohomology_basis(site, d)[k % len(cohomology_basis(site, d))]
-            comps = dict(fam.components)
-            terms = dict(comps[site.key].terms)
-            terms[mono] = terms.get(mono, 0) + 1
-            comps[site.key] = CohoElement.from_terms(site, d, terms)
-            moved = StableFamily(F, d, comps, fam.sites)
-            verdict = _verdict(check_family, moved)
-            assert verdict == _verdict(reference_check_family, moved)
-            refused += verdict is not True
-    assert refused
+            assert check_family(fam) is reference(fam) is True
+            for i in _changes(fam, k, name in CHANGES_CHECKED):
+                moved = _changed(fam, i)
+                verdict = _verdict(check_family, moved) is True
+                assert verdict == (_verdict(reference, moved) is True)
+                verdicts.append(verdict)
+    assert verdicts.count(True) == CHANGES_ACCEPTED[name]
+    if name in CHANGES_CHECKED:
+        assert len(verdicts) == CHANGES_CHECKED[name]
 
 
 def test_check_family_refuses_a_family_declared_at_the_wrong_degree():
+    # a degree-2 row declared at degree 4 has too few coordinates
     F = SERIES_SYSTEMS["v4_rho"][0]()
     fam = stable_basis(F, 2)[0]
-    wrong = StableFamily(F, 4, fam.components, fam.sites)
-    assert reference_check_family(wrong)
+    wrong = StableFamily(F, 4, fam.coords)
+    assert len(fam.coords) == sum(len(cohomology_basis(s, 2))
+                                  for s in fam.sites) == 6
+    with pytest.raises(IncompatibleFamily, match="row not of degree 4"):
+        reference_check_family(wrong)
     with pytest.raises(IncompatibleFamily, match="is not of degree 4"):
         check_family(wrong)
 
@@ -972,19 +1009,42 @@ def test_sites_and_maps_are_built_once_per_fusion_system(monkeypatch):
     assert all(fam.sites is limit[0] for fam in stable_basis(F, 4))
 
 
+def test_a_solve_builds_no_class_until_components_are_read(monkeypatch):
+    # a family is its coordinate row: counting the series, checking a
+    # family or telling its nilpotence builds no CohoElement
+    built, init = [], CohoElement.__init__
+
+    def counting(self, *args):
+        built.append(args[0].key)
+        init(self, *args)
+
+    monkeypatch.setattr(CohoElement, "__init__", counting)
+    F = KERNEL_SYSTEMS["c2e4_shift"]()
+    assert poincare_series(F, 8) == [1, 1, 3, 5, 10, 14, 22, 30, 43]
+    assert [q.dimension for q in quillen_limits(symmetric(4), 2, range(6))] \
+        == [1, 1, 2, 3, 3, 4]
+    fams = stable_basis(F, 3)
+    assert all(check_family(fam) and not is_nilpotent(fam) for fam in fams)
+    assert built == []
+    assert len(fams[0].components) == 67
+    assert built == [s.key for s in fams[0].sites]
+    assert fams[0].components is fams[0].components
+
+
 def test_every_morphism_is_built_once_per_fusion_system(monkeypatch):
+    # check_family and is_nilpotent read the Limit the solve built: one
+    # build and one elementary abelian search per system, none per check
+    builds = _count_calls(monkeypatch, "_site_morphisms")
+    searches = _count_calls(monkeypatch, "elementary_abelians")
     C33 = elementary(3, 2)
     F = fusion_from_group(full_subgroup(C33), C33, p=3)
     fams = stable_basis(F, 3)
     assert fams
-    searches = _count_calls(monkeypatch, "elementary_abelians")
     for _ in range(2):
         for fam in fams:
             assert check_family(fam)
             is_nilpotent(fam)
-    assert len(searches) == 1
-    assert fusion_ea_morphisms(F, generating=False) is \
-        fusion_ea_morphisms(F, generating=False)
+    assert (len(builds), len(searches)) == (1, 1)
 
 
 def test_quillen_maps_are_built_once_per_group_and_prime(monkeypatch):
@@ -1012,8 +1072,7 @@ def test_a_warm_system_answers_as_a_cold_one(name):
     for fams in stable_bases(warm, 8):
         for fam in fams:
             assert check_family(fam)
-    for generating in (True, False):
-        limit = fusion_ea_morphisms(warm, generating)
+    for limit in (fusion_ea_morphisms(warm), _all_morphisms(warm)):
         assert isinstance(limit, tuple) and len(limit) == 3
         assert all(type(part) is tuple for part in limit)
     for d in range(9):
@@ -1118,9 +1177,9 @@ def test_p2_nilpotent_iff_zero():
     for d in range(5):
         for fam in stable_basis(F, d):
             assert not is_nilpotent(fam)
-        zero = StableFamily(F, d, {s.key: CohoElement.from_terms(s, d, {})
-                                   for s in stable_basis(F, 0)[0].sites},
-                            stable_basis(F, 0)[0].sites)
+        zero = StableFamily(F, d, tuple(
+            c for s in stable_basis(F, 0)[0].sites
+            for c in CohoElement.from_terms(s, d, {}).coords))
         assert is_nilpotent(zero)
 
 
@@ -1168,11 +1227,13 @@ def test_family_product_refuses_families_over_different_systems(f33):
 
 
 def test_incompatible_family_rejected(f33):
+    # a degree-4 class at S in a degree-2 family
     fam = stable_basis(f33, 2)[0]
     broken = dict(fam.components)
     top = f33.S.elements
     site = next(s for s in fam.sites if s.key == top)
     broken[top] = CohoElement.from_terms(site, 4, {((0, 0), (2, 0)): 1})
-    bad = StableFamily(f33, 2, broken, fam.sites)
+    bad = StableFamily(f33, 2, tuple(c for comp in broken.values()
+                                     for c in comp.coords))
     with pytest.raises(IncompatibleFamily):
         is_nilpotent(bad)
