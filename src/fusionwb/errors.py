@@ -47,7 +47,7 @@ class DegreeBoundExceeded(WorkbenchError):
 
 
 class NotACategory(WorkbenchError):
-    """A built fusion system breaks a category axiom: a workbench bug."""
+    """Maps the workbench takes as closed are not: closing them adds a map."""
 
 
 class IncompatibleFamily(WorkbenchError):

@@ -2,7 +2,10 @@
 
 A system lives on a standalone copy of S (the p-group itself) and stores
 Hom_F(P, S) for each subgroup P, as functions on elements sorted by images;
-Hom_F(P, Q) is the part of it with image in Q.
+Hom_F(P, Q) is the part of it with image in Q.  Every system is built by one
+closure, in FusionSystem.__init__: the S-conjugations and the given maps,
+closed under inverses, restrictions and composites (_demands), so it is a
+category by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .groups import (
     InjHom,
     Subgroup,
     centralizer,
-    conjugation_hom,
     conjugation_images,
     conjugations,
     full_subgroup,
@@ -31,10 +33,19 @@ from .groups import (
 
 
 class FusionSystem:
-    """Category of injective homomorphisms between subgroups of S."""
+    """The least category of injective homomorphisms between subgroups of S
+    that holds the S-conjugations and the given maps.
 
-    def __init__(self, S, p, homsets):
-        if S.elements != tuple(range(S.parent.order)):
+    The constructor takes the S-conjugations and the maps, then what
+    _demands asks for with each map taken, so every system is a category
+    whoever builds it.  A later h2 on h(P) is covered too: h^-1 is present
+    when h2^-1 is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h.
+    A map given into some Q < S is stored as a map into S.
+    """
+
+    def __init__(self, S, p, maps):
+        G = S.parent
+        if S.elements != tuple(range(G.order)):
             raise ValueError("S must be the full subgroup of its own p-group")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not a prime")
@@ -42,16 +53,33 @@ class FusionSystem:
             raise ValueError(f"S has order {S.order}, not a power of {p}")
         self.S = S
         self.p = p
-        self.group = S.parent
-        self.lattice = lattice(S.parent)
+        self.group = G
+        self.lattice = lattice(G)
         self.subgroups = self.lattice.subgroups
-        self.homsets = {
-            P.elements: tuple(sorted(homsets.get(P.elements, ()),
-                                     key=lambda h: h.images))
-            for P in self.subgroups}
+        homs = {P.elements: {} for P in self.subgroups}  # images -> P -> S map
+        queue = deque()
+
+        def add(key, images):
+            if images not in homs[key]:
+                h = InjHom(self.lattice.by_key[key], S, images, _trusted=True)
+                homs[key][images] = h
+                queue.append(h)
+
+        for key, found in conjugations(G).items():
+            for images in found:
+                add(key, images)
+        for phi in maps:
+            if phi.source.parent != G or phi.target.parent != G:
+                raise ValueError("generator does not live on S")
+            add(phi.source.elements, phi.images)
+        maximal = _maximal_subgroups(self.lattice, p)
+        while queue:
+            for key, images in _demands(queue.popleft(), homs, maximal):
+                add(key, images)
+        self.homsets = {key: tuple(sorted(d.values(), key=lambda h: h.images))
+                        for key, d in homs.items()}
         self._classes = None
         self._limit = None  # the Limit of stable.fusion_ea_morphisms
-        self._check_category()
 
     def subgroup(self, elements):
         return self.lattice.by_key[tuple(elements)]
@@ -65,34 +93,6 @@ class FusionSystem:
     def morphisms(self):
         for key in sorted(self.homsets):
             yield from self.homsets[key]
-
-    def _check_category(self):
-        """Raise NotACategory unless each Hom(P, S) holds maps P -> S only,
-        c_g|P for every g in S, and with each h what _demands asks for.
-        Smaller P come first, so all of h's restrictions are present by the
-        time h is checked, which covers every composable pair."""
-        for P in self.subgroups:
-            for h in self.homsets[P.elements]:
-                if h.source != P or h.target != self.S:
-                    raise NotACategory(
-                        f"{h!r} is stored as a map {list(P.elements)} -> S")
-        seen = {key: {h.images: h for h in homs}
-                for key, homs in self.homsets.items()}
-        conj = conjugations(self.group)
-        maximal = _maximal_subgroups(self.lattice, self.p)
-        for P in self.subgroups:
-            # the first missing key's first g is the least g missing
-            for images, gs in conj[P.elements].items():
-                if images not in seen[P.elements]:
-                    c_g = conjugation_hom(P, self.S, gs[0])
-                    raise NotACategory(f"missing S-conjugation {c_g!r}")
-            for h in self.homsets[P.elements]:
-                for key, images, rule in _demands(h, seen, maximal):
-                    if images not in seen.get(key, ()):
-                        raise NotACategory(
-                            f"missing {rule} of {h!r}" if isinstance(rule, str)
-                            else f"homsets not closed under composition "
-                                 f"at {rule!r} o {h!r}")
 
     def conjugacy_classes(self):
         """Partition of the subgroups under F-isomorphism.
@@ -158,10 +158,15 @@ def fusion_from_group(S, G, p=None):
     top = full_subgroup(Sgroup)
     subs = lattice(Sgroup).subgroups
     found = conjugation_images(G, subs, dict(enumerate(S.elements)))
-    return FusionSystem(top, p, {
-        P.elements: [InjHom(P, top, images, _trusted=True)
-                     for images in found[P.elements]]
-        for P in subs})
+    F = FusionSystem(top, p, [InjHom(P, top, images, _trusted=True)
+                              for P in subs for images in found[P.elements]])
+    # the transporter maps are closed by theorem, so an added map is a bug
+    for P in subs:
+        for h in F.homsets[P.elements]:
+            if h.images not in found[P.elements]:
+                raise NotACategory(
+                    f"the closure adds {h!r} to the transporter maps")
+    return F
 
 
 def _maximal_subgroups(lat, p):
@@ -171,53 +176,22 @@ def _maximal_subgroups(lat, p):
 
 
 def _demands(h, homs, maximal):
-    """(key, images, rule) for each map that the category axioms ask for
-    with a stored h: P -> S, homs being {key: {images: map}}: h's inverse
-    onto h(P), h restricted to each maximal subgroup of P (the rest follow
-    from those), and h2 o h for each h2 in homs[h(P)] once those are in.
-    rule is "inverse", "restriction" or that h2."""
+    """(key, images) for each map that the category axioms ask for with a
+    stored h: P -> S, homs being {key: {images: map}}: h's inverse onto
+    h(P), h restricted to each maximal subgroup of P (the rest follow from
+    those), and h2 o h for each h2 in homs[h(P)] once those are in."""
     img = h.image_elements()
     back = dict(zip(h.images, h.source.elements))
-    yield img, tuple(map(back.__getitem__, img)), "inverse"
+    yield img, tuple(map(back.__getitem__, img))
     for key in maximal[h.source.elements]:
-        yield key, tuple(map(h._map.__getitem__, key)), "restriction"
+        yield key, tuple(map(h._map.__getitem__, key))
     for h2 in list(homs[img].values()):
-        yield h.source.elements, tuple(map(h2._map.__getitem__, h.images)), h2
+        yield h.source.elements, tuple(map(h2._map.__getitem__, h.images))
 
 
 def generate_fusion(S, p, generators):
-    """Least fusion system on S containing the given morphisms: the
-    S-conjugations and the generators, then what _demands asks for with each
-    map taken.  A later h2 on h(P) is covered too: h^-1 is present when h2^-1
-    is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h."""
-    G = S.parent
-    if S.elements != tuple(range(G.order)):
-        raise ValueError("S must be the full subgroup of its p-group")
-    lat = lattice(G)
-    homs = {P.elements: {} for P in lat.subgroups}   # images -> P -> S map
-    queue = deque()
-
-    def add(key, images):
-        if images not in homs[key]:
-            h = InjHom(lat.by_key[key], S, images, _trusted=True)
-            homs[key][images] = h
-            queue.append(h)
-
-    for key, found in conjugations(G).items():
-        for images in found:
-            add(key, images)
-    for phi in generators:
-        if phi.source.parent != G or phi.target.parent != G:
-            raise ValueError("generator does not live on S")
-        add(phi.source.elements, phi.images)
-
-    maximal = _maximal_subgroups(lat, p)
-    while queue:
-        for key, images, _ in _demands(queue.popleft(), homs, maximal):
-            add(key, images)
-
-    return FusionSystem(S, p, {key: list(d.values())
-                               for key, d in homs.items()})
+    """Least fusion system on S containing the given morphisms."""
+    return FusionSystem(S, p, generators)
 
 
 @dataclass(frozen=True)

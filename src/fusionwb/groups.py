@@ -747,8 +747,3 @@ class InjHom:
         return (f"InjHom({list(self.source.elements)} -> "
                 f"{list(self.target.elements)}; {list(self.images)})")
 
-
-def conjugation_hom(P, Q, g):
-    """c_g : P -> Q, x -> g x g^-1, for g with g P g^-1 <= Q."""
-    G = P.parent
-    return InjHom(P, Q, [G.conj(g, x) for x in P.elements], _trusted=True)

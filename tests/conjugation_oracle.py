@@ -11,11 +11,16 @@ site, as the independent oracles for them.
 
 from fusionwb.groups import (
     InjHom,
-    conjugation_hom,
     normalizer,
     subgroups,
     subgroup_as_group,
 )
+
+
+def conjugation_hom(P, Q, g):
+    """c_g : P -> Q, x -> g x g^-1, for g with g P g^-1 <= Q."""
+    G = P.parent
+    return InjHom(P, Q, [G.conj(g, x) for x in P.elements], _trusted=True)
 
 
 def inclusion_hom(P, Q):

@@ -1,17 +1,28 @@
 """Fusion systems stored as Hom_F(P, S): the closure against the pair-keyed
-reference, and the category check against one defect of each kind."""
+reference, a system rebuilt without one map of each kind the closure adds,
+and the closure's independence of how its maps are given."""
+
+import functools
+import itertools
 
 import pytest
 from closure_oracle import reference_generate_homsets
-from conjugation_oracle import inclusion_hom
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionwb import models
-from fusionwb.catalog import dihedral8, elementary, klein_four
+from fusionwb import fusion, models
+from fusionwb.catalog import dihedral8, elementary, klein_four, symmetric
 from fusionwb.cohomology import Site
 from fusionwb.corpus import corpus_dir
 from fusionwb.errors import NotACategory
 from fusionwb.fusion import FusionSystem, fusion_from_group, generate_fusion
-from fusionwb.groups import InjHom, full_subgroup, lattice
+from fusionwb.groups import (
+    InjHom,
+    conjugations,
+    full_subgroup,
+    lattice,
+    sylow_p,
+)
 from fusionwb.io import describe_fusion, load_datum, load_fusion_spec
 from fusionwb.models import recover_fusion, robinson_presentation
 
@@ -91,7 +102,7 @@ def test_closure_matches_pair_keyed_reference(name):
     assert describe_fusion(F).endswith(f" {total} morphisms")
 
 
-# --- the category check, one defect per kind --------------------------------
+# --- the closure in the constructor, one dropped map per kind ---------------
 
 
 def _v4(*maps):
@@ -100,85 +111,147 @@ def _v4(*maps):
     return generate_fusion(S, 2, [InjHom(S, S, m) for m in maps])
 
 
-def _rebuild(F, changes=()):
-    """FusionSystem(F.S, F.p, ...) with the Hom(P, S) in changes replaced."""
-    return FusionSystem(F.S, F.p, {**F.homsets, **dict(changes)})
+def _rebuild(F, dropped):
+    """FusionSystem(F.S, F.p, ...) from F's maps without those in dropped."""
+    assert dropped and set(dropped) <= set(F.morphisms())
+    return FusionSystem(F.S, F.p, [h for h in F.morphisms()
+                                   if h not in dropped])
 
 
-def test_category_check_accepts_every_valid_system():
+def test_the_constructor_returns_every_valid_system():
     for F in (_v4(), _v4((0, 2, 1, 3)), _v4((0, 2, 3, 1), (0, 2, 1, 3)),
               fusion_from_group(full_subgroup(dihedral8()), dihedral8())):
-        assert _rebuild(F).homsets == F.homsets
+        assert FusionSystem(F.S, F.p, F.morphisms()).homsets == F.homsets
 
 
 def test_category_error_is_not_unusable_input():
     assert not issubclass(NotACategory, ValueError)
 
 
-def test_category_check_rejects_a_wrong_target():
+def test_a_map_into_a_subgroup_is_stored_as_a_map_into_s():
     F = _v4((0, 2, 1, 3))
-    a = F.subgroup((0, 1))
-    with pytest.raises(NotACategory, match="stored as a map"):
-        _rebuild(F, {a.elements: [inclusion_hom(a, a)]
-                        + list(F.homsets[a.elements][1:])})
+    a, b = F.subgroup((0, 1)), F.subgroup((0, 2))
+    into_b = FusionSystem(F.S, F.p, [InjHom(a, b, b.elements)])
+    into_s = FusionSystem(F.S, F.p, [InjHom(a, F.S, b.elements)])
+    assert into_b.homsets == into_s.homsets
+    assert b.elements in [h.images for h in into_b.homsets[a.elements]]
+    assert all(h.source == F.subgroup(key) and h.target == F.S
+               for key, homs in into_b.homsets.items() for h in homs)
 
 
-def test_category_check_rejects_a_wrong_source():
-    F = _v4((0, 2, 1, 3))
-    with pytest.raises(NotACategory, match="stored as a map"):
-        _rebuild(F, {(0, 1): F.homsets[(0, 2)]})
-
-
-def test_category_check_rejects_a_missing_s_conjugation():
+def test_the_closure_restores_a_dropped_s_conjugation():
     F = fusion_from_group(full_subgroup(dihedral8()), dihedral8())
     S = F.S.elements
     assert len(F.homsets[S]) == 4          # Inn(D8)
-    with pytest.raises(NotACategory, match="missing S-conjugation"):
-        _rebuild(F, {S: F.homsets[S][:3]})
+    assert F.homsets[S][0].images == S     # keep the identity
+    assert _rebuild(F, F.homsets[S][1:]).homsets == F.homsets
 
 
-def test_category_check_rejects_a_missing_inverse():
+def test_the_closure_restores_a_dropped_inverse():
     F = _v4((0, 2, 3, 1))                   # Aut_F(V4) = {1, rho, rho^2}
     assert len(F.homsets[(0, 1, 2, 3)]) == 3
-    with pytest.raises(NotACategory, match="missing inverse"):
-        _rebuild(F, {(0, 1, 2, 3): F.homsets[(0, 1, 2, 3)][:2]})
+    assert _rebuild(F, F.homsets[(0, 1, 2, 3)][2:]).homsets == F.homsets
+    # rho^2 is also rho o rho; the maps from one Klein four of D8 onto the
+    # other come back only as inverses
+    F = generate_fusion(*_d8_klein_fours())
+    V1, V2 = (key for key, homs in F.homsets.items()
+              if len(key) == 4 and len(homs) == 4)
+    dropped = [h for h in F.homsets[V2] if h.image_elements() == V1]
+    assert len(dropped) == 2
+    assert _rebuild(F, dropped).homsets == F.homsets
 
 
-def test_category_check_rejects_a_missing_restriction():
-    # tau swaps 1 and 2; without the maps <1> -> <2> and <2> -> <1> every
-    # check but the restriction of tau still holds
+def test_the_closure_restores_a_dropped_restriction():
+    # tau swaps 1 and 2; the maps <1> -> <2> and <2> -> <1> come back as
+    # restrictions of tau
     F = _v4((0, 2, 1, 3))
-    identities = {key: [h for h in F.homsets[key] if h.images == key]
-                  for key in ((0, 1), (0, 2))}
-    with pytest.raises(NotACategory, match="missing restriction"):
-        _rebuild(F, identities)
+    dropped = [h for key in ((0, 1), (0, 2)) for h in F.homsets[key]
+               if h.images != key]
+    assert _rebuild(F, dropped).homsets == F.homsets
 
 
-def test_category_check_rejects_a_missing_restriction_at_index_p2():
+def test_the_closure_restores_a_dropped_restriction_at_index_p2():
     # tau swaps two coordinates of C2^3; drop tau|K : K -> tau(K) and its
-    # inverse for an order-2 K, two levels below tau on S.  The check finds
-    # the gap at the first order-4 M over K or tau(K), as a missing
-    # restriction of the stored tau|M.
+    # inverse for an order-2 K, two levels below tau on S.  They come back
+    # as restrictions of the stored tau|M for an order-4 M over K.
     S, p, gens = _automizers(2, 3, [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]])
     F = generate_fusion(S, p, gens)
     K = next(P for P in F.subgroups if P.order == 2
              and len(F.homsets[P.elements]) == 2)
     tau_K = next(h for h in F.homsets[K.elements] if h.images != K.elements)
-    dropped = (K.elements, tau_K.image_elements())
-    M = next(P for P in F.subgroups if P.order == 4
-             and any(P.contains_subgroup(F.subgroup(key)) for key in dropped))
-    tau_M, = [h for h in F.homsets[M.elements] if h.images != M.elements]
-    identities = {key: [h for h in F.homsets[key] if h.images == key]
-                  for key in dropped}
-    with pytest.raises(NotACategory) as info:
-        _rebuild(F, identities)
-    assert str(info.value) == f"missing restriction of {tau_M!r}"
+    dropped = [h for key in (K.elements, tau_K.image_elements())
+               for h in F.homsets[key] if h.images != key]
+    assert len(dropped) == 2
+    assert _rebuild(F, dropped).homsets == F.homsets
 
 
-def test_category_check_rejects_a_missing_composite():
+def test_the_closure_restores_a_dropped_composite():
     # two involutions of V4 generate GL2(2); keep them but drop the rest
     F = _v4((0, 2, 1, 3), (0, 1, 3, 2))
     keep = {(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)}
-    with pytest.raises(NotACategory, match="not closed under composition"):
-        _rebuild(F, {(0, 1, 2, 3): [h for h in F.homsets[(0, 1, 2, 3)]
-                                    if h.images in keep]})
+    dropped = [h for h in F.homsets[(0, 1, 2, 3)] if h.images not in keep]
+    assert len(dropped) == 3
+    assert _rebuild(F, dropped).homsets == F.homsets
+
+
+def test_a_transporter_map_missing_from_its_closure_is_not_a_category(
+        monkeypatch):
+    # drop one automorphism of the normal Klein four V of D8 <= S4 that is
+    # not an S-conjugation: Aut_S4(V) = S3 but Aut_D8(V) has order 2
+    G = symmetric(4)
+    S = sylow_p(G, 2)
+    real = fusion.conjugation_images
+    dropped = []
+
+    def drop_one(G, subs, emb=None):
+        found = real(G, subs, emb)
+        V = next(P for P in subs if len(found[P.elements]) == 6)
+        inner = conjugations(V.parent)[V.elements]
+        images = next(im for im in found[V.elements] if im not in inner)
+        del found[V.elements][images]
+        dropped.append(InjHom(V, full_subgroup(V.parent), images))
+        return found
+
+    monkeypatch.setattr(fusion, "conjugation_images", drop_one)
+    with pytest.raises(NotACategory) as info:
+        fusion_from_group(S, G, p=2)
+    assert str(info.value) == (
+        f"the closure adds {dropped[0]!r} to the transporter maps")
+
+
+# --- the closure does not depend on how its maps are given ------------------
+
+
+@functools.cache
+def _map_pools():
+    """name -> (S, p, maps to draw from): every automorphism of V4 (GL2(2))
+    and of C2^3 (GL3(2)), and the D8 Klein-four isomorphism."""
+    pools = {"d8_klein_fours": _d8_klein_fours()}
+    for n in (2, 3):
+        S = full_subgroup(elementary(2, n))
+        vectors = list(itertools.product(range(2), repeat=n))
+        mats = [[list(row[i * n:(i + 1) * n]) for i in range(n)]
+                for row in itertools.product(range(2), repeat=n * n)]
+        pools[f"gl{n}_2"] = (S, 2, [
+            _linear(S, 2, m) for m in mats
+            if len({tuple(sum(a * b for a, b in zip(r, v)) % 2 for r in m)
+                    for v in vectors}) == S.order])
+    return pools
+
+
+@st.composite
+def _given_maps(draw):
+    S, p, pool = _map_pools()[draw(st.sampled_from(
+        ["gl3_2", "gl2_2", "d8_klein_fours"]))]
+    maps = draw(st.lists(st.sampled_from(pool), max_size=3))
+    extra = draw(st.lists(st.sampled_from(maps), max_size=3)) if maps else []
+    return S, p, maps, draw(st.permutations(maps)) + extra
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(_given_maps())
+def test_the_closure_ignores_order_and_repetition(case):
+    S, p, maps, shuffled = case
+    F = FusionSystem(S, p, maps)
+    assert FusionSystem(S, p, shuffled) == F
+    assert FusionSystem(S, p, F.morphisms()) == F

@@ -331,13 +331,15 @@ def test_missing_file_exit_two(capsys):
 
 
 def test_broken_category_exit_three(monkeypatch, capsys):
-    # a transporter system missing one automorphism of S is not a category;
-    # that is a bug in the workbench, not unusable input
+    # a transporter builder that misses one automorphism of S has a closure
+    # larger than its maps; that is a bug in the workbench, not unusable input
     real = fusion.conjugation_images
+    dropped = []
 
     def drop_one(G, subs, emb=None):
         found = real(G, subs, emb)
-        found[subs[-1].elements].popitem()
+        dropped.append((subs[-1].elements,
+                        found[subs[-1].elements].popitem()[0]))
         return found
 
     monkeypatch.setattr(fusion, "conjugation_images", drop_one)
@@ -346,8 +348,11 @@ def test_broken_category_exit_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith(
-        "internal error: NotACategory: missing S-conjugation")
+    (S, images), = dropped
+    assert captured.err == (
+        f"internal error: NotACategory: the closure adds "
+        f"InjHom({list(S)} -> {list(S)}; {list(images)}) "
+        f"to the transporter maps\n")
 
 
 def test_run_raises_usage_error():
