@@ -43,13 +43,9 @@ def format_elems(elems):
 
 
 def parse_elems(text):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected [..] element list, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(int(tok) for tok in inner.split(","))
+    if not re.fullmatch(r"\s*\[\s*(\d+\s*(,\s*\d+\s*)*)?\]\s*", text):
+        raise ParseError(f"expected [..] element list, got {text.strip()!r}")
+    return tuple(int(tok) for tok in re.findall(r"\d+", text))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +56,9 @@ def _read_table(lines, order, name="G"):
     """The Group whose table rows are the given lines.  Every table read
     from a file comes through here and is checked once; no library code
     checks a table again."""
+    for ln in lines:
+        if not re.fullmatch(r"[\d\s]*", ln):
+            raise ParseError(f"bad table row: {ln!r}")
     rows = [tuple(int(x) for x in ln.split()) for ln in lines]
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
@@ -451,8 +450,9 @@ def _parse_terms(site, text):
     for tok in text.split():
         if ":" in tok:
             last, _, coeff = tok.partition(":")
-            factors.append(last)
-            sign, mono = _parse_monomial(site, factors)
+            if not re.fullmatch(r"-?\d+", coeff):
+                raise ParseError(f"bad coefficient in {tok!r}")
+            sign, mono = _parse_monomial(site, factors + [last])
             terms[mono] = terms.get(mono, 0) + sign * int(coeff)
             factors = []
         else:

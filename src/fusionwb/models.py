@@ -530,26 +530,25 @@ def ball_enumerate(pres, radius):
 
 
 def recover_fusion(pres, S, radius):
-    """Conjugation fusion on S seen inside the model, out to the given radius."""
+    """Conjugation fusion on S seen inside the model, out to the given radius.
+
+    By Britton's lemma the letters' maps c_a: x -> a x a^-1 generate it: c_w
+    composes the c_a along w's reduced spelling, no longer than w, and where
+    c_w(x) is in S so is each partial conjugate (an HNN syllable lies in S,
+    an amalgam path returns through some N_S(P_i) <= S).  So every radius
+    >= 1 gives one system, and radius 0 gives F_S(S)."""
     _check_radius(radius)
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")
-    base = S.parent
-    ball = ball_enumerate(pres, radius)
-    # c_w on its whole domain, the subgroup S meet w^-1 S w: each distinct
-    # one once, in the order first seen; the closure adds its restrictions
-    maps = {}
-    for w in ball:
-        winv = w.inverse()
-        conj = {0: 0}
-        for x in range(1, base.order):
-            y = base_element_of(w.concat(pres.s_word([x])).concat(winv))
-            if y is not None:
-                conj[x] = y
-        maps.setdefault((tuple(conj), tuple(conj.values())))
-    return generate_fusion(S, pres.p, [
-        InjHom(lattice(base).by_key[domain], S, images, _trusted=True)
-        for domain, images in maps])
+    xs = [pres.s_word([x]) for x in S.elements]
+    maps = []
+    for a in _alphabet(pres) if radius else ():
+        w = pres.word((a,))
+        conj = [base_element_of(w.concat(xw).concat(w.inverse())) for xw in xs]
+        domain = tuple(x for x, y in enumerate(conj) if y is not None)
+        maps.append(InjHom(lattice(S.parent).by_key[domain], S,
+                           [conj[x] for x in domain], _trusted=True))
+    return generate_fusion(S, pres.p, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ The library tabulates each edge's coset transversal once per presentation
 and grows the ball by extending canonical paths one letter at a time
 (models.ball_enumerate).  The tests keep the forms they replaced as the
 oracles: the pinch loop over a whole word, the normal form that searches
-min(a * s) over the edge subgroup for every syllable, and the ball that
-reduces each frontier word plus one letter with them.
+min(a * s) over the edge subgroup for every syllable, the ball that
+reduces each frontier word plus one letter with them, and the fusion
+recovery that reduces w x w^-1 for every ball word w and every x in S
+(models.recover_fusion conjugates by single letters only).
 """
 
 from fusionwb.errors import RadiusBoundExceeded
+from fusionwb.fusion import generate_fusion
+from fusionwb.groups import InjHom, lattice
 from fusionwb.models import MAX_RADIUS, ModelWord, _alphabet, _emit
 
 
@@ -73,3 +77,19 @@ def reference_ball(pres, radius):
                     nxt.append(cand)
         frontier = nxt
     return sorted(reps.values(), key=lambda w: (len(w.letters), w.letters))
+
+
+def reference_recover_fusion(pres, S, radius):
+    """The system the maps c_w: x -> w x w^-1 generate, for every word w of
+    the reference ball, each on the x of S that it keeps in S."""
+    maps = []
+    for w in reference_ball(pres, radius):
+        conj = {}
+        for x in S.elements:
+            svals, ts = reference_reduced_path(
+                w.concat(pres.s_word([x])).concat(w.inverse()))
+            if not ts and svals[0] in pres.s_back:
+                conj[x] = pres.s_back[svals[0]]
+        maps.append(InjHom(lattice(S.parent).by_key[tuple(conj)], S,
+                           list(conj.values())))
+    return generate_fusion(S, pres.p, maps)

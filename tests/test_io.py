@@ -1,4 +1,5 @@
 import hashlib
+import re
 import typing
 from pathlib import Path
 
@@ -43,6 +44,28 @@ def test_elems_round_trip():
     assert parse_elems("[]") == ()
     with pytest.raises(ParseError):
         parse_elems("0,1")
+
+
+@pytest.mark.parametrize("text", ["[0,,1]", "[,]", "[1,2,]", "[1 2]",
+                                  "[-1]", "[x]"])
+def test_elems_refuse_a_malformed_number(text):
+    with pytest.raises(ParseError, match=re.escape(repr(text))):
+        parse_elems(text)
+
+
+def test_elems_allow_spaces():
+    assert parse_elems(" [ 0, 3 ,5 ] ") == (0, 3, 5)
+    assert parse_elems("[ ]") == ()
+
+
+@pytest.mark.parametrize("row", ["0 a", "1 0.0", "1 -0", "1 ,0"])
+def test_table_refuses_a_malformed_row(row):
+    with pytest.raises(ParseError, match=re.escape(repr(row))):
+        parse_group(f"group C2 order 2\nmode table\n0 1\n{row}\n")
+    text = serialize_presentation(
+        hnn_presentation(full_subgroup(cyclic(2)), 2, []))
+    with pytest.raises(ParseError, match=re.escape(repr(row))):
+        parse_presentation(text.replace("\n1 0\n", f"\n{row}\n"))
 
 
 def test_group_file_round_trip_all_corpus():
@@ -324,6 +347,11 @@ def test_family_parse_errors():
         parse_family(F, "V=[0,1] ; x1:1\nV=[0,2] ; x1^2:1\n")  # mixed degree
     with pytest.raises(ParseError, match="^element is not homogeneous$"):
         parse_family(F, "V=[0,1,2,3] ; x1:1 x1^2:1\n")
+    for bad in ("x1:abc", "x1:", "x1:1.0", "x1:+-1"):
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            parse_family(F, f"V=[0,1,2,3] ; {bad}\n")
+    with pytest.raises(ParseError, match=re.escape("'[0,,1,2]'")):
+        parse_family(F, "V=[0,,1,2] ; 0\n")
     # a term that vanishes mod p has no degree
     assert parse_family(F, "V=[0,1,2,3] ; x1:2 x1^2:1\n").degree == 2
 
@@ -370,6 +398,25 @@ def test_family_refuses_a_repeated_site(tmp_path, capsys):
                  "--fusion", str(path)])
     assert code == 2
     assert "given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["family", "sembed"])
+def test_cli_names_a_malformed_element_list(verb, tmp_path, capsys):
+    bad = "[0,,1,2,3,4,5,6,7]"
+    path = tmp_path / "bad.txt"
+    if verb == "family":
+        path.write_text(f"V={bad} ; 0\n")
+        argv = ["stable", "nilpotent", "--family", str(path),
+                "--fusion", str(corpus_dir() / "v4_rho.fus")]
+    else:
+        path.write_text(_d8_s4_text().replace("sembed [0,1,2,3,4,5,6,7]",
+                                                  f"sembed {bad}"))
+        argv = ["model", "verify", "--presentation", str(path),
+                "--datum", str(corpus_dir() / "d8_s4.datum")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"expected [..] element list, got '{bad}'" in err
+    assert "invalid literal" not in err
 
 
 def test_load_corpus_missing(tmp_path):

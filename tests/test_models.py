@@ -1,13 +1,22 @@
+import functools
 import random
 
 import pytest
-from ball_oracle import reference_ball, reference_reduce
+from ball_oracle import (
+    reference_ball,
+    reference_recover_fusion,
+    reference_reduce,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusionwb import models
 from fusionwb.catalog import (
     BUILDERS,
     cyclic,
     dihedral8,
     direct_product,
+    elementary,
     klein_four,
     symmetric,
 )
@@ -34,6 +43,7 @@ from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
     DatumInvalid,
+    _alphabet,
     _reduce,
     ball_enumerate,
     base_element_of,
@@ -564,3 +574,63 @@ def test_reduce_matches_oracle(oracle_models, name):
         for canonical in (False, True):
             assert (_reduce(w, canonical=canonical).letters
                     == reference_reduce(w, canonical=canonical).letters)
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_recover_matches_oracle(oracle_models, name):
+    m, top = oracle_models[name]
+    S = full_subgroup(m.s_group)
+    top = min(top, 2) if name == "amalgam_l3_2" else top
+    got = [recover_fusion(m, S, r) for r in range(top + 1)]
+    for r, R in enumerate(got):
+        assert fusion_equal(R, reference_recover_fusion(m, S, r))
+    assert all(fusion_equal(got[1], R) for R in got[2:])
+
+
+@pytest.mark.parametrize("name", ["hnn_d8_partial", "amalgam_d8_s4"])
+def test_recover_reduces_each_letter_conjugate_once(oracle_models, name,
+                                                    monkeypatch):
+    m, _ = oracle_models[name]
+    S = full_subgroup(m.s_group)
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return base_element_of(word)
+
+    def refused(*_):
+        raise AssertionError("recover_fusion enumerated a ball")
+
+    monkeypatch.setattr(models, "ball_enumerate", refused)
+    monkeypatch.setattr(models, "base_element_of", counted)
+    for r, want in ((0, 0), (1, len(_alphabet(m)) * S.order),
+                    (3, len(_alphabet(m)) * S.order)):
+        calls.clear()
+        recover_fusion(m, S, r)
+        assert len(calls) == want
+
+
+@functools.cache
+def _gl3_2_maps():
+    """S = C2^3 and every map of the system GL3(2) generates on it."""
+    S = full_subgroup(elementary(2, 3))
+
+    def linear(basis):               # the images of the basis 1, 2, 4
+        return InjHom(S, S, [functools.reduce(
+            int.__xor__, (y for i, y in enumerate(basis) if x >> i & 1), 0)
+            for x in S.elements])
+
+    # a Singer cycle (x^3 = x + 1) and a transvection generate GL3(2)
+    F = generate_fusion(S, 2, [linear((2, 4, 3)), linear((1, 3, 4))])
+    return S, list(F.morphisms())
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.data())
+def test_recover_random_gl3_2_models(data):
+    S, maps = _gl3_2_maps()
+    phis = data.draw(st.lists(st.sampled_from(maps), max_size=3))
+    m = hnn_presentation(S, 2, phis)
+    got = recover_fusion(m, S, 1)
+    assert fusion_equal(got, reference_recover_fusion(m, S, 2))
+    assert fusion_equal(got, generate_fusion(S, 2, phis))
