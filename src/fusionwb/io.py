@@ -356,6 +356,8 @@ def parse_presentation(text):
             except ValueError as exc:
                 raise ParseError(f"attach factor={fi}: left is not a subgroup "
                                  f"of factor 1: {exc}") from exc
+            if not set(left) <= set(s_embed):
+                raise ParseError(f"attach factor={fi}: left is not in sembed")
             _check_map(H, factors[fi - 1], [edges[fi][x] for x in H.elements],
                        f"attach factor={fi}")
             idx += 1

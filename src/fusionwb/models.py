@@ -309,11 +309,14 @@ def hnn_presentation(S, p, phis):
 
 
 def amalgam_presentation(factors, edges, s_group, s_embed, p, name="Amalgam"):
-    """Star amalgam of finite factors over identified subgroups of factor 1;
-    `edges[i]` maps the identified subgroup of factor 1 into factor i."""
+    """Star amalgam of finite factors over identified subgroups of factor 1,
+    each inside the copy s_embed(S) of S; `edges[i]` maps the identified
+    subgroup of factor 1 into factor i."""
     if not factors or sorted(edges) != list(range(2, len(factors) + 1)):
         raise ValueError("an amalgam needs a first factor and one attachment "
                          "for each further factor")
+    if not all(set(e) <= set(s_embed) for e in edges.values()):
+        raise ValueError("an attached subgroup does not lie in s_embed(S)")
     names, letters = [], []
     for fi, L in enumerate(factors, start=1):
         letters.append({k: len(names) + k - 1 for k in range(1, L.order)})
@@ -488,12 +491,8 @@ def robinson_presentation(datum):
 def _alphabet(pres):
     """Every generator, and the inverse of every stable letter."""
     stable = {edge[4] for edge in pres.graph_edges}
-    letters = []
-    for gid in range(len(pres.generators)):
-        letters.append((gid, 1))
-        if gid in stable:
-            letters.append((gid, -1))
-    return letters
+    return [(gid, e) for gid in range(len(pres.generators)) for e in (1, -1)
+            if e == 1 or gid in stable]
 
 
 def _check_radius(radius):
@@ -535,8 +534,8 @@ def recover_fusion(pres, S, radius):
     By Britton's lemma the letters' maps c_a: x -> a x a^-1 generate it: c_w
     composes the c_a along w's reduced spelling, no longer than w, and where
     c_w(x) is in S so is each partial conjugate (an HNN syllable lies in S,
-    an amalgam path returns through some N_S(P_i) <= S).  So every radius
-    >= 1 gives one system, and radius 0 gives F_S(S)."""
+    an amalgam path crosses only attached subgroups, which lie in S).  So
+    every radius >= 1 gives one system, and radius 0 gives F_S(S)."""
     _check_radius(radius)
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import re
 import typing
 from pathlib import Path
 
 import pytest
+from ball_oracle import reference_recover_fusion
 
 from fusionwb import io
 from fusionwb.catalog import cyclic, named_group, symmetric
@@ -11,7 +13,15 @@ from fusionwb.cli import main
 from fusionwb.corpus import corpus_dir, load_corpus
 from fusionwb.errors import CorpusMissing, DegreeBoundExceeded, NonAssociative
 from fusionwb.fusion import fusion_equal
-from fusionwb.groups import InjHom, full_subgroup
+from fusionwb.groups import (
+    InjHom,
+    _hom_from_generators,
+    build_group_from_permutations,
+    full_subgroup,
+    generating_sequence,
+    subgroup_as_group,
+    subgroups,
+)
 from fusionwb.io import (
     ParseError,
     format_elems,
@@ -33,6 +43,7 @@ from fusionwb.models import (
     amalgam_presentation,
     hnn_presentation,
     is_identity,
+    recover_fusion,
     robinson_presentation,
 )
 from fusionwb.stable import stable_basis
@@ -279,6 +290,65 @@ def test_amalgam_file_refuses_a_bad_s_embedding():
     text = _d8_s4_text(s_embed=(0, 2, 1, 3, 4, 5, 6, 7))
     with pytest.raises(ParseError, match="sembed is not an injective"):
         parse_presentation(text)
+
+
+def _s4_d16():
+    """Factor 1 = S4 holding S as a Sylow D8 P, factor 2 = D16, and an
+    injection into D16 of P and of a second Sylow D8' of S4.  Some g in D16
+    acts on the image of D8' as an outer automorphism, which a word through
+    D8' would carry back to S; no single letter's map has source S."""
+    s4 = symmetric(4)
+    d16 = build_group_from_permutations(
+        [(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)], "D16")
+    P, Q = [H for H in subgroups(s4) if H.order == 8][:2]
+
+    def into_d16(H):
+        G = subgroup_as_group(H)
+        gens = generating_sequence(full_subgroup(G))
+        fmap = next(filter(None, (
+            _hom_from_generators(G, d16, gens, list(images))
+            for images in itertools.product(range(16), repeat=len(gens)))))
+        return {H.elements[k]: y for k, y in fmap.items()}
+
+    return s4, d16, P, into_d16(P), into_d16(Q)
+
+
+def _s4_d16_texts():
+    """The S4 *_P D16 file, and the same file attached along D8' instead."""
+    s4, d16, P, along_p, along_q = _s4_d16()
+    text = serialize_presentation(amalgam_presentation(
+        [s4, d16], {2: along_p}, subgroup_as_group(P), P.elements, 2))
+    left = sorted(along_q)
+    attach = next(ln for ln in text.splitlines() if ln.startswith("attach"))
+    return text, text.replace(attach, f"attach factor=2 "
+                              f"left={format_elems(left)} right="
+                              f"{format_elems(along_q[x] for x in left)}")
+
+
+def test_amalgam_refuses_an_attached_subgroup_outside_s():
+    s4, d16, P, along_p, along_q = _s4_d16()
+    assert not set(along_q) <= set(P.elements)
+    with pytest.raises(ValueError, match="does not lie in s_embed"):
+        amalgam_presentation([s4, d16], {2: along_q}, subgroup_as_group(P),
+                             P.elements, 2)
+    good, bad = _s4_d16_texts()
+    m = parse_presentation(good)
+    assert serialize_presentation(m) == good
+    S = full_subgroup(m.s_group)
+    got = recover_fusion(m, S, 1)
+    assert all(fusion_equal(got, reference_recover_fusion(m, S, r))
+               for r in (1, 2, 3))
+    with pytest.raises(ParseError, match="attach factor=2: left is not in "
+                                         "sembed"):
+        parse_presentation(bad)
+
+
+def test_cli_refuses_an_attached_subgroup_outside_s(tmp_path, capsys):
+    path = tmp_path / "s4_d16.pres"
+    path.write_text(_s4_d16_texts()[1])
+    assert main(["model", "verify", "--presentation", str(path), "--datum",
+                 str(corpus_dir() / "d8_s4.datum")]) == 2
+    assert "left is not in sembed" in capsys.readouterr().err
 
 
 # SHA-256 of each corpus model's `.pres` text, and its relator count: the
