@@ -3,14 +3,15 @@
 A system lives on a standalone copy of S (the p-group itself) and stores
 Hom_F(P, S) for each subgroup P, as functions on elements sorted by images;
 Hom_F(P, Q) is the part of it with image in Q.  Every system is built by one
-closure, in FusionSystem.__init__: the S-conjugations and the given maps,
-closed under inverses, restrictions and composites (_demands), so it is a
-category by construction.
+closure, in FusionSystem.__init__, from generators: c_s and c_{s^-1} for s
+generating S, and each given map with its inverse onto its image.  Each
+morphism is a composite of restrictions of generators, found by a search
+from each subgroup's inclusion, so every system is a category by
+construction.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import MismatchedBase, NotACategory, NotSylow
@@ -22,6 +23,7 @@ from .groups import (
     conjugations,
     full_subgroup,
     group_from_elements,
+    inner_generators,
     is_prime,
     lattice,
     normalizer,
@@ -36,11 +38,13 @@ class FusionSystem:
     """The least category of injective homomorphisms between subgroups of S
     that holds the S-conjugations and the given maps.
 
-    The constructor takes the S-conjugations and the maps, then what
-    _demands asks for with each map taken, so every system is a category
-    whoever builds it.  A later h2 on h(P) is covered too: h^-1 is present
-    when h2^-1 is taken, which adds h^-1 o h2^-1, whose inverse is h2 o h.
-    A map given into some Q < S is stored as a map into S.
+    Its morphisms are the composites of restrictions of the generators:
+    c_s and c_{s^-1} on S for s in generating_sequence(S), and each given
+    map and its inverse onto its image.  Those composites hold the
+    inclusions and are closed under restriction, composition and inverses,
+    so Hom_F(P, S) is what a search from P's inclusion reaches, one step
+    applying a generator whose source holds the current image.  A map given
+    into some Q < S is stored as a map into S.
     """
 
     def __init__(self, S, p, maps):
@@ -56,28 +60,39 @@ class FusionSystem:
         self.group = G
         self.lattice = lattice(G)
         self.subgroups = self.lattice.subgroups
-        homs = {P.elements: {} for P in self.subgroups}  # images -> P -> S map
-        queue = deque()
-
-        def add(key, images):
-            if images not in homs[key]:
-                h = InjHom(self.lattice.by_key[key], S, images, _trusted=True)
-                homs[key][images] = h
-                queue.append(h)
-
-        for key, found in conjugations(G).items():
-            for images in found:
-                add(key, images)
+        gens = {S.elements: set(inner_generators(G))}  # source -> images
         for phi in maps:
             if phi.source.parent != G or phi.target.parent != G:
                 raise ValueError("generator does not live on S")
-            add(phi.source.elements, phi.images)
-        maximal = _maximal_subgroups(self.lattice, p)
-        while queue:
-            for key, images in _demands(queue.popleft(), homs, maximal):
-                add(key, images)
-        self.homsets = {key: tuple(sorted(d.values(), key=lambda h: h.images))
-                        for key, d in homs.items()}
+            img = phi.image_elements()
+            back = dict(zip(phi.images, phi.source.elements))
+            gens.setdefault(phi.source.elements, set()).add(phi.images)
+            gens.setdefault(img, set()).add(tuple(map(back.__getitem__, img)))
+        # steps[key]: a generator's map per distinct action on the subgroup
+        # key other than the identity.  Larger sources go first, so a
+        # generator that restricts another one finds its action there already
+        steps = {P.elements: {} for P in self.subgroups}
+        for key in sorted(gens, key=len, reverse=True):
+            for images in gens[key]:
+                if images in steps[key]:
+                    continue
+                act = dict(zip(key, images)).__getitem__
+                for P in self.lattice.below[key] + [self.lattice.by_key[key]]:
+                    on_p = tuple(map(act, P.elements))
+                    if on_p != P.elements:
+                        steps[P.elements].setdefault(on_p, act)
+        self.homsets = {}
+        for P in self.subgroups:
+            seen = {P.elements}
+            todo = [P.elements]
+            for images in todo:
+                for act in steps[tuple(sorted(images))].values():
+                    new = tuple(map(act, images))
+                    if new not in seen:
+                        seen.add(new)
+                        todo.append(new)
+            self.homsets[P.elements] = tuple(
+                InjHom(P, S, images, _trusted=True) for images in sorted(seen))
         self._classes = None
         self._limit = None  # the Limit of stable.fusion_ea_morphisms
 
@@ -146,7 +161,13 @@ def conjugation_homs(G, emb, subs):
 
 
 def fusion_from_group(S, G, p=None):
-    """The transporter fusion system F_S(G) on a Sylow p-subgroup S <= G."""
+    """The transporter fusion system F_S(G) on a Sylow p-subgroup S <= G.
+
+    The closure gets one generator per double coset SgS: c_g on the x in S
+    with g x g^-1 in S, as each transporter map is c_s o c_g o c_t with s, t
+    in S.  One pass over G lists the transporter maps: they must equal the
+    closure, and the ones by g in S are S's own conjugation table.
+    """
     if p is None:
         p = prime_of(S.order)
         if p is None:
@@ -157,36 +178,38 @@ def fusion_from_group(S, G, p=None):
     Sgroup = subgroup_as_group(S, name=f"Syl_{p}({G.name})")
     top = full_subgroup(Sgroup)
     subs = lattice(Sgroup).subgroups
-    found = conjugation_images(G, subs, dict(enumerate(S.elements)))
-    F = FusionSystem(top, p, [InjHom(P, top, images, _trusted=True)
-                              for P in subs for images in found[P.elements]])
-    # the transporter maps are closed by theorem, so an added map is a bug
+    emb = dict(enumerate(S.elements))
+    back = {g: k for k, g in emb.items()}
+    found = conjugation_images(G, subs, emb)
+    # S's own conjugation table: the keys some g in S gives, those g as
+    # elements of Sgroup, keys in order of their first g as in conjugations
+    inner = {key: [(images, [back[g] for g in gs if g in back])
+                   for images, gs in d.items()] for key, d in found.items()}
+    Sgroup._conjugations = {
+        key: dict(sorted((kv for kv in kvs if kv[1]), key=lambda kv: kv[1][0]))
+        for key, kvs in inner.items()}
+    t = G.table
+    covered = set()
+    gens = []
+    for g in G.elements():
+        if g in covered:
+            continue
+        covered.update(t[t[s][g]][u] for s in S.elements for u in S.elements)
+        row = [t[y][G.inv(g)] for y in t[g]]
+        c_g = {k: back[row[x]] for k, x in emb.items() if row[x] in back}
+        gens.append(InjHom(Subgroup(Sgroup, c_g, _trusted=True), top,
+                           list(c_g.values()), _trusted=True))
+    F = FusionSystem(top, p, gens)
+    # the transporter maps are closed by theorem, so a difference is a bug
     for P in subs:
-        for h in F.homsets[P.elements]:
-            if h.images not in found[P.elements]:
-                raise NotACategory(
-                    f"the closure adds {h!r} to the transporter maps")
+        got = {h.images for h in F.homsets[P.elements]}
+        for images in sorted(got ^ found[P.elements].keys()):
+            h = InjHom(P, top, images, _trusted=True)
+            raise NotACategory(
+                f"the closure adds {h!r} to the transporter maps"
+                if images in got else
+                f"the closure misses the transporter map {h!r}")
     return F
-
-
-def _maximal_subgroups(lat, p):
-    """key -> the keys of its maximal (index-p) subgroups, from lat.below."""
-    return {key: [Q.elements for Q in below if p * Q.order == len(key)]
-            for key, below in lat.below.items()}
-
-
-def _demands(h, homs, maximal):
-    """(key, images) for each map that the category axioms ask for with a
-    stored h: P -> S, homs being {key: {images: map}}: h's inverse onto
-    h(P), h restricted to each maximal subgroup of P (the rest follow from
-    those), and h2 o h for each h2 in homs[h(P)] once those are in."""
-    img = h.image_elements()
-    back = dict(zip(h.images, h.source.elements))
-    yield img, tuple(map(back.__getitem__, img))
-    for key in maximal[h.source.elements]:
-        yield key, tuple(map(h._map.__getitem__, key))
-    for h2 in list(homs[img].values()):
-        yield h.source.elements, tuple(map(h2._map.__getitem__, h.images))
 
 
 def generate_fusion(S, p, generators):

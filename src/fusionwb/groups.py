@@ -74,6 +74,7 @@ class Group:
         self._element_orders = None
         self._lattice = None
         self._conjugations = None
+        self._inner = None
         self._limits = {}           # p -> stable.quillen_morphisms(self, p)
 
     def inv(self, a):
@@ -457,12 +458,24 @@ def conjugation_images(G, subs, emb=None):
 
 
 def conjugations(G):
-    """conjugation_images over lattice(G), built on first use and kept on G;
+    """conjugation_images over lattice(G), built on first use and kept on G
+    (fusion_from_group fills it on its copy of S from its pass over G);
     callers read it and never change it.  The g lists under the keys inside
     P make up N_G(P), and the one under P.elements itself C_G(P)."""
     if G._conjugations is None:
         G._conjugations = conjugation_images(G, lattice(G).subgroups)
     return G._conjugations
+
+
+def inner_generators(G):
+    """The image tuples of c_s and c_{s^-1} on G, for s in
+    generating_sequence(G), built on first use and kept on G."""
+    if G._inner is None:
+        t = G.table
+        G._inner = tuple(tuple(t[y][G.inv(s)] for y in t[s])
+                         for g in generating_sequence(full_subgroup(G))
+                         for s in (g, G.inv(g)))
+    return G._inner
 
 
 def normalizer(G, P):
@@ -678,7 +691,7 @@ class InjHom:
     __slots__ = ("source", "target", "images", "_map")
 
     def __init__(self, source, target, images, _trusted=False):
-        images = tuple(int(x) for x in images)
+        images = tuple(images) if _trusted else tuple(int(x) for x in images)
         self._map = fmap = dict(zip(source.elements, images))
         if not _trusted:
             if len(images) != source.order:

@@ -1,17 +1,19 @@
-"""Reference closure for generated fusion systems, one homset per pair.
+"""Reference closures for generated fusion systems.
 
-The library stores a fusion system by Hom_F(P, S) for each subgroup P and
-closes only the maps into S.  The tests keep the closure it replaced, which
-holds a homset for every ordered pair (P, Q) and composes through all of
-them, as the independent oracle for it.  The body is the earlier
-fusion.generate_fusion, except that it returns the pair-keyed homsets
-instead of a FusionSystem.
+The library closes a fusion system by a search over composites of its
+generators.  The tests keep two earlier closures as independent oracles:
+
+* reference_generate_homsets holds a homset for every ordered pair (P, Q)
+  and composes through all of them;
+* reference_closure_homsets stores only the maps into S, and takes with
+  each stored h : P -> S its inverse onto h(P), its restrictions to the
+  index-p subgroups of P, and h2 o h for each stored h2 on h(P).
 """
 
 from collections import deque
 
 from fusionwb.fusion import conjugation_homs
-from fusionwb.groups import InjHom, lattice
+from fusionwb.groups import InjHom, conjugation_images, lattice
 
 
 def reference_generate_homsets(S, p, generators):
@@ -60,3 +62,37 @@ def reference_generate_homsets(S, p, generators):
                 add(h.compose(homs[(P0.elements, skey)][images]))
 
     return {key: list(d.values()) for key, d in homs.items()}
+
+
+def reference_closure_homsets(S, p, maps):
+    """{P.elements: the image tuples of Hom_F(P, S), sorted} for the least
+    fusion system on S holding S's conjugations and maps."""
+    G = S.parent
+    lat = lattice(G)
+    maximal = {key: [Q.elements for Q in below if p * Q.order == len(key)]
+               for key, below in lat.below.items()}
+    homs = {P.elements: set() for P in lat.subgroups}
+    queue = deque()
+
+    def add(key, images):
+        if images not in homs[key]:
+            homs[key].add(images)
+            queue.append((key, images))
+
+    for key, found in conjugation_images(G, lat.subgroups).items():
+        for images in found:
+            add(key, images)
+    for phi in maps:
+        add(phi.source.elements, phi.images)
+    while queue:
+        key, images = queue.popleft()
+        h = dict(zip(key, images))
+        img = tuple(sorted(images))
+        back = {y: x for x, y in h.items()}
+        add(img, tuple(back[y] for y in img))
+        for sub in maximal[key]:
+            add(sub, tuple(h[x] for x in sub))
+        for images2 in list(homs[img]):
+            h2 = dict(zip(img, images2))
+            add(key, tuple(h2[y] for y in images))
+    return {key: sorted(found) for key, found in homs.items()}

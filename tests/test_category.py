@@ -1,23 +1,43 @@
 """Fusion systems stored as Hom_F(P, S): the closure against the pair-keyed
-reference, a system rebuilt without one map of each kind the closure adds,
-and the closure's independence of how its maps are given."""
+and the index-p references, transporter systems against the closure of all
+their maps, a system rebuilt without one map of each kind the closure adds,
+the closure's independence of how its maps are given, and GL4(2) on C2^4."""
 
 import functools
 import itertools
+import random
 
 import pytest
-from closure_oracle import reference_generate_homsets
+from closure_oracle import (
+    reference_closure_homsets,
+    reference_generate_homsets,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionwb import fusion, models
-from fusionwb.catalog import dihedral8, elementary, klein_four, symmetric
+from fusionwb import fusion, groups, models
+from fusionwb.catalog import (
+    cyclic,
+    dihedral8,
+    direct_product,
+    elementary,
+    klein_four,
+    symmetric,
+)
 from fusionwb.cohomology import Site
-from fusionwb.corpus import corpus_dir
+from fusionwb.corpus import corpus_dir, load_corpus
 from fusionwb.errors import NotACategory
-from fusionwb.fusion import FusionSystem, fusion_from_group, generate_fusion
+from fusionwb.fusion import (
+    FusionSystem,
+    SylowFailure,
+    fusion_from_group,
+    generate_fusion,
+    is_saturated,
+)
 from fusionwb.groups import (
+    Group,
     InjHom,
+    conjugation_images,
     conjugations,
     full_subgroup,
     lattice,
@@ -100,6 +120,97 @@ def test_closure_matches_pair_keyed_reference(name):
             assert got == sorted(h.images for h in ref[(P.elements, Q.elements)])
     total = sum(len(v) for v in ref.values())
     assert describe_fusion(F).endswith(f" {total} morphisms")
+
+
+# the systems of the stable-series benchmark that SYSTEMS lacks: the 4-cycle
+# of the coordinates of C2^4 here, F_S(S4 x C2) among TRANSPORTER_CASES
+INDEX_P_SYSTEMS = {**SYSTEMS, "c2e4_shift": lambda: _automizers(
+    2, 4, [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])}
+
+
+def _images(F):
+    return {key: [h.images for h in homs] for key, homs in F.homsets.items()}
+
+
+@pytest.mark.parametrize("name", INDEX_P_SYSTEMS)
+def test_closure_matches_index_p_reference(name):
+    S, p, gens = INDEX_P_SYSTEMS[name]()
+    assert _images(generate_fusion(S, p, gens)) == reference_closure_homsets(
+        S, p, gens)
+
+
+def _relabelled(G, seed):
+    """G with its elements other than the identity renamed at random."""
+    rng = random.Random(seed)
+    new = [0] + rng.sample(range(1, G.order), G.order - 1)
+    old = {y: x for x, y in enumerate(new)}
+    return Group([[new[G.table[old[a]][old[b]]] for b in G.elements()]
+                  for a in G.elements()], name=f"{G.name}'")
+
+
+def _transporter_cases():
+    """name -> (G, p) for every corpus group at p = 2 and 3, S4 x C2, and a
+    relabelled C3 x D8, where some c_g by g outside S equals a c_s and comes
+    first in G's order but not in S's."""
+    corpus = load_corpus()
+    cases = {f"{name}-p{p}": (corpus.groups[name], p)
+             for name in corpus.names for p in (2, 3)}
+    cases["S4xC2-p2"] = (direct_product(symmetric(4), cyclic(2)), 2)
+    cases["C3xD8-relabelled-p2"] = (
+        _relabelled(direct_product(cyclic(3), dihedral8()), 1), 2)
+    return cases
+
+
+TRANSPORTER_CASES = _transporter_cases()
+
+
+def _transporter(name):
+    """F_S(G) and every transporter map c_g : P -> S, from a pass over G of
+    the test's own."""
+    G, p = TRANSPORTER_CASES[name]
+    S = sylow_p(G, p)
+    F = fusion_from_group(S, G, p=p)
+    found = conjugation_images(G, F.subgroups, dict(enumerate(S.elements)))
+    maps = [InjHom(P, F.S, images) for P in F.subgroups
+            for images in found[P.elements]]
+    return F, maps
+
+
+@pytest.mark.parametrize("name", TRANSPORTER_CASES)
+def test_transporter_system_matches_the_closure_of_its_maps(name):
+    F, maps = _transporter(name)
+    want = reference_closure_homsets(F.S, F.p, maps)
+    assert _images(F) == want
+    assert want == {key: sorted(h.images for h in maps
+                                if h.source.elements == key) for key in want}
+
+
+@pytest.mark.parametrize("name", TRANSPORTER_CASES)
+def test_closure_of_random_transporter_maps_matches_reference(name):
+    F, maps = _transporter(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        some = rng.sample(maps, rng.randint(0, min(len(maps), 6)))
+        assert _images(generate_fusion(F.S, F.p, some)) == (
+            reference_closure_homsets(F.S, F.p, some))
+
+
+@pytest.mark.parametrize("name", TRANSPORTER_CASES)
+def test_transporter_fills_the_conjugation_table_of_s(name, monkeypatch):
+    # the pass over G is the only one: neither the build nor saturation
+    # conjugates S again, and S's table is the one a pass over S gives
+    G, p = TRANSPORTER_CASES[name]
+
+    def refuse(*args):
+        raise AssertionError("a second conjugation pass")
+
+    monkeypatch.setattr(groups, "conjugation_images", refuse)
+    F = fusion_from_group(sylow_p(G, p), G, p=p)
+    is_saturated(F)
+    fresh = conjugation_images(F.group, F.subgroups)
+    table = conjugations(F.group)
+    assert table == fresh
+    assert all(list(table[key]) == list(fresh[key]) for key in fresh)
 
 
 # --- the closure in the constructor, one dropped map per kind ---------------
@@ -219,6 +330,21 @@ def test_a_transporter_map_missing_from_its_closure_is_not_a_category(
         f"the closure adds {dropped[0]!r} to the transporter maps")
 
 
+def test_a_transporter_map_the_generators_miss_is_not_a_category(
+        monkeypatch):
+    # S4 at p = 2 has two double cosets D8 g D8; without the generator of
+    # the second, c_g on the normal Klein four, the maps that fuse the centre
+    # of D8 with the other involutions of that Klein four are missed
+    real = fusion.FusionSystem
+    monkeypatch.setattr(fusion, "FusionSystem",
+                        lambda S, p, maps: real(S, p, maps[:-1]))
+    with pytest.raises(NotACategory) as info:
+        fusion_from_group(sylow_p(symmetric(4), 2), symmetric(4), p=2)
+    assert str(info.value) == (
+        "the closure misses the transporter map "
+        "InjHom([0, 2] -> [0, 1, 2, 3, 4, 5, 6, 7]; [0, 7])")
+
+
 # --- the closure does not depend on how its maps are given ------------------
 
 
@@ -255,3 +381,31 @@ def test_the_closure_ignores_order_and_repetition(case):
     F = FusionSystem(S, p, maps)
     assert FusionSystem(S, p, shuffled) == F
     assert FusionSystem(S, p, F.morphisms()) == F
+
+
+# --- the closure at |S| = 16 and 32 -----------------------------------------
+
+
+def test_gl4_2_builds_and_is_not_saturated():
+    # a transvection and the 4-cycle of the coordinates generate GL4(2)
+    S, p, gens = _automizers(2, 4, [
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])
+    F = generate_fusion(S, p, gens)
+    assert sum(map(len, F.homsets.values())) == 65536
+    assert len(F.aut_set(F.S)) == 20160
+    report = is_saturated(F)
+    assert not report.saturated
+    first = report.witnesses[0]
+    assert isinstance(first, SylowFailure) and first.P.order == 4
+    assert (first.aut_s_order, first.aut_f_order) == (1, 6)
+
+
+def test_c2e5_singer_builds():
+    # the companion matrix of x^5 + x^2 + 1, a Singer cycle of order 31
+    S, p, gens = _automizers(2, 5, [
+        [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0],
+         [0, 0, 0, 1, 0]]])
+    F = generate_fusion(S, p, gens)
+    assert sum(map(len, F.homsets.values())) == 11564
+    assert len(F.aut_set(F.S)) == 31
