@@ -1,10 +1,11 @@
 """Fusion systems on a finite p-group as explicit categories of morphisms.
 
 A system lives on a standalone copy of S (the p-group itself) and stores
-Hom_F(P, S) for each subgroup P, as functions on elements sorted by images;
-Hom_F(P, Q) is the part of it with image in Q.  Every system is built by one
-closure, in FusionSystem.__init__, from generators: c_s and c_{s^-1} for s
-generating S, and each given map with its inverse onto its image.  Each
+Hom_F(P, S) for each subgroup P as its sorted image tuples, images[k] the
+image of P.elements[k]; Hom_F(P, Q) is the part of it with image in Q.  An
+InjHom is built only where the API hands a map out.  Every system is built
+by one closure, in FusionSystem.__init__, from generators: c_s and c_{s^-1}
+for s generating S, and each given map with its inverse onto its image.  Each
 morphism is a composite of restrictions of generators, found by a search
 from each subgroup's inclusion, so every system is a category by
 construction.
@@ -13,6 +14,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import MismatchedBase, NotACategory, NotSylow
 from .groups import (
@@ -64,10 +66,9 @@ class FusionSystem:
         for phi in maps:
             if phi.source.parent != G or phi.target.parent != G:
                 raise ValueError("generator does not live on S")
-            img = phi.image_elements()
-            back = dict(zip(phi.images, phi.source.elements))
+            img, back = zip(*sorted(zip(phi.images, phi.source.elements)))
             gens.setdefault(phi.source.elements, set()).add(phi.images)
-            gens.setdefault(img, set()).add(tuple(map(back.__getitem__, img)))
+            gens.setdefault(img, set()).add(back)
         # steps[key]: a generator's map per distinct action on the subgroup
         # key other than the identity.  Larger sources go first, so a
         # generator that restricts another one finds its action there already
@@ -91,8 +92,7 @@ class FusionSystem:
                     if new not in seen:
                         seen.add(new)
                         todo.append(new)
-            self.homsets[P.elements] = tuple(
-                InjHom(P, S, images, _trusted=True) for images in sorted(seen))
+            self.homsets[P.elements] = tuple(sorted(seen))
         self._classes = None
         self._limit = None  # the Limit of stable.fusion_ea_morphisms
 
@@ -101,13 +101,12 @@ class FusionSystem:
 
     def hom(self, P, Q):
         """Hom_F(P, Q): the maps in Hom_F(P, S) with image in Q, into Q."""
-        return tuple(InjHom(P, Q, h.images, _trusted=True)
-                     for h in self.homsets[P.elements]
-                     if Q.as_set().issuperset(h.images))
+        return tuple(InjHom(P, Q, images, _trusted=True) for images in
+                     filter(Q.as_set().issuperset, self.homsets[P.elements]))
 
     def morphisms(self):
         for key in sorted(self.homsets):
-            yield from self.homsets[key]
+            yield from self.hom(self.subgroup(key), self.S)
 
     def conjugacy_classes(self):
         """Partition of the subgroups under F-isomorphism.
@@ -118,8 +117,8 @@ class FusionSystem:
         if self._classes is None:
             classes = {}
             for P in self.subgroups:
-                keys = sorted({h.image_elements()
-                               for h in self.homsets[P.elements]})
+                keys = sorted({tuple(sorted(images))
+                               for images in self.homsets[P.elements]})
                 classes.setdefault(keys[0], tuple(map(self.subgroup, keys)))
             self._classes = tuple(classes.values())
         return self._classes
@@ -202,7 +201,7 @@ def fusion_from_group(S, G, p=None):
     F = FusionSystem(top, p, gens)
     # the transporter maps are closed by theorem, so a difference is a bug
     for P in subs:
-        got = {h.images for h in F.homsets[P.elements]}
+        got = set(F.homsets[P.elements])
         for images in sorted(got ^ found[P.elements].keys()):
             h = InjHom(P, top, images, _trusted=True)
             raise NotACategory(
@@ -281,29 +280,31 @@ def is_saturated(F):
             if cents[P.elements] != top_c:
                 witnesses.append(CentralizedFailure(P))
             n_s = len(autos[P.elements])
-            n_f = sum(P.as_set().issuperset(h.images)
-                      for h in F.homsets[P.elements])
+            n_f = sum(map(P.as_set().issuperset, F.homsets[P.elements]))
             if n_s != p_part(n_f, F.p):
                 witnesses.append(SylowFailure(P, n_s, n_f))
     # extension axiom: phi onto a fully centralized image extends to N_phi,
     # the g in N_S(P) with phi c_g phi^-1 in Aut_S(phi(P)), a test on c_g|P
-    # alone; phi extends iff it restricts some map N_phi -> S to P
-    for P in F.subgroups:
+    # alone; phi extends iff it restricts some map N_phi -> S to P.  The
+    # trivial subgroup, first, is skipped: its identity extends to that of S
+    for P in F.subgroups[1:]:
+        at = {x: k for k, x in enumerate(P.elements)}   # P.elements[k] -> k
         extends = {}   # N_phi -> images on P of the maps N_phi -> S
-        for phi in F.homsets[P.elements]:
-            img = phi.image_elements()
+        for images in F.homsets[P.elements]:
+            img = tuple(sorted(images))
             if cents[img] != max_c[img]:
                 continue
-            on_img = sorted(range(P.order), key=phi.images.__getitem__)
+            on_img = sorted(range(P.order), key=images.__getitem__)
             n_phi = tuple(sorted(
                 g for alpha, gs in autos[P.elements].items()
-                if tuple(phi._map[alpha[k]] for k in on_img) in autos[img]
+                if tuple(images[at[alpha[k]]] for k in on_img) in autos[img]
                 for g in gs))
             if n_phi not in extends:
-                extends[n_phi] = {tuple(map(h._map.__getitem__, P.elements))
-                                  for h in F.homsets[n_phi]}
-            if phi.images not in extends[n_phi]:
-                witnesses.append(ExtensionFailure(phi, F.subgroup(n_phi)))
+                get = itemgetter(*map(n_phi.index, P.elements))
+                extends[n_phi] = set(map(get, F.homsets[n_phi]))
+            if images not in extends[n_phi]:
+                witnesses.append(ExtensionFailure(
+                    InjHom(P, F.S, images, _trusted=True), F.subgroup(n_phi)))
     return SaturationReport(not witnesses, witnesses)
 
 
@@ -330,7 +331,7 @@ def centric_subgroups(F):
 def aut_group(F, P):
     """Aut_F(P) as an explicit Group plus its elements as image tuples,
     sorted, so the identity P.elements comes first."""
-    images = sorted(h.images for h in F.aut_set(P))
+    images = list(filter(P.as_set().issuperset, F.homsets[P.elements]))
     pos = {P.elements[i]: i for i in range(P.order)}
 
     def compose(a, b):
@@ -356,9 +357,9 @@ def out_f(F, P):
 def strongly_closed(F, T):
     """No F-morphism carries a subgroup of T outside T."""
     tset = T.as_set()
-    return all(tset.issuperset(h.images)
+    return all(tset.issuperset(images)
                for P in F.lattice.below[T.elements] + [T]
-               for h in F.homsets[P.elements])
+               for images in F.homsets[P.elements])
 
 
 def _require_same_base(F1, F2):
@@ -369,16 +370,10 @@ def _require_same_base(F1, F2):
 def is_subfusion(F1, F2):
     """Every morphism of F1 is a morphism of F2."""
     _require_same_base(F1, F2)
-    for key, homs in F1.homsets.items():
-        have = {h.images for h in F2.homsets[key]}
-        if any(h.images not in have for h in homs):
-            return False
-    return True
+    return all(set(homs).issubset(F2.homsets[key])
+               for key, homs in F1.homsets.items())
 
 
 def fusion_equal(F1, F2):
     _require_same_base(F1, F2)
-    for key, homs in F1.homsets.items():
-        if [h.images for h in homs] != [h.images for h in F2.homsets[key]]:
-            return False
-    return True
+    return F1.homsets == F2.homsets

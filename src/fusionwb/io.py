@@ -48,6 +48,14 @@ def parse_elems(text):
     return tuple(int(tok) for tok in re.findall(r"\d+", text))
 
 
+def _parse_map(src, tgt, images):
+    """The map src -> tgt, src strictly ascending as its images pair."""
+    elems = parse_elems(src)
+    if any(a >= b for a, b in zip(elems, elems[1:])):
+        raise ValueError(f"source list {src} is not strictly ascending")
+    return InjHom(Subgroup(tgt.parent, elems), tgt, parse_elems(images))
+
+
 # ---------------------------------------------------------------------------
 # group tables and files
 
@@ -165,9 +173,8 @@ def parse_fusion_spec(text, base_dir=None):
         if not m:
             raise ParseError(f"bad phi line: {ln!r}")
         try:
-            src = Subgroup(group, parse_elems(m.group(1)))
             tgt = Subgroup(group, parse_elems(m.group(2)))
-            phis.append(InjHom(src, tgt, parse_elems(m.group(3))))
+            phis.append(_parse_map(m.group(1), tgt, m.group(3)))
         except ValueError as exc:
             raise ParseError(f"invalid morphism {ln!r}: {exc}") from exc
     return FusionSpec(p, s_ref, group, phis)
@@ -314,8 +321,7 @@ def parse_presentation(text):
             if not m:
                 raise ParseError(f"bad stable line: {lines[idx]!r}")
             try:
-                src = Subgroup(sgroup, parse_elems(m.group(2)))
-                phis.append(InjHom(src, S, parse_elems(m.group(3))))
+                phis.append(_parse_map(m.group(2), S, m.group(3)))
             except ValueError as exc:
                 raise ParseError(f"invalid stable line {lines[idx]!r}: "
                                  f"{exc}") from exc
@@ -504,7 +510,8 @@ def describe_fusion(F):
     # h: P -> S counts once for each Q >= h(P), itself and its overgroups
     above = Counter(Q.elements for below in F.lattice.below.values()
                     for Q in below)
-    n_morphisms = sum(1 + above[h.image_elements()] for h in F.morphisms())
+    n_morphisms = sum(1 + above[tuple(sorted(images))]
+                      for homs in F.homsets.values() for images in homs)
     return (f"fusion system on {F.group.name} (order {F.group.order}, "
             f"p={F.p}): {len(F.subgroups)} subgroups, "
             f"{n_morphisms} morphisms")

@@ -413,6 +413,7 @@ def validate_alperin_datum(datum):
     p = F.p
     failures = []
     all_pullbacks = []
+    stored = {key: set(homs) for key, homs in F.homsets.items()}
     conj = conjugations(F.group)
     for i, e in enumerate(datum.entries, start=1):
         iota_p = {e.iota.image_of(x) for x in e.P.elements}
@@ -449,8 +450,7 @@ def validate_alperin_datum(datum):
             failures.append(DatumFailure(i, "OuterQuotientFailure", str(exc)))
         pulled = _pullback_morphisms(F, e)
         for h in pulled:
-            stored = F.homsets[h.source.elements]      # Hom_F(P, S)
-            if h.images not in {m.images for m in stored}:
+            if h.images not in stored[h.source.elements]:   # Hom_F(P, S)
                 failures.append(DatumFailure(
                     i, "SubfusionFailure",
                     f"pulled-back morphism {h!r} is not in F"))

@@ -144,8 +144,7 @@ def fusion_ea_morphisms(F):
     on first use and kept on F."""
     if F._limit is None:
         sites = [Site(V, F.p) for V in elementary_abelians(F.group, F.p)]
-        F._limit = Limit(*_site_morphisms(sites, {s.key: [
-            h.images for h in F.homsets[s.key]] for s in sites}, F.p))
+        F._limit = Limit(*_site_morphisms(sites, F.homsets, F.p))
     return F._limit
 
 
@@ -153,10 +152,9 @@ def _all_morphisms(F):
     """The Limit (sites, every morphism, no pullbacks) of the brute-force
     references: each stored h : W -> S paired with every site above h(W)."""
     sites = fusion_ea_morphisms(F)[0]
-    return Limit(sites, [(InjHom(sw.V, sv.V, h.images, _trusted=True), sw, sv)
-                         for sw in sites for h in F.homsets[sw.key]
-                         for sv in sites
-                         if sv.V.as_set().issuperset(h.images)], ())
+    return Limit(sites, [(InjHom(sw.V, sv.V, im, _trusted=True), sw, sv)
+                         for sw in sites for im in F.homsets[sw.key]
+                         for sv in sites if sv.V.as_set().issuperset(im)], ())
 
 
 def quillen_morphisms(G, p):

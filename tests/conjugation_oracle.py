@@ -125,7 +125,7 @@ def reference_fusion_ea_morphisms(F, sites, generating=True):
     homs = _index_p_inclusions(sites, F.p) if generating else []
     for sw in sites:
         into = {}                       # site key -> maps with image in it
-        for h in F.homsets[sw.key]:
+        for h in F.hom(F.subgroup(sw.key), F.S):
             img = F.subgroup(h.image_elements())
             above = [Q for Q in F.subgroups if Q.contains_subgroup(img)]
             for Q in above[:1] if generating else above:  # h(W) comes first

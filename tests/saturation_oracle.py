@@ -41,7 +41,7 @@ def reference_is_saturated(F):
     # extension axiom: phi onto a fully centralized image extends to N_phi,
     # the g in N_S(P) with phi c_g phi^-1 in Aut_S(phi(P))
     for P in F.subgroups:
-        for phi in F.homsets[P.elements]:
+        for phi in F.hom(P, F.S):
             img = phi.image_elements()
             if cents[img] != max_c[img]:
                 continue
@@ -52,7 +52,7 @@ def reference_is_saturated(F):
                 in aut_s[img])
             extended = any(
                 all(ext.image_of(x) == phi.image_of(x) for x in P.elements)
-                for ext in F.homsets[n_phi.elements])
+                for ext in F.hom(n_phi, F.S))
             if not extended:
                 witnesses.append(ExtensionFailure(phi, n_phi))
     return SaturationReport(not witnesses, witnesses)

@@ -129,7 +129,7 @@ INDEX_P_SYSTEMS = {**SYSTEMS, "c2e4_shift": lambda: _automizers(
 
 
 def _images(F):
-    return {key: [h.images for h in homs] for key, homs in F.homsets.items()}
+    return {key: list(homs) for key, homs in F.homsets.items()}
 
 
 @pytest.mark.parametrize("name", INDEX_P_SYSTEMS)
@@ -137,6 +137,14 @@ def test_closure_matches_index_p_reference(name):
     S, p, gens = INDEX_P_SYSTEMS[name]()
     assert _images(generate_fusion(S, p, gens)) == reference_closure_homsets(
         S, p, gens)
+
+
+@pytest.mark.parametrize("name", INDEX_P_SYSTEMS)
+def test_hom_into_s_rebuilds_the_stored_image_tuples(name):
+    F = generate_fusion(*INDEX_P_SYSTEMS[name]())
+    for P in F.subgroups:
+        assert F.hom(P, F.S) == tuple(
+            InjHom(P, F.S, images) for images in F.homsets[P.elements])
 
 
 def _relabelled(G, seed):
@@ -245,29 +253,29 @@ def test_a_map_into_a_subgroup_is_stored_as_a_map_into_s():
     into_b = FusionSystem(F.S, F.p, [InjHom(a, b, b.elements)])
     into_s = FusionSystem(F.S, F.p, [InjHom(a, F.S, b.elements)])
     assert into_b.homsets == into_s.homsets
-    assert b.elements in [h.images for h in into_b.homsets[a.elements]]
-    assert all(h.source == F.subgroup(key) and h.target == F.S
-               for key, homs in into_b.homsets.items() for h in homs)
+    assert b.elements in into_b.homsets[a.elements]
+    assert all(h.target == F.S for h in into_b.morphisms())
 
 
 def test_the_closure_restores_a_dropped_s_conjugation():
     F = fusion_from_group(full_subgroup(dihedral8()), dihedral8())
     S = F.S.elements
     assert len(F.homsets[S]) == 4          # Inn(D8)
-    assert F.homsets[S][0].images == S     # keep the identity
-    assert _rebuild(F, F.homsets[S][1:]).homsets == F.homsets
+    assert F.homsets[S][0] == S            # keep the identity
+    assert _rebuild(F, F.hom(F.S, F.S)[1:]).homsets == F.homsets
 
 
 def test_the_closure_restores_a_dropped_inverse():
     F = _v4((0, 2, 3, 1))                   # Aut_F(V4) = {1, rho, rho^2}
     assert len(F.homsets[(0, 1, 2, 3)]) == 3
-    assert _rebuild(F, F.homsets[(0, 1, 2, 3)][2:]).homsets == F.homsets
+    assert _rebuild(F, F.hom(F.S, F.S)[2:]).homsets == F.homsets
     # rho^2 is also rho o rho; the maps from one Klein four of D8 onto the
     # other come back only as inverses
     F = generate_fusion(*_d8_klein_fours())
     V1, V2 = (key for key, homs in F.homsets.items()
               if len(key) == 4 and len(homs) == 4)
-    dropped = [h for h in F.homsets[V2] if h.image_elements() == V1]
+    dropped = [h for h in F.hom(F.subgroup(V2), F.S)
+               if h.image_elements() == V1]
     assert len(dropped) == 2
     assert _rebuild(F, dropped).homsets == F.homsets
 
@@ -276,8 +284,8 @@ def test_the_closure_restores_a_dropped_restriction():
     # tau swaps 1 and 2; the maps <1> -> <2> and <2> -> <1> come back as
     # restrictions of tau
     F = _v4((0, 2, 1, 3))
-    dropped = [h for key in ((0, 1), (0, 2)) for h in F.homsets[key]
-               if h.images != key]
+    dropped = [h for key in ((0, 1), (0, 2))
+               for h in F.hom(F.subgroup(key), F.S) if h.images != key]
     assert _rebuild(F, dropped).homsets == F.homsets
 
 
@@ -289,9 +297,9 @@ def test_the_closure_restores_a_dropped_restriction_at_index_p2():
     F = generate_fusion(S, p, gens)
     K = next(P for P in F.subgroups if P.order == 2
              and len(F.homsets[P.elements]) == 2)
-    tau_K = next(h for h in F.homsets[K.elements] if h.images != K.elements)
-    dropped = [h for key in (K.elements, tau_K.image_elements())
-               for h in F.homsets[key] if h.images != key]
+    tau_K = next(im for im in F.homsets[K.elements] if im != K.elements)
+    dropped = [h for key in (K.elements, tuple(sorted(tau_K)))
+               for h in F.hom(F.subgroup(key), F.S) if h.images != key]
     assert len(dropped) == 2
     assert _rebuild(F, dropped).homsets == F.homsets
 
@@ -300,7 +308,7 @@ def test_the_closure_restores_a_dropped_composite():
     # two involutions of V4 generate GL2(2); keep them but drop the rest
     F = _v4((0, 2, 1, 3), (0, 1, 3, 2))
     keep = {(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)}
-    dropped = [h for h in F.homsets[(0, 1, 2, 3)] if h.images not in keep]
+    dropped = [h for h in F.hom(F.S, F.S) if h.images not in keep]
     assert len(dropped) == 3
     assert _rebuild(F, dropped).homsets == F.homsets
 
@@ -386,11 +394,34 @@ def test_the_closure_ignores_order_and_repetition(case):
 # --- the closure at |S| = 16 and 32 -----------------------------------------
 
 
+# a transvection and the 4-cycle of the coordinates generate GL4(2)
+GL4_2 = [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]
+# the companion matrix of x^5 + x^2 + 1, a Singer cycle of order 31
+SINGER_C2E5 = [[[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1],
+                [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]]
+
+
+@pytest.mark.parametrize("mats", [GL4_2, SINGER_C2E5],
+                         ids=["gl4_2", "c2e5_singer"])
+def test_the_store_holds_image_tuples_not_maps(mats, monkeypatch):
+    S, p, gens = _automizers(2, len(mats[0]), mats)
+    built = []
+    real = InjHom.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(InjHom, "__init__", counted)
+    F = generate_fusion(S, p, gens)
+    assert len(built) <= len(gens)
+    assert all(type(images) is tuple and len(images) == len(key)
+               for key, homs in F.homsets.items() for images in homs)
+
+
 def test_gl4_2_builds_and_is_not_saturated():
-    # a transvection and the 4-cycle of the coordinates generate GL4(2)
-    S, p, gens = _automizers(2, 4, [
-        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])
+    S, p, gens = _automizers(2, 4, GL4_2)
     F = generate_fusion(S, p, gens)
     assert sum(map(len, F.homsets.values())) == 65536
     assert len(F.aut_set(F.S)) == 20160
@@ -402,10 +433,7 @@ def test_gl4_2_builds_and_is_not_saturated():
 
 
 def test_c2e5_singer_builds():
-    # the companion matrix of x^5 + x^2 + 1, a Singer cycle of order 31
-    S, p, gens = _automizers(2, 5, [
-        [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0],
-         [0, 0, 0, 1, 0]]])
+    S, p, gens = _automizers(2, 5, SINGER_C2E5)
     F = generate_fusion(S, p, gens)
     assert sum(map(len, F.homsets.values())) == 11564
     assert len(F.aut_set(F.S)) == 31

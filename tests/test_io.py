@@ -158,6 +158,45 @@ def test_fusion_spec_bad_morphism():
         parse_fusion_spec(bad, base_dir=corpus.directory)
 
 
+# a source list pairs with its image list entry by entry, so it must be
+# written strictly ascending: [0,2,1,3] with images [0,1,2,3] is the swap
+# of 1 and 2, not the identity, and [0,0,2] lists 0 twice
+@pytest.mark.parametrize("line", [
+    "phi: [0,2,1,3] -> [0,1,2,3] ; images=[0,1,2,3]",
+    "phi: [0,0,2] -> [0,1,2,3] ; images=[0,1]",
+])
+def test_fusion_spec_refuses_a_source_list_out_of_order(line, tmp_path,
+                                                        capsys):
+    text = f"fusion p=2 S=v4.grp\n{line}\n"
+    with pytest.raises(ParseError, match="not strictly ascending") as info:
+        parse_fusion_spec(text, base_dir=corpus_dir())
+    assert repr(line) in str(info.value)
+    (tmp_path / "v4.grp").write_text((corpus_dir() / "v4.grp").read_text())
+    path = tmp_path / "bad.fus"
+    path.write_text(text)
+    assert main(["fusion", "saturate", "--fusion", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(line) in err and "not strictly ascending" in err
+
+
+def test_hnn_file_refuses_a_stable_source_list_out_of_order(tmp_path,
+                                                            capsys):
+    S = full_subgroup(cyclic(3))
+    pres = hnn_presentation(S, 3, [InjHom(S, S, [0, 2, 1])])
+    line = "stable t1 src=[0,2,1] images=[0,1,2]"
+    text = serialize_presentation(pres).replace(
+        "stable t1 src=[0,1,2] images=[0,2,1]", line)
+    with pytest.raises(ParseError, match="not strictly ascending") as info:
+        parse_presentation(text)
+    assert repr(line) in str(info.value)
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    assert main(["model", "verify", "--presentation", str(path), "--fusion",
+                 str(corpus_dir() / "c3_inversion.fus")]) == 2
+    err = capsys.readouterr().err
+    assert repr(line) in err and "not strictly ascending" in err
+
+
 def test_presentation_round_trip_hnn():
     C3 = cyclic(3)
     S = full_subgroup(C3)
