@@ -48,12 +48,19 @@ def parse_elems(text):
     return tuple(int(tok) for tok in re.findall(r"\d+", text))
 
 
-def _parse_map(src, tgt, images):
-    """The map src -> tgt, src strictly ascending as its images pair."""
+def _parse_source(src):
+    """A map's source list, which must be strictly ascending: its images
+    pair with it entry by entry, and the serializer writes it sorted."""
     elems = parse_elems(src)
     if any(a >= b for a, b in zip(elems, elems[1:])):
         raise ValueError(f"source list {src} is not strictly ascending")
-    return InjHom(Subgroup(tgt.parent, elems), tgt, parse_elems(images))
+    return elems
+
+
+def _parse_map(src, tgt, images):
+    """The map src -> tgt, src strictly ascending as its images pair."""
+    return InjHom(Subgroup(tgt.parent, _parse_source(src)), tgt,
+                  parse_elems(images))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +358,11 @@ def parse_presentation(text):
             if not 2 <= fi <= len(factors) or fi in edges:
                 raise ParseError(f"attach factor={fi}: no unattached factor "
                                  f"{fi} among 2..{len(factors)}")
-            left = parse_elems(m.group(2))
+            try:
+                left = _parse_source(m.group(2))
+            except ValueError as exc:
+                raise ParseError(f"invalid attach line {lines[idx]!r}: "
+                                 f"{exc}") from exc
             right = parse_elems(m.group(3))
             edges[fi] = dict(zip(left, right))
             if not len(left) == len(right) == len(edges[fi]):

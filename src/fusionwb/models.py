@@ -15,7 +15,10 @@ reduced path, pushing coset parts leftward through the edge subgroups, by a
 coset transversal tabulated once per edge half, gives its normal form
 (Lyndon-Schupp, *Combinatorial Group Theory*, Ch. IV), and an emitter spells
 either path back in letters.  A reduced path that crosses an
-edge is never trivial, which is what makes the identity test sound.
+edge is never trivial, which is what makes the identity test sound.  The
+ball grows by multiplying on the left, which in that normal form changes
+only the head of a path: each element is its head syllable and an
+interned tail, and a letter multiplies the head or prepends one crossing.
 """
 
 from __future__ import annotations
@@ -412,7 +415,9 @@ def validate_alperin_datum(datum):
     F = datum.F
     p = F.p
     failures = []
-    all_pullbacks = []
+    # (source, images) -> the first map pulled back with them: conjugation
+    # lists a map once per subgroup that holds its image
+    pulled_back = {}
     stored = {key: set(homs) for key, homs in F.homsets.items()}
     conj = conjugations(F.group)
     for i, e in enumerate(datum.entries, start=1):
@@ -456,9 +461,10 @@ def validate_alperin_datum(datum):
                     f"pulled-back morphism {h!r} is not in F"))
                 break
         else:
-            all_pullbacks.extend(pulled)
+            for h in pulled:
+                pulled_back.setdefault((h.source.elements, h.images), h)
     if not failures:
-        generated = generate_fusion(F.S, p, all_pullbacks)
+        generated = generate_fusion(F.S, p, list(pulled_back.values()))
         if not fusion_equal(generated, F):
             failures.append(DatumFailure(
                 -1, "GenerationFailure",
@@ -502,30 +508,97 @@ def _check_radius(radius):
         raise RadiusBoundExceeded(f"radius {radius} exceeds {MAX_RADIUS}")
 
 
+def _spell(letters):
+    """The letters, and a string whose characters sort as they do: one
+    character 2 * generator + (exponent == 1) per letter."""
+    return letters, "".join(chr(2 * gid + (exp == 1)) for gid, exp in letters)
+
+
 def ball_enumerate(pres, radius):
     """Normal forms of all elements spelled by <= radius letters.
 
-    Each element of the frontier is kept as its canonical path, which is
-    pinch-free, so appending one letter's steps to a copy and canonicalizing
-    gives the normal form of the longer word."""
+    In the normal form s_0 h_1 s_1 ... h_k s_k, s_0 is free and each later
+    s_j is its coset's representative modulo the edge subgroup before it,
+    so multiplying on the left by a letter changes only the head of the
+    path: the rest stays a normal form.  The ball is the set of words of
+    length <= radius, so it grows from the left as well as from the right.
+    Each element is held as s_0 and an interned tail (h_1, s_1, rest), and
+    a letter acts as its path's steps in reverse: s_0 <- x s_0, or prepend
+    a half h, where h s_0 pinches against a tail that starts with h^1 when
+    s_0 lies in h's edge subgroup, and otherwise s_0 = a * rep sends a
+    across h and rep heads the new tail.  Each tail is spelled once, when
+    it is interned."""
     _check_radius(radius)
-    alphabet = _alphabet(pres)
-    empty = ((0,), ())
-    reps = {empty: ModelWord(pres, ())}
-    frontier = [empty]
+    vertices = pres.vertices
+    # each letter's steps in reverse, each (row, h, h ^ 1, transversal,
+    # depart table, spellings): s_0 <- row[s_0] unless row is None, then
+    # prepend half h unless h is None, where spellings[rep] spells the
+    # letters that a new node (h, rep, rest) puts before rest's
+    steps = {}
+    for h, half in enumerate(pres.halves):
+        steps[h] = (h, h ^ 1, half.transversal, vertices[half.depart].table,
+                    [_spell(_emit(pres, (0, rep), (h,)))
+                     for rep in range(vertices[half.arrive].order)])
+    steps[None] = (None,) * 5
+    programs = [tuple((table[x] if x else None,) + steps[h]
+                      for h, table, x in reversed(pres.paths[letter]))
+                for letter in _alphabet(pres)]
+    # tail 0 is the empty path; tail i > 0 is the node (head[i], syl[i],
+    # rest[i]), spelled[i] and keys[i] its letters as _spell gives them,
+    # and nodes[(rest * n_halves + head) * width + syl] names it
+    head, syl, rest, spelled, keys = [-1], [0], [0], [()], [""]
+    nodes = {}
+    n_halves = len(pres.halves)
+    width = max(L.order for L in vertices)
+    n0 = vertices[0].order
+    seen = {0}                # tail * n0 + s_0, s_0 at the root
+    frontier = [0]
     for _ in range(radius):
         nxt = []
-        for svals, ts in frontier:
-            for letter in alphabet:
-                cs, ct = list(svals), list(ts)
-                _extend(pres, cs, ct, (letter,))
-                _canonical(pres, cs, ct)
-                key = (tuple(cs), tuple(ct))
-                if key not in reps:
-                    reps[key] = ModelWord(pres, _emit(pres, cs, ct))
-                    nxt.append(key)
+        for code in frontier:
+            t0, s0 = divmod(code, n0)
+            for program in programs:
+                s, tail = s0, t0
+                for row, h, back, transversal, depart, spellings in program:
+                    if row is not None:
+                        s = row[s]
+                    if h is None:
+                        continue
+                    rep, pushed = transversal[s]
+                    if not rep and head[tail] == back:
+                        # pinch: rep = 0, so s lies in the edge subgroup;
+                        # it crosses h and merges with the tail's first
+                        # syllable
+                        s = depart[pushed][syl[tail]]
+                        tail = rest[tail]
+                        continue
+                    slot = (tail * n_halves + h) * width + rep
+                    node = nodes.get(slot)
+                    if node is None:
+                        node = nodes[slot] = len(head)
+                        word, key = spellings[rep]
+                        head.append(h)
+                        syl.append(rep)
+                        rest.append(tail)
+                        spelled.append(word + spelled[tail])
+                        keys.append(key + keys[tail])
+                    s, tail = pushed, node
+                code = tail * n0 + s
+                if code not in seen:
+                    seen.add(code)
+                    nxt.append(code)
         frontier = nxt
-    return sorted(reps.values(), key=lambda w: (len(w.letters), w.letters))
+    heads = [_spell(_emit(pres, (s,), ())) for s in range(n0)]
+    words, order = [], []
+    for code in seen:
+        tail, s = divmod(code, n0)
+        word, key = heads[s]
+        word += spelled[tail]
+        words.append(word)
+        order.append(chr(len(word)) + key + keys[tail])
+    # by length, then letters; the keys differ as the words do
+    return [ModelWord(pres, words[i])
+            for i in sorted(range(len(words)), key=order.__getitem__)]
 
 
 def recover_fusion(pres, S, radius):

@@ -1,13 +1,14 @@
 """Reference ball enumeration: every candidate word reduced from scratch.
 
 The library tabulates each edge's coset transversal once per presentation
-and grows the ball by extending canonical paths one letter at a time
+and grows the ball by multiplying on the left, one crossing or head
+syllable at a time, on tails it interns and spells once
 (models.ball_enumerate).  The tests keep the forms they replaced as the
 oracles: the pinch loop over a whole word, the normal form that searches
 min(a * s) over the edge subgroup for every syllable, the ball that
-reduces each frontier word plus one letter with them, and the fusion
-recovery that reduces w x w^-1 for every ball word w and every x in S
-(models.recover_fusion conjugates by single letters only).
+reduces each frontier word plus one letter on the right with them, and
+the fusion recovery that reduces w x w^-1 for every ball word w and every
+x in S (models.recover_fusion conjugates by single letters only).
 """
 
 from fusionwb.errors import RadiusBoundExceeded

@@ -283,6 +283,34 @@ def test_amalgam_file_round_trips_its_attach_map():
     assert serialize_presentation(parse_presentation(text)) == text
 
 
+# an attach line's left list pairs with its right list entry by entry, and
+# the serializer writes it sorted, so one out of order would not round-trip
+_D8_S4_ATTACH = "attach factor=2 left=[0,1,2,3,4,5,6,7] " \
+    "right=[0,1,5,8,10,15,16,21]"
+_D8_S4_REVERSED = "attach factor=2 left=[7,6,5,4,3,2,1,0] " \
+    "right=[21,16,15,10,8,5,1,0]"
+
+
+@pytest.mark.parametrize("line", [
+    _D8_S4_REVERSED,
+    "attach factor=2 left=[0,2,1,3,4,5,6,7] right=[0,5,1,8,10,15,16,21]",
+])
+def test_amalgam_file_refuses_a_left_list_out_of_order(line):
+    text = _d8_s4_text().replace(_D8_S4_ATTACH, line)
+    with pytest.raises(ParseError, match="not strictly ascending") as info:
+        parse_presentation(text)
+    assert repr(line) in str(info.value)
+
+
+def test_cli_refuses_a_left_list_out_of_order(tmp_path, capsys):
+    path = tmp_path / "d8_s4.pres"
+    path.write_text(_d8_s4_text().replace(_D8_S4_ATTACH, _D8_S4_REVERSED))
+    assert main(["model", "verify", "--presentation", str(path), "--datum",
+                 str(corpus_dir() / "d8_s4.datum")]) == 2
+    err = capsys.readouterr().err
+    assert repr(_D8_S4_REVERSED) in err and "not strictly ascending" in err
+
+
 @pytest.mark.parametrize("right, why", [
     ((0, 0, 5, 8, 10, 15, 16, 21), "not injective"),
     ((0, 5, 1, 8, 10, 15, 16, 21), "not multiplicative"),

@@ -19,7 +19,7 @@ from group_oracle import (
     reference_subgroups,
 )
 from restriction_oracle import reference_limit_terms
-from fusionwb import corpus, groups
+from fusionwb import corpus, groups, models
 from fusionwb.catalog import (
     BUILDERS,
     alternating4,
@@ -233,6 +233,25 @@ def test_subfusion_witness_is_the_first_pulled_back_map(datums):
     witness = [f for f in report.failures if f.clause == "SubfusionFailure"]
     assert [f.detail for f in witness] == [
         f"pulled-back morphism {first_bad!r} is not in F"]
+
+
+def test_generation_gets_each_pulled_back_map_once(datums, monkeypatch):
+    # conjugation pulls back 55 and 79 maps on the two D8/S4 entries, one
+    # per subgroup holding each image; 28 differ in source or images, and
+    # generate_fusion needs each of them once
+    datum = datums["d8_s4"]
+    handed = []
+
+    def counted(S, p, maps):
+        handed.extend(maps)
+        return generate_fusion(S, p, maps)
+
+    monkeypatch.setattr(models, "generate_fusion", counted)
+    assert [len(_pullback_morphisms(datum.F, e)) for e in datum.entries] \
+        == [55, 79]
+    assert validate_alperin_datum(datum).valid
+    assert len(handed) == 28
+    assert len({(h.source.elements, h.images) for h in handed}) == 28
 
 
 def _p_groups():

@@ -565,6 +565,24 @@ def test_ball_matches_oracle(oracle_models, name):
         assert got == [w.letters for w in reference_ball(m, r)]
 
 
+def test_ball_grows_without_canonicalizing_paths(oracle_models, c4_model,
+                                                monkeypatch):
+    # the ball multiplies on the left, on interned tails: it never extends
+    # a path on the right or pushes coset parts through a whole path
+    def refused(*_):
+        raise AssertionError("ball_enumerate reduced a path")
+
+    monkeypatch.setattr(models, "_canonical", refused)
+    monkeypatch.setattr(models, "_extend", refused)
+    for name in ORACLE_MODELS:
+        m, top = oracle_models[name]
+        got = [w.letters for w in ball_enumerate(m, top)]
+        assert got == [w.letters for w in reference_ball(m, top)], name
+    _, m = c4_model
+    assert [len(ball_enumerate(m, r)) for r in range(3, 7)] == [
+        140, 524, 1932, 7068]
+
+
 @pytest.mark.parametrize("name", ORACLE_MODELS)
 def test_reduce_matches_oracle(oracle_models, name):
     m, _ = oracle_models[name]
@@ -634,3 +652,24 @@ def test_recover_random_gl3_2_models(data):
     got = recover_fusion(m, S, 1)
     assert fusion_equal(got, reference_recover_fusion(m, S, 2))
     assert fusion_equal(got, generate_fusion(S, 2, phis))
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.data())
+def test_ball_random_gl3_2_models(data):
+    # one map with a proper source at least, so that the edge subgroups are
+    # proper and left multiplication both pushes coset parts and pinches
+    S, maps = _gl3_2_maps()
+    proper = [h for h in maps if h.source.order < S.order]
+    phis = ([data.draw(st.sampled_from(proper))]
+            + data.draw(st.lists(st.sampled_from(maps), max_size=2)))
+    m = hnn_presentation(S, 2, data.draw(st.permutations(phis)))
+    for r in range(4):
+        ball = ball_enumerate(m, r)
+        assert ([w.letters for w in ball]
+                == [w.letters for w in reference_ball(m, r)])
+    found = {w.letters: w for w in ball}
+    for w in ball:
+        inverse = w.inverse()
+        twin = found[reference_reduce(inverse, canonical=True).letters]
+        assert words_equal(inverse, twin)
