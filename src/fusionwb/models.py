@@ -10,14 +10,15 @@ or per amalgam edge.  The relators, the alphabet and the path that each
 generator spells are read off the graph.  A letter of factor i >= 2 is the
 path e_i x e_i^-1 through the tree edge e_i, which is not a generator.
 
-One engine reduces words in both models: a stack-based pinch loop gives the
-reduced path, pushing coset parts leftward through the edge subgroups, by a
-coset transversal tabulated once per edge half, gives its normal form
-(Lyndon-Schupp, *Combinatorial Group Theory*, Ch. IV), and an emitter spells
-either path back in letters.  A reduced path that crosses an
-edge is never trivial, which is what makes the identity test sound.  The
-ball grows by multiplying on the left, which in that normal form changes
-only the head of a path: each element is its head syllable and an
+One engine reduces words in both models: a stack-based pinch loop, on each
+letter's steps compiled once per presentation (the lookup of a letter among
+them is its only check), gives the reduced path, pushing coset parts leftward
+through the edge subgroups, by a coset transversal tabulated once per edge
+half, gives its normal form (Lyndon-Schupp, *Combinatorial Group Theory*,
+Ch. IV), and an emitter spells either path back in letters.  A reduced path
+that crosses an edge is never trivial, which is what makes the identity test
+sound.  The ball grows by multiplying on the left, which in that normal form
+changes only the head of a path: each element is its head syllable and an
 interned tail, and a letter multiplies the head or prepends one crossing.
 """
 
@@ -126,6 +127,15 @@ class Presentation:
                     self.paths[gid, exp] = (
                         ((None, root, y),) if v == 0 else
                         ((2 * tree[v], L.table, y), (2 * tree[v] + 1, root, 0)))
+        # steps[letter] compiles paths[letter] for _extend: h, h ^ 1, the edge
+        # map of h ^ 1, table, and x as its column s -> table[s][x] (or None)
+        columns = [tuple(zip(*L.table)) for L in vertices]
+        self.steps = {letter: tuple(
+            (h, h ^ 1, halves[h ^ 1].sub, table,
+             columns[halves[h].arrive][x] if x else None) if h is not None
+            else (None, None, None, table, columns[0][x])
+            for h, table, x in path) for letter, path in self.paths.items()}
+        self.inverse_steps = {(g, e): self.steps[g, -e] for g, e in self.steps}
         self.relators = tuple(ModelWord(self, r) for r in self._relators())
 
     def _relators(self):
@@ -171,8 +181,12 @@ class ModelWord:
         return len(self.letters)
 
     def check(self):
-        for gid, exp in self.letters:
-            if not 0 <= gid < len(self.model.generators):
+        for letter in self.letters:
+            if not isinstance(letter, tuple) or len(letter) != 2:
+                raise MalformedWord(
+                    f"letter {letter!r} is not a (generator, exponent) pair")
+            gid, exp = letter
+            if gid not in range(len(self.model.generators)):
                 raise MalformedWord(f"letter {gid} out of range")
             if exp not in (1, -1):
                 raise MalformedWord(f"exponent {exp} must be +-1")
@@ -196,30 +210,35 @@ class ModelWord:
 # reduction on the graph of groups
 
 
-def _extend(m, svals, ts, letters):
-    """Append the steps of `letters` to the pinch-free path with syllables
-    s_0..s_k and halves h_1..h_k, in place; the path stays pinch-free."""
-    halves = m.halves
-    paths = m.paths
-    for letter in letters:
-        for h, table, x in paths[letter]:
-            if h is not None:
-                if ts and ts[-1] == h ^ 1 and svals[-1] in halves[h ^ 1].sub:
-                    # pinch: the syllable between h^1 and h lies in the edge
-                    # subgroup, so it crosses back and merges to the left
-                    moved = halves[ts.pop()].sub[svals.pop()]
-                    svals[-1] = table[svals[-1]][moved]
-                else:
-                    ts.append(h)
-                    svals.append(0)
-            if x:
-                svals[-1] = table[svals[-1]][x]
+def _extend(svals, ts, word, steps, letters):
+    """Append the steps of `letters` to the pinch-free path s_0 h_1 .. h_k s_k
+    in place.  The lookup in `steps`, compiled once per presentation, is the
+    letter check: on a miss, `word`, as written, raises MalformedWord."""
+    s = svals.pop()           # the top syllable s_k
+    try:
+        for letter in letters:
+            for h, back, sub, table, column in steps[letter]:
+                if h is not None:
+                    if ts and ts[-1] == back and s in sub:
+                        # pinch: s crosses back through h^1, merges left
+                        ts.pop()
+                        s = table[svals.pop()][sub[s]]
+                    else:
+                        ts.append(h)
+                        svals.append(s)
+                        s = 0
+                if column is not None:
+                    s = column[s]
+    except (KeyError, TypeError):
+        word.check()
+        raise
+    svals.append(s)
 
 
 def _reduced_path(word):
     """Syllables s_0..s_k and halves h_1..h_k of the word's pinch-free path."""
     svals, ts = [0], []
-    _extend(word.model, svals, ts, word.letters)
+    _extend(svals, ts, word, word.model.steps, word.letters)
     return svals, ts
 
 
@@ -265,23 +284,25 @@ _reduce_hnn = _reduce     # the name perfbench/smoke.py calls
 
 def reduce_word(word):
     """A pinch-free form of the same element."""
-    word.check()
     return _reduce(word)
 
 
 def is_identity(word):
-    word.check()
     svals, ts = _reduced_path(word)
     return not ts and svals[0] == 0
 
 
 def words_equal(u, v):
-    return is_identity(u.concat(v.inverse()))
+    """Whether u v^-1 is trivial: u's path, then v's letters read backwards."""
+    if v.model is not u.model:
+        raise MalformedWord("words over different presentations")
+    svals, ts = _reduced_path(u)
+    _extend(svals, ts, v, u.model.inverse_steps, reversed(v.letters))
+    return not ts and svals[0] == 0
 
 
 def base_element_of(word):
     """The S-element a word represents, or None if it lies outside S."""
-    word.check()
     svals, ts = _reduced_path(word)
     return None if ts else word.model.s_back.get(svals[0])
 
@@ -612,11 +633,11 @@ def recover_fusion(pres, S, radius):
     _check_radius(radius)
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")
-    xs = [pres.s_word([x]) for x in S.elements]
+    xs = [pres.s_word([x]).letters for x in S.elements]
     maps = []
-    for a in _alphabet(pres) if radius else ():
-        w = pres.word((a,))
-        conj = [base_element_of(w.concat(xw).concat(w.inverse())) for xw in xs]
+    for gid, exp in _alphabet(pres) if radius else ():
+        conj = [base_element_of(pres.word(((gid, exp),) + x + ((gid, -exp),)))
+                for x in xs]
         domain = tuple(x for x, y in enumerate(conj) if y is not None)
         maps.append(InjHom(lattice(S.parent).by_key[domain], S,
                            [conj[x] for x in domain], _trusted=True))

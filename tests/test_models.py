@@ -1,11 +1,13 @@
 import functools
 import random
+import re
 
 import pytest
 from ball_oracle import (
     reference_ball,
     reference_recover_fusion,
     reference_reduce,
+    reference_reduced_path,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,26 @@ def test_malformed_word(c3_model):
         reduce_word(m.word([(99, 1)]))
     with pytest.raises(MalformedWord):
         reduce_word(m.word([(0, 2)]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((99, 1), "letter 99 out of range"),
+    ((0, 0), "exponent 0 must be +-1"),
+    ((0, 2), "exponent 2 must be +-1"),
+    ((0, 1, 1), "letter (0, 1, 1) is not a (generator, exponent) pair"),
+    ([0, 1], "letter [0, 1] is not a (generator, exponent) pair"),
+], ids=["range", "exponent-0", "exponent-2", "triple", "list"])
+def test_malformed_letter_on_every_entry(c3_model, bad, message):
+    # each entry names the letter as its caller wrote it, in u or in v
+    _, _, m = c3_model
+    good = m.word([(2, 1), (0, -1)])
+    w = m.word([(0, 1), bad, (2, -1)])
+    entries = [lambda: reduce_word(w), lambda: is_identity(w),
+               lambda: base_element_of(w), lambda: words_equal(w, good),
+               lambda: words_equal(good, w)]
+    for entry in entries:
+        with pytest.raises(MalformedWord, match=f"^{re.escape(message)}$"):
+            entry()
 
 
 def test_s_letters_never_identified(c4_model):
@@ -592,6 +614,58 @@ def test_reduce_matches_oracle(oracle_models, name):
         for canonical in (False, True):
             assert (_reduce(w, canonical=canonical).letters
                     == reference_reduce(w, canonical=canonical).letters)
+
+
+def _oracle_is_identity(word):
+    svals, ts = reference_reduced_path(word)
+    return not ts and svals[0] == 0
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_decisions_match_oracle(oracle_models, name):
+    # the compiled letter steps against the oracle's pinch loop over paths
+    m, _ = oracle_models[name]
+    rng = random.Random(41)
+    xs = [m.s_word([x]).letters for x in range(m.s_group.order)]
+    alphabet = _alphabet(m)
+    answers = set()
+    for _ in range(300):
+        u = random_word(m, rng, max_letters=12)
+        k = rng.randint(0, len(u))
+        # u again with a relator spliced in, a random word, u^-1 x u for an
+        # S-word x (in S when u conjugates x into S), and a x for a letter a
+        twin = m.word(u.letters[:k] + rng.choice(m.relators).letters
+                      + u.letters[k:])
+        v = random_word(m, rng, max_letters=12)
+        conj = m.word(u.inverse().letters + rng.choice(xs) + u.letters)
+        short = m.word((rng.choice(alphabet),) + rng.choice(xs))
+        for w in (u, v, conj, short, u.concat(u.inverse())):
+            svals, ts = reference_reduced_path(w)
+            assert is_identity(w) == (not ts and svals[0] == 0)
+            assert base_element_of(w) == (
+                None if ts else m.s_back.get(svals[0]))
+        for a, b in ((u, twin), (twin, u), (u, v), (conj, short)):
+            equal = words_equal(a, b)
+            assert equal == _oracle_is_identity(a.concat(b.inverse()))
+            answers.add(equal)
+    assert answers == {False, True}
+
+
+def test_words_equal_builds_no_word(oracle_models, monkeypatch):
+    def refused(*_):
+        raise AssertionError("words_equal built a word")
+
+    words = {}
+    for name in ORACLE_MODELS:
+        m, _ = oracle_models[name]
+        rng = random.Random(43)
+        u = random_word(m, rng, max_letters=12)
+        words[name] = (u, m.word(u.letters + u.letters), reduce_word(u))
+    monkeypatch.setattr(models.ModelWord, "inverse", refused)
+    monkeypatch.setattr(models.ModelWord, "concat", refused)
+    for name, (u, uu, r) in words.items():
+        assert words_equal(u, r) and words_equal(r, u), name
+        assert words_equal(uu, u) == is_identity(u), name
 
 
 @pytest.mark.parametrize("name", ORACLE_MODELS)
