@@ -717,9 +717,6 @@ class InjHom:
     def image_elements(self):
         return tuple(sorted(self.images))
 
-    def image_subgroup(self):
-        return Subgroup(self.target.parent, self.images)
-
     def is_iso_onto_target(self):
         return self.image_elements() == self.target.elements
 
@@ -729,13 +726,6 @@ class InjHom:
             raise ValueError("composition mismatch")
         return InjHom(first.source, self.target,
                       [self._map[y] for y in first.images], _trusted=True)
-
-    def restrict(self, sub):
-        """Restriction to a subgroup of the source (same target)."""
-        if not self.source.contains_subgroup(sub):
-            raise ValueError("restriction domain escapes the source")
-        return InjHom(sub, self.target, [self._map[x] for x in sub.elements],
-                      _trusted=True)
 
     def inverse(self):
         if not self.is_iso_onto_target():

@@ -407,13 +407,11 @@ def load_presentation(path):
 
 
 def parse_word(pres, text):
-    letters = []
-    for tok in text.split():
-        name, _, exp = tok.rpartition("^")
-        if name not in pres.gen_index or exp not in ("1", "-1"):
-            raise ParseError(f"bad word letter {tok!r}")
-        letters.append((pres.gen_index[name], int(exp)))
-    return pres.word(letters)
+    """A word of `name^1 name^-1` letters, each read by one token lookup."""
+    try:
+        return pres.word(map(pres.tokens.__getitem__, text.split()))
+    except KeyError as exc:
+        raise ParseError(f"bad word letter {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,9 @@ class Presentation:
         self.kind = kind
         self.generators = tuple(generators)
         self.name = name
-        self.gen_index = {g: i for i, g in enumerate(self.generators)}
+        # io.parse_word's table: "name^1", "name^-1" -> (generator, exponent)
+        self.tokens = {f"{g}^{e}": (i, e)
+                       for i, g in enumerate(self.generators) for e in (1, -1)}
         self.p = p
         self.s_group = s_group
         self.s_embed = tuple(s_embed)
@@ -172,10 +174,26 @@ class Presentation:
                 f"{len(self.relators)} relators)")
 
 
-@dataclass(frozen=True)
 class ModelWord:
-    model: Presentation
-    letters: tuple
+    """A word over a presentation: the value (model, letters), with letters
+    a tuple of (generator, exponent) pairs."""
+
+    __slots__ = ("model", "letters")
+
+    def __init__(self, model, letters):
+        self.model = model
+        self.letters = letters
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelWord):
+            return NotImplemented
+        return (self.model, self.letters) == (other.model, other.letters)
+
+    def __hash__(self):
+        return hash((self.model, self.letters))
+
+    def __repr__(self):
+        return f"ModelWord(model={self.model!r}, letters={self.letters!r})"
 
     def __len__(self):
         return len(self.letters)

@@ -12,6 +12,7 @@ generators.  The tests keep two earlier closures as independent oracles:
 
 from collections import deque
 
+from conjugation_oracle import restrict
 from fusionwb.fusion import conjugation_homs
 from fusionwb.groups import InjHom, conjugation_images, lattice
 
@@ -50,7 +51,7 @@ def reference_generate_homsets(S, p, generators):
         h = queue.popleft()
         skey, tkey = h.source.elements, h.target.elements
         for P2 in lat.below[skey]:
-            add(h.restrict(P2))
+            add(restrict(h, P2))
         core = InjHom(h.source, lat.by_key[h.image_elements()], h.images)
         add(core)
         add(core.inverse())

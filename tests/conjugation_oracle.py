@@ -6,11 +6,13 @@ morphisms P -> S, and builds the morphisms between elementary abelian
 sites with one builder (stable._site_morphisms).  The tests keep the loops
 these replaced, one per (P, Q, g) triple with the subgroups searched
 afresh, a union-find over pairs of subgroups, and a conjugation loop per
-site, as the independent oracles for them.
+site, as the independent oracles for them.  It also keeps the restriction
+and the image subgroup of a map, which only the tests take.
 """
 
 from fusionwb.groups import (
     InjHom,
+    Subgroup,
     normalizer,
     subgroups,
     subgroup_as_group,
@@ -28,6 +30,19 @@ def inclusion_hom(P, Q):
     if not Q.contains_subgroup(P):
         raise ValueError("not a subgroup inclusion")
     return InjHom(P, Q, P.elements)
+
+
+def restrict(h, sub):
+    """The restriction of h to a subgroup `sub` of its source, same target."""
+    if not h.source.contains_subgroup(sub):
+        raise ValueError("restriction domain escapes the source")
+    return InjHom(sub, h.target, [h.image_of(x) for x in sub.elements],
+                  _trusted=True)
+
+
+def image_subgroup(h):
+    """h(P), a subgroup of h's target group."""
+    return Subgroup(h.target.parent, h.images)
 
 
 def reference_transporter_homsets(S, G, p):

@@ -1,6 +1,7 @@
 """What perfbench/ reads of the library: the functions its tracer wraps,
-the reduce entry point its smoke check calls and what its stable-series
-check reads of a family.  A change here would otherwise show only as the
+the reduce entry point its smoke check calls, the word lines its inputs
+write for the word reader and what its stable-series check reads of a
+family.  A change here would otherwise show only as the
 benchmark's smoke check stopping early or its answers going wrong."""
 
 import contextlib
@@ -18,7 +19,7 @@ from fusionwb.catalog import cyclic
 from fusionwb.cli import main
 from fusionwb.corpus import corpus_dir
 from fusionwb.groups import InjHom, Subgroup, full_subgroup
-from fusionwb.io import load_datum, load_fusion_spec
+from fusionwb.io import load_datum, load_fusion_spec, parse_word
 from fusionwb.stable import stable_basis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,6 +71,16 @@ def test_reduce_hnn_is_the_canonical_reduce(model):
         w = models.random_word(model, rng, 12)
         assert (models._reduce_hnn(w, canonical=True).letters
                 == models._reduce(w, canonical=True).letters)
+
+
+@pytest.mark.parametrize("model", _models(), ids=["hnn_c4", "d8_s4"])
+def test_parse_word_reads_the_bench_word_text(model):
+    word_text = _load("inputs").word_text
+    rng = random.Random(12)
+    for _ in range(200):
+        w = models.random_word(model, rng, 12)
+        text = word_text([(model.generators[g], e) for g, e in w.letters])
+        assert parse_word(model, text).letters == w.letters
 
 
 @pytest.mark.parametrize("path", [corpus_dir() / "v4_gl2.fus",

@@ -1,5 +1,5 @@
 import pytest
-from conjugation_oracle import inclusion_hom
+from conjugation_oracle import image_subgroup, inclusion_hom
 
 from fusionwb.catalog import (
     alternating4,
@@ -229,7 +229,7 @@ def test_hom_s_contained_and_factorization(f_s4):
     for P in F.subgroups:
         for Q in F.subgroups:
             for h in F.hom(P, Q):
-                img = h.image_subgroup()
+                img = image_subgroup(h)
                 core = {m.images for m in F.hom(P, img)}
                 assert h.images in core
                 incl = inclusion_hom(img, Q)

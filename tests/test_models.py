@@ -40,7 +40,7 @@ from fusionwb.groups import (
     subgroup_as_group,
     sylow_p,
 )
-from fusionwb.io import load_datum
+from fusionwb.io import load_datum, parse_word
 from fusionwb.models import (
     AlperinDatum,
     AlperinEntry,
@@ -158,6 +158,51 @@ def test_free_cancellation(c3_model):
     tid = m.graph_edges[0][4]
     assert is_identity(m.word([(tid, 1), (tid, -1)]))
     assert not is_identity(m.word([(tid, 1)]))
+
+
+def test_word_is_its_model_and_letters(c3_model, c4_model):
+    _, _, m = c3_model
+    _, other = c4_model
+    letters = ((0, 1), (2, -1))
+    u, v = m.word(letters), m.word(list(letters))
+    assert u == v and u is not v
+    assert hash(u) == hash(v) and len({u, v}) == 1
+    assert u != m.word(letters[:1])
+    assert other.word(letters) != u
+    assert (u == (m, letters)) is False and u != (m, letters)
+    assert repr(u) == f"ModelWord(model={m!r}, letters={letters!r})"
+    assert repr(m.word([])) == f"ModelWord(model={m!r}, letters=())"
+    assert len(u) == 2 and len(m.word([])) == 0
+    assert u.display() == "g1^1 t1^-1" and m.word([]).display() == ""
+    assert u.inverse() == m.word([(2, 1), (0, -1)])
+    assert u.concat(u.inverse()).letters == letters + ((2, 1), (0, -1))
+    assert u.concat(u).model is m
+    with pytest.raises(MalformedWord,
+                       match="^words over different presentations$"):
+        u.concat(other.word(letters))
+    assert u.check() is u
+    with pytest.raises(MalformedWord, match="^letter 99 out of range$"):
+        m.word([(99, 1)]).check()
+
+
+def test_every_constructor_gives_a_word_of_a_letter_tuple(c4_model,
+                                                          robinson_s4):
+    _, m = c4_model
+    amalgam = robinson_s4[2]
+    rng = random.Random(3)
+    words = [m.word([(0, 1), (3, -1)]), m.word(map(tuple, [[0, 1], [3, -1]])),
+             m.s_word([1, 2]), reduce_word(random_word(m, rng, 12)),
+             random_word(m, rng), random_pinch_free_word(m, rng),
+             word_from_syllables(m, [1, 2, 0], [(0, 1), (1, -1)]),
+             parse_word(m, "g1^1 t1^-1"), parse_word(m, ""),
+             reduce_word(random_word(amalgam, rng, 12)),
+             random_word(amalgam, rng)]
+    words += m.relators + amalgam.relators
+    words += ball_enumerate(m, 2) + ball_enumerate(amalgam, 2)
+    for w in words:
+        assert type(w) is models.ModelWord, w
+        assert type(w.letters) is tuple, w
+        assert all(type(letter) is tuple for letter in w.letters), w
 
 
 def test_reduce_idempotent_and_nonincreasing(c4_model):
