@@ -34,7 +34,6 @@ from .io import (
     serialize_presentation,
 )
 from .models import (
-    MAX_RADIUS,
     AlperinReport,
     DatumInvalid,
     hnn_presentation,
@@ -64,7 +63,7 @@ def prime(text):
 
 
 def nonnegative(text):
-    """argparse type of --max-degree and --radius."""
+    """argparse type of --max-degree."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
@@ -103,7 +102,6 @@ def build_parser():
     mr.add_argument("--out")
     mv = ms.add_parser("verify")
     mv.add_argument("--presentation", required=True)
-    mv.add_argument("--radius", type=nonnegative, default=3)
     mv.add_argument("--fusion")
     mv.add_argument("--group")
     mv.add_argument("--prime", type=prime)
@@ -217,8 +215,6 @@ def _run_model(args, report):
         _emit_presentation(args, report, pres)
         return report
     # verify
-    if args.radius > MAX_RADIUS:
-        raise UsageError(f"--radius capped at {MAX_RADIUS}")
     if args.datum and (args.fusion or args.group):
         raise UsageError("pass --datum alone, without --fusion or --group")
     pres = load_presentation(args.presentation)
@@ -227,8 +223,8 @@ def _run_model(args, report):
     else:
         expected = _load_fusion_arg(args)
     S = full_subgroup(pres.s_group)
-    got = recover_fusion(pres, S, args.radius)
-    report.add(f"recovered at radius {args.radius}: {describe_fusion(got)}")
+    got = recover_fusion(pres, S, 1)
+    report.add(f"recovered: {describe_fusion(got)}")
     report.add("automorphisms of S recovered: "
                + ", ".join(map(format_elems, got.homsets[got.S.elements])))
     if fusion_equal(got, expected):

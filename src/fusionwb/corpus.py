@@ -17,7 +17,6 @@ from .fusion import (
     fusion_from_group,
     generate_fusion,
     is_saturated,
-    is_subfusion,
 )
 from .groups import (
     InjHom,
@@ -207,29 +206,20 @@ def corpus_check(directory=None):
         inv = InjHom(S, S, [0, 2, 1])
         model = hnn_presentation(S, 3, [inv])
         F = generate_fusion(S, 3, [inv])
-        got = recover_fusion(model, S, 2)
-        if not fusion_equal(got, F):
+        if not fusion_equal(recover_fusion(model, S, 1), F):
             raise AssertionError("HNN recovery disagrees with the closure")
         ball = ball_enumerate(model, 1)
         if len(ball) != 5:
             raise AssertionError(f"radius-1 ball has size {len(ball)}")
-        report.add("ok model-hnn: C3 inversion recovered at radius 2")
+        report.add("ok model-hnn: C3 inversion recovered from its letters")
 
     with report.step("model-robinson", BUDGETS["model-robinson"]):
         spec = load_datum(corpus.directory / "d8_s4.datum")
         F = spec.fusion
         model = robinson_presentation(spec.datum)
-        prev = None
-        for r in (1, 2, 3):
-            got = recover_fusion(model, F.S, r)
-            if not is_subfusion(got, F):
-                raise AssertionError(f"recovered fusion escapes F at r={r}")
-            if prev is not None and not is_subfusion(prev, got):
-                raise AssertionError("recovery is not monotone in the radius")
-            prev = got
-        if not fusion_equal(prev, F):
-            raise AssertionError("radius-3 recovery differs from F_{D8}(S4)")
-        report.add("ok model-robinson: D8/S4 amalgam recovered at radius 3")
+        if not fusion_equal(recover_fusion(model, F.S, 1), F):
+            raise AssertionError("recovery differs from F_{D8}(S4)")
+        report.add("ok model-robinson: D8/S4 amalgam recovered from its letters")
 
     with report.step("britton", BUDGETS["britton"]):
         C4 = named_group("C4")

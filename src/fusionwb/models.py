@@ -647,7 +647,9 @@ def recover_fusion(pres, S, radius):
     composes the c_a along w's reduced spelling, no longer than w, and where
     c_w(x) is in S so is each partial conjugate (an HNN syllable lies in S,
     an amalgam path crosses only attached subgroups, which lie in S).  So
-    every radius >= 1 gives one system, and radius 0 gives F_S(S)."""
+    every radius >= 1 gives one system, and radius 0 gives F_S(S).
+    `model verify` and `corpus check` recover once, at radius 1; the radius
+    argument stays only for callers that pass one."""
     _check_radius(radius)
     if pres.s_group != S.parent or S.elements != tuple(range(S.parent.order)):
         raise MismatchedBase("S does not match the model's embedded copy")

@@ -50,10 +50,10 @@ def test_hnn_then_verify_pipeline(tmp_path, capsys):
                  "--out", str(pres)]) == 0
     capsys.readouterr()
     code = main(["model", "verify", "--presentation", str(pres),
-                 "--fusion", str(DATA / "c3_inversion.fus"),
-                 "--radius", "2"])
+                 "--fusion", str(DATA / "c3_inversion.fus")])
     out = capsys.readouterr().out
     assert code == 0
+    assert any(ln.startswith("recovered: ") for ln in out.splitlines())
     assert "[0,2,1]" in out          # the inversion shows up as recovered
     assert "equals the expected fusion" in out
 
@@ -64,12 +64,11 @@ def test_robinson_then_verify(tmp_path, capsys):
                  "--out", str(pres)]) == 0
     capsys.readouterr()
     code = main(["model", "verify", "--presentation", str(pres),
-                 "--group", str(DATA / "s4.grp"), "--prime", "2",
-                 "--radius", "3"])
+                 "--group", str(DATA / "s4.grp"), "--prime", "2"])
     assert code == 0
     capsys.readouterr()
     code = main(["model", "verify", "--presentation", str(pres),
-                 "--datum", str(DATA / "d8_s4.datum"), "--radius", "3"])
+                 "--datum", str(DATA / "d8_s4.datum")])
     assert code == 0
 
 
@@ -102,6 +101,19 @@ def test_corpus_check_validates_the_datum_once(capsys, validations):
     assert main(["corpus", "check"]) == 0
     assert "ok model-robinson" in capsys.readouterr().out
     assert len(validations) == 1
+
+
+def test_corpus_check_recovers_each_model_once(monkeypatch):
+    calls = []
+    recover = corpus.recover_fusion
+
+    def counting(pres, S, radius):
+        calls.append(radius)
+        return recover(pres, S, radius)
+
+    monkeypatch.setattr(corpus, "recover_fusion", counting)
+    assert corpus.corpus_check().ok
+    assert len(calls) == 2
 
 
 def test_group_info_names_the_nonassociative_triple(capsys):
@@ -148,7 +160,7 @@ def test_truncated_presentation_exit_two(tmp_path, capsys):
         cut.write_text(text)
         capsys.readouterr()
         code = main(["model", "verify", "--presentation", str(cut),
-                     "--datum", str(DATA / "d8_s4.datum"), "--radius", "1"])
+                     "--datum", str(DATA / "d8_s4.datum")])
         assert code == 2
         assert "presentation ends early" in capsys.readouterr().err
 
@@ -250,17 +262,17 @@ def test_bad_numeric_flag_exit_two(capsys, argv):
     assert "must be" in captured.err
 
 
-def test_negative_radius_exit_two(tmp_path, capsys):
+def test_verify_has_no_radius_option_exit_two(tmp_path, capsys):
     pres = tmp_path / "m.pres"
     assert main(["model", "hnn", str(DATA / "c3_inversion.fus"),
                  "--out", str(pres)]) == 0
     capsys.readouterr()
     assert main(["model", "verify", "--presentation", str(pres),
                  "--fusion", str(DATA / "c3_inversion.fus"),
-                 "--radius", "-1"]) == 2
+                 "--radius", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be at least 0, not -1" in captured.err
+    assert "unrecognized arguments: --radius 2" in captured.err
 
 
 def test_prime_one_exit_two_at_once():

@@ -1,7 +1,7 @@
 """The CLI's exit codes, stdout and --out files, byte for byte, against the
 digests golden/record.py recorded (see golden/commands.txt)."""
 
-from golden.record import HERE, digests
+from golden.record import HERE, changes, digests
 
 
 def test_golden_digests(tmp_path):
@@ -11,3 +11,11 @@ def test_golden_digests(tmp_path):
     assert [line for _, line in got] == [line for _, line in want]
     changed = [line for (h, line), (w, _) in zip(got, want) if h != w]
     assert not changed
+
+
+def test_record_lists_changed_added_and_removed_commands():
+    old = [("a", "x"), ("b", "y"), ("c", "x"), ("d", "z")]
+    new = [("a", "x"), ("e", "y"), ("f", "x"), ("g", "w")]
+    # the second "x" is matched with the second, not the first
+    assert changes(old, new) == ["changed: y", "changed: x", "added: w",
+                                 "removed: z"]

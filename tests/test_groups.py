@@ -23,6 +23,7 @@ from fusionwb.groups import (
     Group,
     InjHom,
     Subgroup,
+    _hom_from_generators,
     _perm_mul,
     _validate_table,
     build_group_from_permutations,
@@ -253,6 +254,47 @@ def test_is_isomorphic_order_cap():
     big = cyclic(300)
     with pytest.raises(OrderBoundExceeded):
         is_isomorphic(big, big)
+
+
+def _is_bijective_hom(G, H, fmap):
+    """Oracle: the all-pairs check _hom_from_generators leaves out."""
+    return (sorted(fmap) == list(range(G.order))
+            and sorted(fmap.values()) == list(range(H.order))
+            and all(fmap[G.table[a][b]] == H.table[fmap[a]][fmap[b]]
+                    for a in range(G.order) for b in range(G.order)))
+
+
+def _isomorphism_images(G, H, gens):
+    """Oracle: the generator images of every isomorphism G -> H, found by
+    trying every bijection that fixes the identity."""
+    found = set()
+    for perm in itertools.permutations(range(1, H.order)):
+        fmap = dict(zip(range(G.order), (0,) + perm))
+        if _is_bijective_hom(G, H, fmap):
+            found.add(tuple(fmap[g] for g in gens))
+    return found
+
+
+@pytest.mark.parametrize("gname, hname", [
+    ("C4", "C4"), ("C4", "V4"), ("V4", "C4"), ("V4", "V4"),
+    ("S3", "S3"), ("S3", "C6"), ("C6", "S3"), ("C6", "C6"),
+    ("D8", "D8"), ("D8", "Q8"), ("Q8", "D8"), ("Q8", "Q8"),
+])
+def test_hom_from_generators_needs_no_all_pairs_check(gname, hname):
+    # the edge checks f(x g) = f(x) h_g alone must decide, for every image
+    # tuple of a generating sequence, whether a bijective hom extends it
+    G, H = named_group(gname), named_group(hname)
+    gens = generating_sequence(full_subgroup(G))
+    want = _isomorphism_images(G, H, gens)
+    for images in itertools.product(range(H.order), repeat=len(gens)):
+        fmap = _hom_from_generators(G, H, gens, list(images))
+        if fmap is None:
+            assert images not in want
+        else:
+            assert _is_bijective_hom(G, H, fmap)
+            assert tuple(fmap[g] for g in gens) == images
+    # each pair of distinct names is a pair of non-isomorphic groups
+    assert bool(want) == (gname == hname)
 
 
 def test_quotient_s4_by_v4_is_s3():
