@@ -4,14 +4,15 @@ At p = 2 a rank-n site carries the polynomial algebra F_2[x_1..x_n] with the
 x_i in degree 1.  At odd p it carries Lambda(a_1..a_n) (x) F_p[x_1..x_n] with
 a_i in degree 1 and x_i in degree 2.  A monomial is a pair (eps, alpha) of
 exponent tuples for the exterior and polynomial parts; eps stays zero at p=2.
-A class is its degree and its coordinate tuple in the basis of that degree,
-and the cup product runs on the product tables (_products) that the
-restriction kernel's product steps use.
+A class is its degree and its coordinate tuple in the basis of that degree;
+the restriction kernel's product steps and the cup product read one product
+table per pair of degrees, _products.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -54,16 +55,6 @@ def monomial_degree(mono, p):
     return sum(eps) + 2 * sum(alpha)
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def cohomology_basis(site, d):
     """Monomials of total degree d, in decreasing lexicographic order."""
     if d < 0:
@@ -76,16 +67,15 @@ def cohomology_basis(site, d):
 
 @functools.lru_cache(maxsize=None)
 def _basis(n, p, d):
-    if p == 2:
-        zero = (0,) * n
-        return tuple((zero, alpha) for alpha in _compositions(d, n))
+    x = 1 if p == 2 else 2      # the degree of a polynomial generator
     monos = []
-    for k in range(min(n, d) + 1):
-        if (d - k) % 2:
-            continue
-        for eps in _eps_tuples(n, k):
-            for alpha in _compositions((d - k) // 2, n):
-                monos.append((eps, alpha))
+    # k of the a_i (none at p = 2), and d - k a multiple of x
+    for k in range(d % x, 1 if p == 2 else min(n, d) + 1, x):
+        for ext in itertools.combinations(range(n), k):
+            eps = tuple(int(i in ext) for i in range(n))
+            for poly in itertools.combinations_with_replacement(range(n),
+                                                                (d - k) // x):
+                monos.append((eps, tuple(poly.count(i) for i in range(n))))
     monos.sort(reverse=True)
     return tuple(monos)
 
@@ -126,18 +116,6 @@ def _codes(n, p, d, radix):
     basis = _basis(n, p, d)
     digits = np.array(basis, dtype=np.int64).reshape(len(basis), 2 * n)
     return digits[:, :n], digits @ weights
-
-
-def _eps_tuples(n, k):
-    if k == 0:
-        yield (0,) * n
-        return
-    if n < k:
-        return
-    for rest in _eps_tuples(n - 1, k):
-        yield (0,) + rest
-    for rest in _eps_tuples(n - 1, k - 1):
-        yield (1,) + rest
 
 
 class CohoElement:
@@ -234,35 +212,18 @@ _STEP_ELEMENTS = 1 << 20
 
 @functools.lru_cache(maxsize=None)
 def _splits(n, p, a, b):
-    """Each degree-(a+b) monomial c as c1 c2, c1 of degree a taking
-    polynomial generators first, then the lowest exterior ones, and c2 the
-    rest: the arrays of the positions of c1 and c2 in the bases of degrees
-    a and b.  The a_i of c1 come before those of c2, so c = c1 c2 with
-    sign +1.
-
-    Every monomial has such a split when a is even or p = 2.  At odd p
-    with a = b = 1 only the a_i a_j have one; they come first in the basis
-    of degree 2, and the x_i after them are left out.
+    """Each degree-(a+b) monomial c with a factor of degree a as c1 c2, the
+    first pair of c's run in _products: the positions of c1 and c2 in the
+    bases of degrees a and b.  _products lists the pairs u ascending, in
+    np.nonzero order, and sorts them stably by product, so c1 is the
+    lexicographically largest factor of c of degree a.  Swapping an a_i of
+    c2 with a later one of c1 would give a larger c1, so the a_i of c1 come
+    first and c = c1 c2 with sign +1.  The runs cover every monomial of
+    degree a + b when p = 2 or a is even; at odd p with a = b = 1, exactly
+    the a_i a_j, which come first in the basis of degree 2.
     """
-    x = 1 if p == 2 else 2      # the degree of a polynomial generator
-    low, high = _index(n, p, a), _index(n, p, b)
-    rows = []
-    for eps, alpha in _basis(n, p, a + b):
-        left = a
-        alpha1 = []
-        for e in alpha:
-            alpha1.append(min(e, left // x))
-            left -= x * alpha1[-1]
-        eps1 = []
-        for e in eps:
-            eps1.append(min(e, left))
-            left -= eps1[-1]
-        if left:
-            continue
-        rest = (tuple(e - f for e, f in zip(eps, eps1)),
-                tuple(e - f for e, f in zip(alpha, alpha1)))
-        rows.append((low[(tuple(eps1), tuple(alpha1))], high[rest]))
-    return np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    u, v, _, starts, _ = _products(n, p, a, b)
+    return u[starts], v[starts]
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,8 +271,9 @@ def _chain(p, d):
 def _product_step(low, high, n_w, n_v, p, a, b):
     """The images of the degree-(a+b) monomials that _splits splits, from
     the stacks low and high of the images of degrees a and b: column c is
-    phi*(c1) phi*(c2), summed over the pairs of _products, a slice of the
-    stack and of the columns at a time."""
+    phi*(c1) phi*(c2), c = c1 c2 read off the target's product table and
+    summed over the pairs of the source's, a slice of the stack and of the
+    columns at a time."""
     c1, c2 = _splits(n_v, p, a, b)
     u, v, sign, starts, reached = _products(n_w, p, a, b)
     m = len(low)

@@ -322,13 +322,13 @@ def parse_presentation(text):
         S = full_subgroup(sgroup)
         phis = []
         while idx < len(lines) and lines[idx].startswith("stable "):
-            m = re.fullmatch(
-                r"stable (\S+) src=(\[[\d,]*\]) images=(\[[\d,]*\])",
-                lines[idx])
+            # each stable line names the generator it creates
+            m = re.fullmatch(rf"stable t{len(phis) + 1} src=(\[[\d,]*\]) "
+                             r"images=(\[[\d,]*\])", lines[idx])
             if not m:
                 raise ParseError(f"bad stable line: {lines[idx]!r}")
             try:
-                phis.append(_parse_map(m.group(2), S, m.group(3)))
+                phis.append(_parse_map(m.group(1), S, m.group(2)))
             except ValueError as exc:
                 raise ParseError(f"invalid stable line {lines[idx]!r}: "
                                  f"{exc}") from exc
@@ -382,6 +382,9 @@ def parse_presentation(text):
             raise ParseError("every factor but the first needs an attach line")
         pres = amalgam_presentation(factors, edges, sgroup, s_embed, p)
     # remaining lines must agree with the regenerated text
+    for ln in lines[idx:]:
+        if not (ln == "rel" or ln.startswith(("gen ", "rel "))):
+            raise ParseError(f"unexpected presentation line: {ln!r}")
     declared_gens = [ln[4:] for ln in lines[idx:] if ln.startswith("gen ")]
     if tuple(declared_gens) != pres.generators:
         raise ParseError("generator lines disagree with the structural data")

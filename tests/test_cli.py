@@ -165,6 +165,20 @@ def test_truncated_presentation_exit_two(tmp_path, capsys):
         assert "presentation ends early" in capsys.readouterr().err
 
 
+def test_presentation_with_an_unknown_line_exit_two(tmp_path, capsys):
+    path = tmp_path / "m.pres"
+    assert main(["model", "hnn", str(DATA / "c3_inversion.fus"),
+                 "--out", str(path)]) == 0
+    path.write_text(path.read_text() + "hello world\n")
+    capsys.readouterr()
+    code = main(["model", "verify", "--presentation", str(path),
+                 "--fusion", str(DATA / "c3_inversion.fus")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "'hello world'" in err
+
+
 @pytest.mark.parametrize("argv, what", [
     (["fusion", "saturate", "--fusion"], "fusion file is empty"),
     (["model", "hnn"], "fusion file is empty"),

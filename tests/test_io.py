@@ -375,6 +375,34 @@ def test_hnn_file_refuses_a_bad_stable_line():
             parse_presentation(text.replace("src=[0,1,2]", bad))
 
 
+@pytest.mark.parametrize("build", [_c4_hnn, _d8_s4_amalgam],
+                         ids=["hnn_c4", "amalgam_d8_s4"])
+def test_presentation_refuses_a_line_it_does_not_know(build):
+    # after the structural block only gen and rel lines may follow, and
+    # each unknown line is named wherever it stands among them
+    lines = serialize_presentation(build()).splitlines()
+    first_gen = next(i for i, ln in enumerate(lines) if ln.startswith("gen "))
+    for at in (first_gen, first_gen + 1, len(lines)):
+        for extra in ("hello world", "gen", "rels g1^1", "stable t9"):
+            text = "\n".join(lines[:at] + [extra] + lines[at:]) + "\n"
+            with pytest.raises(ParseError, match=re.escape(repr(extra))):
+                parse_presentation(text)
+
+
+def test_stable_line_names_the_generator_it_creates():
+    text = serialize_presentation(_c4_hnn())
+    t1, t2 = [ln for ln in text.splitlines() if ln.startswith("stable ")]
+    for old, new in ((t1, t1.replace("stable t1", "stable zz")),
+                     (t2, t2.replace("stable t2", "stable t1")),
+                     (t1, t1.replace("stable t1", "stable g1"))):
+        with pytest.raises(ParseError, match=re.escape(repr(new))):
+            parse_presentation(text.replace(old, new))
+    swapped = text.replace(t1, "@").replace(t2, t1).replace("@", t2)
+    want = re.escape(f"bad stable line: {t2!r}")
+    with pytest.raises(ParseError, match=want):
+        parse_presentation(swapped)
+
+
 def test_amalgam_file_refuses_an_attach_off_a_subgroup():
     text = _d8_s4_text(attach={0: 0, 1: 1, 2: 5})
     with pytest.raises(ParseError, match="left is not a subgroup"):

@@ -11,6 +11,7 @@ from group_oracle import reference_check_family
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from restriction_oracle import (
+    _merge_exterior,
     reference_constraints,
     reference_cup,
     reference_limit_terms,
@@ -567,6 +568,48 @@ def test_product_steps_build_each_degree_from_two_lower_ones():
         [2, 3, 5, 10, 20, 40]
     assert [k for k, _, _ in cohomology._chain(3, 30)] == \
         [4, 6, 8, 14, 16, 30]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_basis_is_every_monomial_in_decreasing_order(p):
+    # by definition: every (eps, alpha) with sum(eps) + x sum(alpha) = d,
+    # x the degree of a polynomial generator, eps zero at p = 2
+    x = 1 if p == 2 else 2
+    for n in range(5):
+        by_degree = {}
+        for eps in itertools.product((0,) if p == 2 else (0, 1), repeat=n):
+            for alpha in itertools.product(range(10 // x + 1), repeat=n):
+                d = sum(eps) + x * sum(alpha)
+                by_degree.setdefault(d, set()).add((eps, alpha))
+        for d in range(11):
+            got = _basis(n, p, d)
+            assert set(got) == by_degree.get(d, set())
+            assert all(m1 > m2 for m1, m2 in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_product_step_splits_multiply_to_their_monomial(p):
+    # every step of the chains up to degree 12, and at odd p the a_i a_j of
+    # degree 2: split j is a pair that multiplies to monomial j with sign
+    # +1, and the splits cover a prefix of the basis of degree a + b
+    steps = {(a, b) for d in range(13) for _, a, b in cohomology._chain(p, d)}
+    if p != 2:
+        steps.add((1, 1))
+    for n in range(5):
+        for a, b in sorted(steps):
+            low, high = _basis(n, p, a), _basis(n, p, b)
+            up = _basis(n, p, a + b)
+            c1, c2 = cohomology._splits(n, p, a, b)
+            if p == 2 or a % 2 == 0:
+                assert len(c1) == len(up)
+            else:
+                assert len(c1) == math.comb(n, 2)
+                assert all(sum(eps) == 2 for eps, _ in up[:len(c1)])
+            for j, (u, v) in enumerate(zip(c1.tolist(), c2.tolist())):
+                (e1, a1), (e2, a2) = low[u], high[v]
+                sign, eps = _merge_exterior(e1, e2)
+                assert sign == 1
+                assert (eps, tuple(s + t for s, t in zip(a1, a2))) == up[j]
 
 
 @pytest.mark.parametrize("p", [2, 3])
