@@ -176,6 +176,8 @@ def _load_fusion_arg(args):
     if args.fusion and args.group:
         raise UsageError("pass --fusion FILE or --group FILE --prime P, "
                          "not both")
+    if args.prime and not args.group:
+        raise UsageError("--prime goes with --group")
     if args.fusion:
         spec = load_fusion_spec(args.fusion)
         return spec.fusion()
@@ -215,8 +217,9 @@ def _run_model(args, report):
         _emit_presentation(args, report, pres)
         return report
     # verify
-    if args.datum and (args.fusion or args.group):
-        raise UsageError("pass --datum alone, without --fusion or --group")
+    if args.datum and (args.fusion or args.group or args.prime):
+        raise UsageError(
+            "pass --datum alone, without --fusion, --group or --prime")
     pres = load_presentation(args.presentation)
     if args.datum:
         expected = load_datum(args.datum).fusion

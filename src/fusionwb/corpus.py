@@ -23,7 +23,7 @@ from .groups import (
     _elementary_abelian_search,
     Subgroup,
     centralizer,
-    conjugate_subgroup,
+    conjugation_array,
     elementary_abelians,
     full_subgroup,
     is_isomorphic,
@@ -120,10 +120,10 @@ def load_corpus(directory=None):
 
 
 def _check_group(name, G):
-    lat = lattice(G)
+    lat, conj = lattice(G), conjugation_array(G)
     for P in lat.subgroups:
-        for g in G.elements():
-            if conjugate_subgroup(G, g, P).elements not in lat.by_key:
+        for images in np.sort(conj[:, list(P.elements)], axis=1).tolist():
+            if tuple(images) not in lat.by_key:
                 raise AssertionError(f"{name}: conjugate of subgroup missing")
     for P in lat.subgroups:
         C, N = centralizer(G, P), normalizer(G, P)

@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import MismatchedBase, NotACategory, NotSylow
 from .groups import (
     InjHom,
     Subgroup,
     centralizer,
+    conjugates_into,
+    conjugation_array,
     conjugation_images,
     conjugations,
     full_subgroup,
@@ -145,9 +149,7 @@ class FusionSystem:
 
 def transporter(G, P, Q):
     """N_G(P,Q) = elements g with g P g^-1 <= Q."""
-    qset = Q.as_set()
-    return [g for g in G.elements()
-            if all(G.conj(g, x) in qset for x in P.elements)]
+    return np.flatnonzero(conjugates_into(G, P, Q)).tolist()
 
 
 def conjugation_homs(G, emb, subs):
@@ -187,15 +189,15 @@ def fusion_from_group(S, G, p=None):
     Sgroup._conjugations = {
         key: dict(sorted((kv for kv in kvs if kv[1]), key=lambda kv: kv[1][0]))
         for key, kvs in inner.items()}
-    t = G.table
+    t, conj = G.table, conjugation_array(G)
     covered = set()
     gens = []
     for g in G.elements():
         if g in covered:
             continue
         covered.update(t[t[s][g]][u] for s in S.elements for u in S.elements)
-        row = [t[y][G.inv(g)] for y in t[g]]
-        c_g = {k: back[row[x]] for k, x in emb.items() if row[x] in back}
+        row = conj[g, list(S.elements)].tolist()
+        c_g = {k: back[y] for k, y in enumerate(row) if y in back}
         gens.append(InjHom(Subgroup(Sgroup, c_g, _trusted=True), top,
                            list(c_g.values()), _trusted=True))
     F = FusionSystem(top, p, gens)

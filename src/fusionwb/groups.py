@@ -3,6 +3,10 @@
 Elements are the integers 0..order-1 with 0 the identity.  Every ordering
 (elements from generators, subgroup lists, morphism lists) is fixed so that
 repeated runs produce identical output.
+
+Centralizers, normalizers, transporters, Sylow subgroups and conjugation
+images read one array per group, conjugation_array(G) with conj[g, x] =
+g x g^-1, of 8|G|^2 bytes, so each pass over G is an array operation.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ class Group:
         self._hash = hash(self.table)
         self._element_orders = None
         self._lattice = None
+        self._conj_array = None
         self._conjugations = None
         self._inner = None
         self._limits = {}           # p -> stable.quillen_morphisms(self, p)
@@ -279,6 +284,27 @@ def full_subgroup(G):
     return Subgroup(G, range(G.order))
 
 
+def conjugation_array(G):
+    """conj[g, x] = g x g^-1 as a read-only |G| x |G| intp array, of
+    8|G|^2 bytes, built on first use and kept on G."""
+    if G._conj_array is None:
+        G._conj_array = _conjugation_table(G)
+    return G._conj_array
+
+
+def _conjugation_table(G):
+    T = np.array(G.table, dtype=np.intp)
+    conj = T[T, np.array(G._inv)[:, None]]
+    conj.flags.writeable = False
+    return conj
+
+
+def conjugates_into(G, P, Q):
+    """Bool mask over g in G of g P g^-1 <= Q: the transporter N_G(P, Q)."""
+    return np.isin(conjugation_array(G)[:, list(P.elements)],
+                   Q.elements).all(axis=1)
+
+
 def _add(found, heap, inside, gens):
     """Record the subgroup with element indicator inside and generators
     gens in found, keyed by the indicator's bytes, and queue it on heap by
@@ -357,7 +383,7 @@ def subgroups(G):
         raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
     n = G.order
     T = np.array(G.table, dtype=np.intp)
-    conj = T[T, np.array(G._inv)[:, None]]      # conj[g, x] = g x g^-1
+    conj = conjugation_array(G)
 
     def normalizing(gens, inside):
         return inside[conj[:, list(gens)]].all(axis=1)
@@ -430,10 +456,9 @@ def lattice(G):
 
 def centralizer(G, P):
     """C_G(P) = elements commuting with every element of P."""
-    t = G.table
-    elems = [g for g in G.elements()
-             if all(t[g][x] == t[x][g] for x in P.elements)]
-    return Subgroup(G, elems)
+    cols = list(P.elements)
+    fixed = (conjugation_array(G)[:, cols] == cols).all(axis=1)
+    return Subgroup(G, np.flatnonzero(fixed).tolist())
 
 
 def conjugation_images(G, subs, emb=None):
@@ -442,18 +467,20 @@ def conjugation_images(G, subs, emb=None):
     or, when the dict emb embeds their group into G, of that group, with
     c_g(x) = emb^-1(g emb(x) g^-1); an image outside emb's range is left out.
     """
-    t = G.table
-    back = None if emb is None else {y: x for x, y in emb.items()}
-    found = {P.elements: {} for P in subs}
-    for g in G.elements():
-        ginv = G.inv(g)
-        row = [t[y][ginv] for y in t[g]]
-        if back is not None:
-            row = {x: back.get(row[y]) for x, y in emb.items()}
-        for P in subs:
-            images = tuple(map(row.__getitem__, P.elements))
-            if back is None or None not in images:
-                found[P.elements].setdefault(images, []).append(g)
+    conj, column = conjugation_array(G), range(G.order)
+    if emb is not None:
+        # conj[g, k] = emb^-1(g emb(x) g^-1) for the k-th x of emb, or -1
+        back = np.full(G.order, -1, dtype=np.intp)
+        back[list(emb.values())] = list(emb)
+        conj = back[conj[:, list(emb.values())]]
+        column = {x: k for k, x in enumerate(emb)}
+    found = {}
+    for P in subs:
+        by_images = found[P.elements] = {}
+        rows = conj[:, [column[x] for x in P.elements]].tolist()
+        for g, images in enumerate(map(tuple, rows)):
+            if -1 not in images:
+                by_images.setdefault(images, []).append(g)
     return found
 
 
@@ -471,8 +498,8 @@ def inner_generators(G):
     """The image tuples of c_s and c_{s^-1} on G, for s in
     generating_sequence(G), built on first use and kept on G."""
     if G._inner is None:
-        t = G.table
-        G._inner = tuple(tuple(t[y][G.inv(s)] for y in t[s])
+        conj = conjugation_array(G)
+        G._inner = tuple(tuple(conj[s].tolist())
                          for g in generating_sequence(full_subgroup(G))
                          for s in (g, G.inv(g)))
     return G._inner
@@ -480,10 +507,7 @@ def inner_generators(G):
 
 def normalizer(G, P):
     """N_G(P) = elements with g P g^-1 = P."""
-    pset = P.as_set()
-    elems = [g for g in G.elements()
-             if all(G.conj(g, x) in pset for x in P.elements)]
-    return Subgroup(G, elems)
+    return Subgroup(G, np.flatnonzero(conjugates_into(G, P, P)).tolist())
 
 
 def conjugate_subgroup(G, g, P):
@@ -493,22 +517,20 @@ def conjugate_subgroup(G, g, P):
 def sylow_p(G, p):
     """A Sylow p-subgroup; the lexicographically least one for determinism."""
     target = p_part(G.order, p)
-    elems = (0,)
+    conj = conjugation_array(G)
+    elems, inside = (0,), np.zeros(G.order, dtype=bool)
+    inside[0] = True
     while len(elems) < target:
-        P = Subgroup(G, elems)
-        N = normalizer(G, P)
-        grown = None
-        for g in N.elements:
-            if g in P:
-                continue
-            if G.power(g, p) in P:
-                grown = closure(G, elems + (g,))
-                break
-        if grown is None or len(grown) <= len(elems):
+        # P<g> for the least g outside P normalizing it with g^p in P
+        normalizing = inside[conj[:, list(elems)]].all(axis=1) & ~inside
+        g = next((g for g in np.flatnonzero(normalizing).tolist()
+                  if inside[G.power(g, p)]), None)
+        if g is None:
             raise RuntimeError("Sylow growth stalled; table is corrupt")
-        elems = grown
-    return Subgroup(G, min(tuple(sorted(G.conj(g, x) for x in elems))
-                           for g in G.elements()))
+        elems = closure(G, elems + (g,))
+        inside[list(elems)] = True
+    rows = np.sort(conj[:, list(elems)], axis=1)
+    return Subgroup(G, rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 def elementary_abelians(G, p):
@@ -668,10 +690,8 @@ def quotient_group(G, N):
     Returns (Group, coset tuple list); coset k of the quotient is the k-th
     tuple.
     """
-    nset = N.as_set()
-    for g in G.elements():
-        if any(G.conj(g, x) not in nset for x in N.elements):
-            raise ValueError("subgroup is not normal")
+    if not conjugates_into(G, N, N).all():
+        raise ValueError("subgroup is not normal")
     t = G.table
 
     def coset(g):

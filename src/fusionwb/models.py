@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     MalformedWord,
     MismatchedBase,
@@ -39,6 +41,7 @@ from .groups import (
     InjHom,
     Subgroup,
     centralizer,
+    conjugation_array,
     conjugations,
     full_subgroup,
     is_isomorphic,
@@ -436,9 +439,9 @@ def p_core(G, p):
     """O_p(G), the intersection of all Sylow p-subgroups: the elements of
     one Sylow p-subgroup whose every conjugate stays in it."""
     P = sylow_p(G, p)
-    pset = P.as_set()
-    return Subgroup(G, [x for x in P.elements
-                        if all(G.conj(g, x) in pset for g in G.elements())])
+    stays = np.isin(conjugation_array(G)[:, list(P.elements)],
+                    P.elements).all(axis=0)
+    return Subgroup(G, np.compress(stays, P.elements).tolist())
 
 
 def _pullback_morphisms(F, entry):

@@ -14,7 +14,8 @@ from collections import deque
 
 from conjugation_oracle import restrict
 from fusionwb.fusion import conjugation_homs
-from fusionwb.groups import InjHom, conjugation_images, lattice
+from fusionwb.groups import InjHom, lattice
+from group_oracle import reference_conjugation_images
 
 
 def reference_generate_homsets(S, p, generators):
@@ -80,7 +81,7 @@ def reference_closure_homsets(S, p, maps):
             homs[key].add(images)
             queue.append((key, images))
 
-    for key, found in conjugation_images(G, lat.subgroups).items():
+    for key, found in reference_conjugation_images(G, lat.subgroups).items():
         for images in found:
             add(key, images)
     for phi in maps:

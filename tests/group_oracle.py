@@ -13,6 +13,12 @@ groups._elementary_abelian_search, groups.elementary_basis and
 groups.generating_sequence, verbatim, under reference_ names, and
 reference_check_family, the per-morphism check over every fusion morphism
 of conjugation_oracle.reference_fusion_ea_morphisms.
+
+Centralizers, normalizers, the least conjugate that picks a Sylow
+subgroup, and conjugation images read one g x g^-1 array per group in the
+library (groups.conjugation_array); the per-element loops it replaced are
+kept here as reference_centralizer, reference_normalizer,
+reference_least_conjugate and reference_conjugation_images.
 """
 
 from conjugation_oracle import reference_fusion_ea_morphisms
@@ -57,6 +63,49 @@ def reference_subgroups(G):
                     nxt.append(k)
         frontier = nxt
     return [Subgroup(G, h) for h in sorted(found, key=lambda h: (len(h), h))]
+
+
+def reference_centralizer(G, P):
+    """C_G(P) = elements commuting with every element of P."""
+    t = G.table
+    elems = [g for g in G.elements()
+             if all(t[g][x] == t[x][g] for x in P.elements)]
+    return Subgroup(G, elems)
+
+
+def reference_normalizer(G, P):
+    """N_G(P) = elements with g P g^-1 = P."""
+    pset = P.as_set()
+    elems = [g for g in G.elements()
+             if all(G.conj(g, x) in pset for x in P.elements)]
+    return Subgroup(G, elems)
+
+
+def reference_least_conjugate(G, P):
+    """The conjugate g P g^-1 with the least sorted element tuple."""
+    return Subgroup(G, min(tuple(sorted(G.conj(g, x) for x in P.elements))
+                           for g in G.elements()))
+
+
+def reference_conjugation_images(G, subs, emb=None):
+    """{P.elements: {images of c_g|P: [g, ...]}} over g in G, keys in the
+    order of their first g, each g list ascending.  subs are subgroups of G,
+    or, when the dict emb embeds their group into G, of that group, with
+    c_g(x) = emb^-1(g emb(x) g^-1); an image outside emb's range is left out.
+    """
+    t = G.table
+    back = None if emb is None else {y: x for x, y in emb.items()}
+    found = {P.elements: {} for P in subs}
+    for g in G.elements():
+        ginv = G.inv(g)
+        row = [t[y][ginv] for y in t[g]]
+        if back is not None:
+            row = {x: back.get(row[y]) for x, y in emb.items()}
+        for P in subs:
+            images = tuple(map(row.__getitem__, P.elements))
+            if back is None or None not in images:
+                found[P.elements].setdefault(images, []).append(g)
+    return found
 
 
 def reference_elementary_abelian_search(G, p):

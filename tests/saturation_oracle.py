@@ -14,15 +14,17 @@ from fusionwb.fusion import (
     SaturationReport,
     SylowFailure,
 )
-from fusionwb.groups import centralizer, normalizer, p_part
+from fusionwb.groups import p_part
+from group_oracle import reference_centralizer, reference_normalizer
 
 
 def reference_is_saturated(F):
     """Check the Sylow and extension axioms; failures become witnesses."""
     G = F.group
     witnesses = []
-    norms = {P.elements: normalizer(G, P) for P in F.subgroups}
-    cents = {P.elements: centralizer(G, P).order for P in F.subgroups}
+    norms = {P.elements: reference_normalizer(G, P) for P in F.subgroups}
+    cents = {P.elements: reference_centralizer(G, P).order
+             for P in F.subgroups}
     aut_s = {key: {tuple(G.conj(g, x) for x in key) for g in N.elements}
              for key, N in norms.items()}     # images of Aut_S(P)
     max_c = {}

@@ -1,8 +1,9 @@
 """What perfbench/ reads of the library: the functions its tracer wraps,
 the reduce entry point its smoke check calls, the word lines its inputs
-write for the word reader and what its stable-series check reads of a
-family.  A change here would otherwise show only as the
-benchmark's smoke check stopping early or its answers going wrong."""
+write for the word reader, what its stable-series check reads of a
+family, and the answers it records in perfbench/reference.json.  A change
+here would otherwise show only as the benchmark's smoke check stopping
+early or its answers going wrong."""
 
 import contextlib
 import importlib
@@ -101,3 +102,20 @@ def test_render_stable_is_the_cli_basis_block(path):
     F = load_fusion_spec(path).fusion()
     for d, block in enumerate(blocks):
         assert render_stable(d, stable_basis(F, d)) == f"degree {block}"
+
+
+def test_every_workload_answers_right_on_one_pass(tmp_path):
+    # one pass of each workload against perfbench/reference.json: the whole
+    # fusion-ladder list and the short lists of the other three
+    inputs, workloads = _load("inputs"), _load("workloads")
+    inp = inputs.Inputs(tmp_path, 0)
+    ref = workloads.Reference()
+    for name, cls in sorted(workloads.WORKLOADS.items()):
+        workload = cls(inp, random.Random(name), ref,
+                       small=name != "fusion-ladder")
+        tasks = workload.tasks(workload.setup())
+        assert tasks, name
+        workload.begin_pass()
+        failures = [task.check(task.run()) for task in tasks]
+        failures += workload.pass_failures()
+        assert [line for line in failures if line] == [], name

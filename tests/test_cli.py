@@ -352,6 +352,31 @@ def test_two_fusion_sources_exit_two(tmp_path, capsys, verb, sources):
     assert "usage error: pass " in captured.err
 
 
+@pytest.mark.parametrize("verb, sources", [
+    ("saturate", ["--fusion", "v4_gl2.fus", "--prime", "5"]),
+    ("verify", ["--fusion", "v4_rho.fus", "--prime", "3"]),
+    ("verify", ["--datum", "d8_s4.datum", "--prime", "3"]),
+], ids=["saturate-fusion", "verify-fusion", "verify-datum"])
+def test_prime_without_group_exit_two(tmp_path, capsys, verb, sources):
+    # --prime picks the Sylow subgroup of --group; with any other source
+    # it would be dropped, and the run would answer for another prime
+    sources = [str(DATA / a) if "." in a else a for a in sources]
+    if verb == "saturate":
+        argv = ["fusion", "saturate"]
+    elif "--datum" in sources:
+        pres = tmp_path / "d8_s4.pres"
+        assert main(["model", "robinson", str(DATA / "d8_s4.datum"),
+                     "--out", str(pres)]) == 0
+        argv = ["model", "verify", "--presentation", str(pres)]
+    else:
+        argv = ["model", "verify", "--presentation", _presentation(tmp_path)]
+    capsys.readouterr()
+    assert main(argv + sources) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: " in captured.err and "--prime" in captured.err
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["group", "info", "/nonexistent.grp"]) == 2
 

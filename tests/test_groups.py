@@ -23,6 +23,7 @@ from fusionwb.groups import (
     Group,
     InjHom,
     Subgroup,
+    _conjugation_table,
     _hom_from_generators,
     _perm_mul,
     _validate_table,
@@ -30,11 +31,13 @@ from fusionwb.groups import (
     centralizer,
     closure,
     conjugate_subgroup,
+    conjugation_images,
     elementary_abelians,
     generating_sequence,
     full_subgroup,
     group_from_elements,
     is_isomorphic,
+    lattice,
     normalizer,
     p_part,
     prime_of,
@@ -44,8 +47,16 @@ from fusionwb.groups import (
     sylow_p,
 )
 from fusionwb.io import parse_group, parse_presentation
+from fusionwb.models import p_core
 from conjugation_oracle import restrict
-from group_oracle import reference_group_from_elements, reference_subgroups
+from group_oracle import (
+    reference_centralizer,
+    reference_conjugation_images,
+    reference_group_from_elements,
+    reference_least_conjugate,
+    reference_normalizer,
+    reference_subgroups,
+)
 
 
 def brute_force_subgroups(G):
@@ -569,3 +580,87 @@ def test_named_group_catalog_orders():
               "S3": 6, "S4": 24, "A4": 12, "SL(2,3)": 24}
     for name, n in orders.items():
         assert named_group(name).order == n
+
+
+# --- the conjugation array against the per-element loops --------------------
+
+
+def _array_cases():
+    """Every catalog and corpus group, L3(2), S4 x C2 and SL(2,3) x C2."""
+    cases = {name: build() for name, build in BUILDERS.items()}
+    corpus = load_corpus()
+    cases.update((f"corpus-{name}", corpus.groups[name])
+                 for name in corpus.names)
+    cases["L3(2)"] = psl27()
+    cases["S4xC2"] = direct_product(symmetric(4), cyclic(2))
+    cases["SL(2,3)xC2"] = direct_product(sl23(), cyclic(2))
+    return cases
+
+
+ARRAY_CASES = _array_cases()
+
+
+def _same_images(got, want):
+    """Equal dicts, with keys and image keys in the same order."""
+    assert got == want
+    assert list(got) == list(want)
+    assert [list(d) for d in got.values()] == [list(d) for d in want.values()]
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_conjugation_images_match_the_per_element_pass(name):
+    G = ARRAY_CASES[name]
+    subs = lattice(G).subgroups
+    _same_images(conjugation_images(G, subs),
+                 reference_conjugation_images(G, subs))
+    for p in G.order_factors:
+        S = sylow_p(G, p)
+        lat = lattice(subgroup_as_group(S))
+        emb = dict(enumerate(S.elements))
+        _same_images(conjugation_images(G, lat.subgroups, emb),
+                     reference_conjugation_images(G, lat.subgroups, emb))
+        # an embedding of a proper subgroup Q of S only, as a datum's
+        # N_S(P) is embedded into its L
+        Q = lat.subgroups[-2] if len(lat.subgroups) > 1 else lat.subgroups[0]
+        part = {x: emb[x] for x in Q.elements}
+        below = lat.below[Q.elements] + [Q]
+        _same_images(conjugation_images(G, below, part),
+                     reference_conjugation_images(G, below, part))
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_normalizers_and_centralizers_match_the_per_element_scan(name):
+    G = ARRAY_CASES[name]
+    for P in lattice(G).subgroups:
+        assert normalizer(G, P) == reference_normalizer(G, P)
+        assert centralizer(G, P) == reference_centralizer(G, P)
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_sylow_and_p_core_match_the_sylow_subgroups(name):
+    G = ARRAY_CASES[name]
+    for p in sorted(set(G.order_factors) | {2, 3}):
+        sylows = [Q for Q in lattice(G).subgroups
+                  if Q.order == p_part(G.order, p)]
+        # the least Sylow subgroup, from any of them
+        assert sylow_p(G, p) == sylows[0] == reference_least_conjugate(
+            G, sylows[-1])
+        core = frozenset.intersection(*(Q.as_set() for Q in sylows))
+        assert p_core(G, p).elements == tuple(sorted(core))
+
+
+@pytest.mark.parametrize("build", [psl27, lambda: direct_product(
+    symmetric(4), cyclic(2))], ids=["L3(2)", "S4xC2"])
+def test_transporter_build_makes_one_conjugation_array_per_group(
+        build, monkeypatch):
+    built = []
+
+    def counting(H):
+        built.append(H)
+        return _conjugation_table(H)
+
+    monkeypatch.setattr("fusionwb.groups._conjugation_table", counting)
+    G = build()
+    fusion_from_group(sylow_p(G, 2), G, p=2)
+    assert sum(H is G for H in built) == 1
+    assert len({id(H) for H in built}) == len(built)
