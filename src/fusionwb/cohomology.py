@@ -6,7 +6,8 @@ a_i in degree 1 and x_i in degree 2.  A monomial is a pair (eps, alpha) of
 exponent tuples for the exterior and polynomial parts; eps stays zero at p=2.
 A class is its degree and its coordinate tuple in the basis of that degree;
 the restriction kernel's product steps and the cup product read one product
-table per pair of degrees, _products.
+table per pair of degrees, _products, and restrictions from a rank-1 site
+read one exponent table per degree and one power table per p instead.
 """
 
 from __future__ import annotations
@@ -295,6 +296,32 @@ def _product_step(low, high, n_w, n_v, p, a, b):
     return out % p
 
 
+@functools.lru_cache(maxsize=None)
+def _exponents(n, p, d):
+    """Per monomial (eps, alpha) of the degree-d basis and per i, the
+    column of _powers(p) that holds m^(alpha_i + eps_i) mod p: the exponent
+    itself if it is 0, else its class in 1..p-1 (m^(p-1) = 1 for m != 0),
+    and column p, of zeros, on a monomial with two a_i or more; a
+    (B, n) intp array."""
+    basis = _basis(n, p, d)
+    digits = np.array(basis, dtype=np.intp).reshape(len(basis), 2, n)
+    exps = digits.sum(axis=1)
+    exps = np.where(exps > 0, (exps - 1) % (p - 1) + 1, 0)
+    exps[digits[:, 0].sum(axis=1) > 1] = p
+    return exps
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(p):
+    """powers[m, e] = m^e mod p for m, e in 0..p-1, and powers[m, p] = 0;
+    a (p, p + 1) int64 array."""
+    powers = np.zeros((p, p + 1), dtype=np.int64)
+    powers[:, 0] = 1
+    for e in range(1, p):
+        powers[:, e] = powers[:, e - 1] * np.arange(p) % p
+    return powers
+
+
 def restriction_matrices(homs, n_w, n_v, p, d):
     """Images of every degree-d basis monomial of a rank-n_v site along each
     of a stack of maps from a rank-n_w site.
@@ -309,12 +336,20 @@ def restriction_matrices(homs, n_w, n_v, p, d):
     and so is the x_j-by-x_i block of degree 2 at odd p, whose a_i a_j
     come from degree 1; every other degree is one product step of two
     lower ones (_chain), for the whole stack at once, so a call takes
-    O(log d) steps on the halving chain.
+    O(log d) steps on the halving chain.  From a rank-1 site, whose basis
+    in each degree is one monomial, x^k or a x^k, phi*(x_i) = m_i x and
+    phi*(a_i) = m_i a, so the image of (eps, alpha) is the product of the
+    m_i^(alpha_i + eps_i), or 0 if it has two a_i or more: it is read off
+    _powers at _exponents, with no product step, and is exact as long as
+    (p - 1)^n_v < 2^63, as on every site (p^n_v <= 512).
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     m = len(homs)
     homs = np.asarray(homs, dtype=np.int32).reshape(m, n_v, n_w)
+    if n_w == 1:
+        factors = _powers(p)[homs.transpose(0, 2, 1), _exponents(n_v, p, d)]
+        return (factors.prod(axis=2) % p).astype(np.int32)[:, None]
     images = {0: np.ones((m, 1, 1), dtype=np.int32),
               1: homs.transpose(0, 2, 1).copy()}
     if p != 2 and d >= 2:

@@ -6,7 +6,8 @@ repeated runs produce identical output.
 
 Centralizers, normalizers, transporters, Sylow subgroups and conjugation
 images read one array per group, conjugation_array(G) with conj[g, x] =
-g x g^-1, of 8|G|^2 bytes, so each pass over G is an array operation.
+g x g^-1, of 8|G|^2 bytes, so each pass over G is an array operation.  The
+subgroup searches read the table itself as one array, table_array(G).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class Group:
         self._hash = hash(self.table)
         self._element_orders = None
         self._lattice = None
+        self._table_array = None
         self._conj_array = None
         self._conjugations = None
         self._inner = None
@@ -284,6 +286,15 @@ def full_subgroup(G):
     return Subgroup(G, range(G.order))
 
 
+def table_array(G):
+    """G's table as a read-only |G| x |G| intp array, built on first use
+    (or by group_from_elements) and kept on G."""
+    if G._table_array is None:
+        G._table_array = np.array(G.table, dtype=np.intp)
+        G._table_array.flags.writeable = False
+    return G._table_array
+
+
 def conjugation_array(G):
     """conj[g, x] = g x g^-1 as a read-only |G| x |G| intp array, of
     8|G|^2 bytes, built on first use and kept on G."""
@@ -293,7 +304,7 @@ def conjugation_array(G):
 
 
 def _conjugation_table(G):
-    T = np.array(G.table, dtype=np.intp)
+    T = table_array(G)
     conj = T[T, np.array(G._inv)[:, None]]
     conj.flags.writeable = False
     return conj
@@ -382,7 +393,7 @@ def subgroups(G):
     if G.order > MAX_TABLE_ORDER:
         raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
     n = G.order
-    T = np.array(G.table, dtype=np.intp)
+    T = table_array(G)
     conj = conjugation_array(G)
 
     def normalizing(gens, inside):
@@ -510,10 +521,6 @@ def normalizer(G, P):
     return Subgroup(G, np.flatnonzero(conjugates_into(G, P, P)).tolist())
 
 
-def conjugate_subgroup(G, g, P):
-    return Subgroup(G, [G.conj(g, x) for x in P.elements])
-
-
 def sylow_p(G, p):
     """A Sylow p-subgroup; the lexicographically least one for determinism."""
     target = p_part(G.order, p)
@@ -542,7 +549,7 @@ def elementary_abelians(G, p):
     """
     if p_part(G.order, p) != G.order:
         return _elementary_abelian_search(G, p)
-    t = np.array(G.table)
+    t = table_array(G)
     out = []
     for V in lattice(G).subgroups:
         if all(G.element_order(x) == p for x in V.elements[1:]):
@@ -555,7 +562,7 @@ def elementary_abelians(G, p):
 def _elementary_abelian_search(G, p):
     """elementary_abelians by the prime-step search, with the elements of
     order p that commute with H as the only candidates."""
-    T = np.array(G.table, dtype=np.intp)
+    T = table_array(G)
     order_p = np.array([G.element_order(x) == p for x in G.elements()])
 
     def commuting(gens, inside):
@@ -647,7 +654,7 @@ def group_from_elements(items, compose, name="G"):
     from 0, and right[j][a] is the index of items[a] composed with it.
     Every other column c = b g_j, b reached before c, is right[j] read
     at column b, since a (b g_j) = (a b) g_j.  A product outside the items
-    is a ValueError.
+    is a ValueError.  The table array it builds is kept as table_array(G).
     """
     n = len(items)
     if n > MAX_TABLE_ORDER:
@@ -674,7 +681,11 @@ def group_from_elements(items, compose, name="G"):
     for c in reached[1:]:
         b, j = via[c]
         cols[c] = right[j][cols[b]]
-    return Group(cols.T.tolist(), name=name)
+    table = cols.T
+    table.flags.writeable = False
+    G = Group(table.tolist(), name=name)
+    G._table_array = table
+    return G
 
 
 def subgroup_as_group(P, name=None):

@@ -1,20 +1,34 @@
 """Dense row reduction and nullspaces over a prime field.
 
-Matrices are int32 numpy arrays with entries in [0, p).  At odd p rref
-clears one column at a time on the array; p is at most 509 (tables are
-capped at order 512), so (p - 1)^2 and every intermediate fit in int32.
-
-At p = 2 rref packs each row into one Python int, column c at bit
-w - 1 - c for a width w of ncols rounded up to whole bytes, so the leftmost
-nonzero column of a row is w - row.bit_length(), and clears a pivot by XOR.
-It eliminates in another order than the column loop of odd p, but the
-reduced row echelon form of a matrix is unique, so both give the same rows
-and pivots.
+rref packs each row into one Python int, column 0 in the most significant
+field: one bit at p = 2, where a row op is an XOR, and w bits at odd p,
+where a row op adds a multiple of a kept row and then takes every field
+mod p at once by a multiply, shift and mask (_reducer).  A row's leading
+field is read off its bit_length, so the rows are eliminated in another
+order than Gauss-Jordan by columns; but the reduced row echelon form of a
+matrix is unique, so the rows and pivots are the same.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+@functools.lru_cache(maxsize=None)
+def _reducer(p):
+    """(w, M, S, b) for an odd p: x // p = x M >> S for every x < p^2, by
+    the round-up reciprocal M = ceil(2^S / p) with S = N + ceil(log2 p),
+    x < 2^N (Granlund and Montgomery, Division by invariant integers using
+    multiplication, PLDI 1994).  A quotient is below p < 2^b, and x M below
+    2^(S + b) <= 2^w, so in a row of w-bit fields each quotient lands in the
+    low b bits of its field, and the fraction of the field above only
+    reaches bits b and up."""
+    b = p.bit_length()
+    s = (p * p - 1).bit_length() + b
+    w = next(w for w in (8, 16, 32, 64) if s + b <= w)
+    return w, -(-(1 << s) // p), s, b
 
 
 def rref(rows, ncols, p):
@@ -23,69 +37,55 @@ def rref(rows, ncols, p):
     rows is any nrows x ncols integer array or list of lists; the returned
     rows are an int32 array holding only the nonzero rows.
     """
-    m = np.asarray(rows, dtype=np.int32).reshape(len(rows), ncols)
+    m = np.asarray(rows, dtype=np.int32).reshape(len(rows), ncols) % p
     if p == 2:
-        return _rref_gf2(m)
-    m = m % p
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if not nz.size:
-            continue
-        pivot = r + nz[0]
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        # the pivot row, like every row from r down, is zero left of c, so
-        # clearing column c changes only columns c..
-        col = m[:, c].copy()
-        col[r] = 0
-        nz = np.flatnonzero(col)
-        m[nz, c:] = (m[nz, c:] - np.outer(col[nz], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        w, nbytes = 1, -(-ncols // 8)
+        data = np.packbits(m, axis=1).tobytes()
+    else:
+        w, mul, shift, b = _reducer(p)
+        nbytes = ncols * w // 8
+        data = m.astype(f">u{w // 8}").tobytes()
+        low = ((1 << 8 * nbytes) - 1) // ((1 << w) - 1) * ((1 << b) - 1)
+    width = 8 * nbytes // w                     # fields per row
+    lead = {}               # field of a kept row's leading 1, from the right
 
+    def add(row, c, kept):
+        """row + c kept, fieldwise mod p, at odd p."""
+        x = row + c * kept
+        return x - ((x * mul >> shift) & low) * p
 
-def _rref_gf2(m):
-    """rref mod 2 on packed rows: each row is cleared against the rows kept
-    so far by their leading bits, then the kept rows are reduced in place
-    from the rightmost pivot leftwards."""
-    nrows, ncols = m.shape
-    nbytes = -(-ncols // 8)
-    data = np.packbits(m % 2, axis=1).tobytes()
-    lead = {}                   # bit_length of a kept row -> the row
-    for i in range(nrows):
+    for i in range(len(m)):
         row = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
         while row:
-            top = row.bit_length()
-            kept = lead.get(top)
+            at = (row.bit_length() - 1) // w
+            kept = lead.get(at)
             if kept is None:
-                lead[top] = row
+                v = row >> at * w
+                lead[at] = row if v == 1 else add(0, pow(v, -1, p), row)
                 break
-            row ^= kept
+            row = row ^ kept if p == 2 else add(row, p - (row >> at * w), kept)
     # each reduced row is zero at the pivots of the rows reduced before it,
-    # so clearing one of those pivots from a row sets or clears no other
-    tops = sorted(lead)
-    pivot_bits = 0
-    for top in tops:
-        row = lead[top]
-        hits = row & pivot_bits
+    # so clearing one of those pivots from a row changes no other
+    ats = sorted(lead)
+    pivot_fields = 0
+    for at in ats:
+        row = lead[at]
+        hits = row & pivot_fields
         while hits:
-            bit = hits.bit_length()
-            row ^= lead[bit]
-            hits ^= 1 << bit - 1
-        lead[top] = row
-        pivot_bits |= 1 << top - 1
-    tops.reverse()
-    width = 8 * nbytes
-    bits = np.unpackbits(np.frombuffer(
-        b"".join(lead[top].to_bytes(nbytes, "big") for top in tops),
-        dtype=np.uint8)).reshape(len(tops), width)
-    return bits[:, :ncols].astype(np.int32), [width - top for top in tops]
+            hit = (hits.bit_length() - 1) // w
+            v = hits >> hit * w
+            hits ^= v << hit * w
+            row = row ^ lead[hit] if p == 2 else add(row, p - v, lead[hit])
+        lead[at] = row
+        pivot_fields |= ((1 << w) - 1) << at * w
+    ats.reverse()
+    data = b"".join(lead[at].to_bytes(nbytes, "big") for at in ats)
+    if p == 2:
+        red = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    else:
+        red = np.frombuffer(data, dtype=f">u{w // 8}")
+    red = red.reshape(len(ats), width)[:, :ncols].astype(np.int32)
+    return red, [width - 1 - at for at in ats]
 
 
 def nullspace(rows, ncols, p):

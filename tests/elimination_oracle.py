@@ -1,6 +1,8 @@
 """Reference Gauss-Jordan elimination mod p on lists of lists.
 
-The library eliminates with numpy; the tests keep this plain loop as the
+The library eliminates on rows packed into Python ints, a bit per column at
+p = 2 and a w-bit field per column at odd p, in the order their leading
+columns arrive; the tests keep this plain loop by columns as the
 independent oracle for it and for the invariant-theory dimension checks.
 """
 

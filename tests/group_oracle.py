@@ -19,6 +19,9 @@ subgroup, and conjugation images read one g x g^-1 array per group in the
 library (groups.conjugation_array); the per-element loops it replaced are
 kept here as reference_centralizer, reference_normalizer,
 reference_least_conjugate and reference_conjugation_images.
+conjugate_subgroup, g P g^-1 element by element, has no caller in the
+library; the tests use it to test normality and the lattice's closure
+under conjugation.
 """
 
 from conjugation_oracle import reference_fusion_ea_morphisms
@@ -63,6 +66,11 @@ def reference_subgroups(G):
                     nxt.append(k)
         frontier = nxt
     return [Subgroup(G, h) for h in sorted(found, key=lambda h: (len(h), h))]
+
+
+def conjugate_subgroup(G, g, P):
+    """g P g^-1."""
+    return Subgroup(G, [G.conj(g, x) for x in P.elements])
 
 
 def reference_centralizer(G, P):

@@ -1,8 +1,8 @@
 """Reference restriction kernel and stable-elements limit.
 
 The library builds restriction matrices for a whole stack of hom matrices
-of one shape at once, each degree as a product of two lower ones
-(cohomology.restriction_matrices), assembles the stable-elements
+of one shape at once, each degree as a product of two lower ones, or in
+closed form from a rank-1 site (cohomology.restriction_matrices), assembles the stable-elements
 constraint system into one preallocated array, and solves it with
 unknowns on one site per F-class only.  The tests keep the per-morphism
 kernel that peels one generator per degree, the per-morphism block

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from fusionwb.catalog import (
@@ -30,7 +31,7 @@ from fusionwb.groups import (
     build_group_from_permutations,
     centralizer,
     closure,
-    conjugate_subgroup,
+    conjugation_array,
     conjugation_images,
     elementary_abelians,
     generating_sequence,
@@ -45,11 +46,13 @@ from fusionwb.groups import (
     subgroup_as_group,
     subgroups,
     sylow_p,
+    table_array,
 )
 from fusionwb.io import parse_group, parse_presentation
 from fusionwb.models import p_core
 from conjugation_oracle import restrict
 from group_oracle import (
+    conjugate_subgroup,
     reference_centralizer,
     reference_conjugation_images,
     reference_group_from_elements,
@@ -664,3 +667,35 @@ def test_transporter_build_makes_one_conjugation_array_per_group(
     fusion_from_group(sylow_p(G, 2), G, p=2)
     assert sum(H is G for H in built) == 1
     assert len({id(H) for H in built}) == len(built)
+
+
+def test_each_table_becomes_one_array(monkeypatch):
+    # the conjugation array and every subgroup search read table_array(G):
+    # a table read from a file is converted once, and group_from_elements
+    # hands over the array it builds, so a composed group converts none
+    def parsed(G):
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in G.table)
+        return parse_group(f"group X order {G.order}\nmode table\n{rows}")
+
+    built = psl27()
+    read = [parsed(built), parsed(dihedral8())]
+    converted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, obj, *args, **kwargs):
+            converted.extend(G for G in [built, *read] if obj is G.table)
+            return np.array(obj, *args, **kwargs)
+
+    monkeypatch.setattr("fusionwb.groups.np", CountingNumpy())
+    for G in [built, *read]:
+        subgroups(G)
+        elementary_abelians(G, 2)
+        elementary_abelians(G, 3)
+        conjugation_array(G)
+        sylow_p(G, 2)
+        assert not table_array(G).flags.writeable
+        assert table_array(G).tolist() == [list(row) for row in G.table]
+    assert converted == read

@@ -47,7 +47,7 @@ from fusionwb.groups import (
     full_subgroup,
     sylow_p,
 )
-from fusionwb import cohomology, corpus, stable
+from fusionwb import cohomology, corpus, linalg, stable
 from fusionwb.corpus import corpus_dir
 from fusionwb.io import load_fusion_spec, serialize_family
 from fusionwb.linalg import canonical_kernel, nullspace, rref
@@ -143,9 +143,12 @@ def test_nullspace_canonical():
 
 
 def _random_systems(rng, p):
-    """Dense, low-rank and degenerate systems, as (rows, ncols)."""
-    cases = [([], 0), ([], 4), ([[], [], []], 0), ([[0] * 5] * 4, 5)]
-    for nrows, ncols in ((3, 5), (5, 5), (9, 4), (12, 7), (30, 6)):
+    """Dense, low-rank and degenerate systems, as (rows, ncols); some wider
+    than 64 columns, so more than one machine word at every field width."""
+    cases = [([], 0), ([], 4), ([], 70), ([[], [], []], 0),
+             ([[0] * 5] * 4, 5)]
+    for nrows, ncols in ((3, 5), (5, 5), (9, 4), (12, 7), (30, 6), (6, 65),
+                         (40, 130)):
         for _ in range(4):
             cases.append(([[rng.randrange(p) for _ in range(ncols)]
                            for _ in range(nrows)], ncols))
@@ -162,7 +165,7 @@ def _random_systems(rng, p):
     return cases
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 509])
 def test_elimination_matches_reference(p):
     rng = random.Random(1000 + p)
     for rows, ncols in _random_systems(rng, p):
@@ -186,7 +189,7 @@ def _random_invertible(rng, k, p):
             return np.array(m, dtype=np.int64).reshape(k, k)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 509])
 def test_canonical_kernel_of_any_kernel_basis(p):
     # the column-reversed rref of a kernel basis, mixed by an invertible
     # matrix, is the basis nullspace gives
@@ -199,6 +202,20 @@ def test_canonical_kernel_of_any_kernel_basis(p):
         got = canonical_kernel(mixed, ncols, p)
         assert got.shape == (k, ncols)
         assert got.tolist() == want
+
+
+def test_packed_fields_reduce_mod_p_by_one_multiply():
+    # x M >> S is x // p for every field value x < p^2 that a row op makes,
+    # and x M stays below 2^(S + b) <= 2^w, b the bits of p: so in a row of
+    # w-bit fields the quotients land in the low b bits of their own fields
+    for p in range(3, MAX_TABLE_ORDER + 1, 2):
+        if any(p % r == 0 for r in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        w, mul, shift, b = linalg._reducer(p)
+        x = np.arange(p * p, dtype=np.int64)
+        assert np.array_equal(x * mul >> shift, x // p)
+        assert p < 2 ** b and shift + b <= w and w in (8, 16, 32, 64)
+        assert int((x * mul).max()) < 2 ** (shift + b)
 
 
 @st.composite
@@ -392,8 +409,10 @@ def _basis_count(n, p, d):
 def test_float64_pullback_and_product_codes_fit_every_site():
     # a pullback sums B_R products of two entries in [0, p) in float64, so
     # it is exact while (p - 1)^2 B_R < 2^53; the product tables add codes
-    # below 2^n (a + b + 1)^n in int64.  Every site of a group under the
-    # table cap, at every degree up to the cap, stays inside both.
+    # below 2^n (a + b + 1)^n in int64, and the closed form from a rank-1
+    # site multiplies n entries in [0, p) in int64.  Every site of a group
+    # under the table cap, at every degree up to the cap, stays inside all
+    # three.
     for n in range(4):
         for p in (2, 3, 5):
             assert [_basis_count(n, p, d) for d in range(13)] == \
@@ -406,6 +425,7 @@ def test_float64_pullback_and_product_codes_fit_every_site():
             top = max(_basis_count(n, p, d) for d in range(MAX_DEGREE + 1))
             assert (p - 1) ** 2 * top < 2 ** 53
             assert 2 ** n * (MAX_DEGREE + 1) ** n < 2 ** 63
+            assert (p - 1) ** n < 2 ** 63
             n += 1
 
 
@@ -554,6 +574,41 @@ def test_batched_restriction_matches_reference(p):
                 assert got.dtype == np.int32
                 for k, image in enumerate(got, first):
                     assert np.array_equal(image, want[k][d])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 509])
+def test_restriction_from_a_rank_one_site_matches_reference(p):
+    # the closed form: every degree up to the cap, at p = 509 only a few
+    top = MAX_DEGREE if p < 509 else 6
+    rng = random.Random(11 * p)
+    for n_v in range(1, 5):
+        homs = _random_homs(rng, 1, n_v, p)
+        homs.append([[rng.randrange(1, p)] for _ in range(n_v)])
+        want = [reference_restrictions(hom, 1, n_v, p, top) for hom in homs]
+        for d in range(top + 1):
+            got = restriction_matrices(np.array(homs, dtype=np.int32),
+                                       1, n_v, p, d)
+            assert got.shape == (len(homs), 1, len(_basis(n_v, p, d)))
+            assert got.dtype == np.int32
+            for k, image in enumerate(got):
+                assert np.array_equal(image, want[k][d])
+
+
+def test_a_rank_one_stack_runs_no_product_step(monkeypatch):
+    steps = []
+
+    def counting(low, high, n_w, n_v, p, a, b):
+        steps.append(n_w)
+        return product_step(low, high, n_w, n_v, p, a, b)
+
+    product_step = cohomology._product_step
+    monkeypatch.setattr(cohomology, "_product_step", counting)
+    rng = random.Random(5)
+    for p, n_w in itertools.product((2, 3), (1, 2)):
+        homs = np.array(_random_homs(rng, n_w, 3, p), dtype=np.int32)
+        for d in range(1, 9):
+            restriction_matrices(homs, n_w, 3, p, d)
+    assert steps and set(steps) == {2}
 
 
 def test_product_steps_build_each_degree_from_two_lower_ones():
