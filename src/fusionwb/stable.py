@@ -2,21 +2,26 @@
 
 The ring of stable elements is the limit of the cohomology of the
 elementary abelian subgroups over the fusion category, realized degree by
-degree as the solution space of a linear system.  A limit over a category
-is the limit over a skeleton of it, so the unknowns are one block per
-F-class representative, and the equations one block per generator of the
-automorphisms of a representative and per orbit of them on its index-p
-subsites, up to F-isomorphism.  The solutions are pulled back to every
-site and put in the basis that the system with unknowns on every site
-gives.  The maps come from the fusion category, or for a finite group
-from the Quillen category, which the cross-check compares; they are built
-once per fusion system or (group, p) and kept there as a Limit.  A family
-is its coordinate row over every site, and check_family tests it on the
-same Limit.  Every morphism is listed only for the brute-force references.
+degree as the solution space of a linear system.  Every site maps into an
+F-maximal one, all of whose images are maximal elementary abelian
+subgroups, so a compatible family is fixed by its components there
+(Quillen).  So the unknowns are one block per F-maximal class
+representative, and per the few other representatives whose maps into
+those fall into two or more orbits, and the equations one block per
+generator of the automorphisms of an F-maximal representative and per such
+orbit.  Every other site is filled by one restriction, and the solutions
+are put in the basis that the system with unknowns on every site gives; a
+dimension is counted on the equations alone.  The maps come from the
+fusion category, or for a finite group from the Quillen category, which
+the cross-check compares; they are built once per fusion system or
+(group, p) and kept there as a Limit.  A family is its coordinate row over
+every site, and check_family tests it on the same Limit.  Every morphism
+is listed only for the brute-force references.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
@@ -32,85 +37,175 @@ from .cohomology import (
     restriction_matrices,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
-from .groups import InjHom, conjugation_images, elementary_abelians
-from .linalg import canonical_kernel, nullspace
+from .groups import (
+    InjHom,
+    conjugation_images,
+    elementary_abelians,
+    table_array,
+)
+from .linalg import canonical_kernel, nullspace, rref
 
 MAX_DEGREE = 40
 
 
-def _generators(key, autos):
-    """A greedy generating set of the group of automorphisms autos of the
-    site with elements key, as image tuples: each one in turn is kept unless
-    those kept before it generate it."""
+def _reach(starts, key, gens):
+    """The set of image tuples that composing the image tuples starts with
+    the image tuples gens, automorphisms of the site with elements key,
+    reaches, starts included."""
     pos = {x: i for i, x in enumerate(key)}
+    seen = set(starts)
+    todo = list(seen)
+    for f in todo:
+        for g in gens:
+            gf = tuple(g[pos[y]] for y in f)            # g o f
+            if gf not in seen:
+                seen.add(gf)
+                todo.append(gf)
+    return seen
+
+
+def _closure(key, autos):
+    """(kept, reached): each of the image tuples autos of automorphisms of
+    the site with elements key in turn, kept unless those kept before it
+    generate it, and the set of the group they generate."""
     reached, kept = {key}, []
     for images in autos:
-        if images in reached:
+        if images not in reached:
+            kept.append(images)
+            reached = _reach(reached, key, kept)
+    return kept, reached
+
+
+def _generators(key, autos):
+    """A generating set of the group autos of automorphisms of the site
+    with elements key, as image tuples: at most two, from the first of 50
+    pairs drawn by a fixed-seed random.Random whose _closure is autos, and
+    else the greedy set _closure keeps of autos in order.  Each generator
+    is a block of equations in every degree, and most automizers (GL_n(2)
+    among them) are generated by a random pair after a few draws."""
+    if len(autos) > 2:
+        draw = random.Random(0)
+        for _ in range(50):
+            kept, reached = _closure(key, draw.sample(autos, 2))
+            if len(reached) == len(autos):
+                return kept
+    return _closure(key, autos)[0]
+
+
+def _overgroups(G, sites, p):
+    """{site key: the elements of an elementary abelian subgroup of G that
+    holds the site with index p, or None}: <V, x> for the least x of order
+    p outside V that commutes with V's basis, so None exactly when V is
+    maximal among the elementary abelian subgroups of G."""
+    t = table_array(G)
+    every = np.arange(G.order)
+    power = every
+    for _ in range(p - 1):
+        power = t[power, every]                 # x^k, k = 2..p
+    order_p = power == 0
+    out = {}
+    for s in sites:
+        basis = list(s.basis)
+        outside = order_p & (t[:, basis] == t[basis].T).all(axis=1)
+        outside[list(s.key)] = False
+        if not outside.any():
+            out[s.key] = None
             continue
-        kept.append(images)
-        todo = list(reached)
-        while todo:
-            g = todo.pop()
-            for h in kept:
-                gh = tuple(g[pos[y]] for y in h)        # g o h
-                if gh not in reached:
-                    reached.add(gh)
-                    todo.append(gh)
-    return kept
+        x, powers = int(outside.argmax()), [0]
+        for _ in range(p - 1):
+            powers.append(int(t[powers[-1], x]))
+        out[s.key] = tuple(sorted(t[list(s.key)][:, powers].ravel().tolist()))
+    return out
 
 
-def _site_morphisms(sites, images_of, p):
-    """(sites, constraints, pullbacks): the limit over the sites with one
-    block of unknowns per class representative, as (map, W, V) triples.
+def _orbits(maps, key, gens):
+    """The first of each orbit, in the order of maps, of the group that the
+    image tuples gens generate, automorphisms of the site with elements
+    key, on the image tuples maps of maps into it, acting by composition."""
+    seen, firsts = set(), []
+    for h in maps:
+        if h not in seen:
+            firsts.append(h)
+            seen |= _reach([h], key, gens)
+    return firsts
 
-    images_of[W key] lists the image tuples of the maps out of W, each image
-    a site.  The representative R_W of W's class is its first site in
-    (size, elements) order, and iota_W : W -> R_W the least image tuple onto
-    it.  The constraints are, on each representative V, a greedy generating
-    set of its automorphisms in stored order (_generators) and, for one
-    index-p subsite U of V per Aut(V)-orbit, the first in site order, the map
-    incl o iota_U^-1 : R_U -> V.  That is enough: a component invariant
-    under generators is invariant under Aut(V), and the maps R_U -> V for U
-    and for g(U) differ by g and by an automorphism of R_U.  A pullback
-    iota_W : W -> R_W, one per site that is not a representative, gives its
-    component as iota_W^* of R_W's.
+
+def _site_morphisms(sites, images_of, p, G):
+    """(sites, constraints, pulls): the limit with unknowns on the
+    F-maximal class representatives, and on the few others they do not
+    fix, as (map, W, V) triples.
+
+    images_of[W key] lists the image tuples of the maps out of W, each
+    image a site of the group G.  The representative R_W of W's class is its
+    first site in (size, elements) order, and iota_W : W -> R_W the least
+    image tuple onto it.  A representative V is F-maximal when every image
+    of V is maximal among the elementary abelian subgroups of G
+    (_overgroups).  Every site maps into one: a site that is not F-maximal
+    maps into a site of larger rank.  The constraints are:
+
+    (a) on each F-maximal V, _generators of Aut(V), so that x_V is fixed by
+        Aut(V);
+    (b) on each other representative U whose maps into the F-maximal
+        representatives V fall into two or more Aut(V)-orbits, summed over
+        V (_orbits), the first map h : U -> V of each orbit, so that
+        x_U = h^* x_V on every orbit.
+
+    Those sites carry the unknowns.  Then x_W = h^* x_V is the same for
+    every map h from W into an F-maximal representative: within an orbit
+    by (a), across orbits by (b).  So the solutions are the limit, and
+    every other site W is a pull (f, W, R), x_W = f^* x_R: a representative
+    with one orbit along iota_T o h : W -> R_T, for h its least image tuple
+    that lies in a site T of index p (_overgroups); any other site along
+    iota_W.  R_T has a larger rank than W, so the pulls, applied by
+    descending rank of W and then the iota pulls, read only sites set
+    before them (Limit.shapes).
     """
     by_key = {s.key: s for s in sites}
-    spans = {s.key: [(tuple(sorted(images)), images)
-                     for images in images_of[s.key]] for s in sites}
-    iota = {key: min(pairs) for key, pairs in spans.items()}  # (R_W, iota_W)
+    over = _overgroups(G, sites, p)
+    spans = {s.key: sorted((tuple(sorted(images)), images)
+                           for images in images_of[s.key]) for s in sites}
+    iota = {key: pairs[0] for key, pairs in spans.items()}  # (R_W, iota_W)
+    gens = {s.key: _generators(s.key, [images for span, images in pairs
+                                       if span == s.key])
+            for s, pairs in zip(sites, spans.values())
+            if iota[s.key][0] == s.key
+            and all(over[span] is None for span, _ in pairs)}
     homs, pulls = [], []
-    for sv in sites:
-        rep, images = iota[sv.key]
-        if rep != sv.key:
-            rep = by_key[rep]
-            pulls.append((InjHom(sv.V, rep.V, images, _trusted=True), sv, rep))
-            continue
-        autos = [images for span, images in spans[sv.key] if span == sv.key]
-        homs += [(InjHom(sv.V, sv.V, images, _trusted=True), sv, sv)
-                 for images in _generators(sv.key, autos)]
-        pos = {x: i for i, x in enumerate(sv.key)}
-        seen = set()
-        for su in sites:
-            if (su.V.order * p == sv.V.order and su.key not in seen
-                    and sv.V.contains_subgroup(su.V)):
-                seen.update(tuple(sorted(g[pos[x]] for x in su.key))
-                            for g in autos)
-                ru, images = iota[su.key]
-                back = dict(zip(images, su.key))
-                homs.append((InjHom(by_key[ru].V, sv.V, [back[x] for x in ru],
-                                    _trusted=True), by_key[ru], sv))
+    for sw in sites:
+        rep, images = iota[sw.key]
+        if rep != sw.key:
+            pulls.append((images, sw, by_key[rep]))
+        elif sw.key in gens:
+            homs += [(g, sw, sw) for g in gens[sw.key]]
+        else:
+            orbits = [(h, by_key[key]) for key, kept in gens.items()
+                      for h in _orbits([h for _, h in spans[sw.key] if
+                                        by_key[key].V.as_set().issuperset(h)],
+                                       key, kept)]
+            if len(orbits) > 1:
+                homs += [(h, sw, sv) for h, sv in orbits]
+                continue
+            h = min(h for span, h in spans[sw.key] if over[span] is not None)
+            top = over[tuple(sorted(h))]
+            rep, onto = iota[top]
+            pos = {x: i for i, x in enumerate(top)}
+            pulls.append(([onto[pos[y]] for y in h], sw, by_key[rep]))
+    homs, pulls = ([(InjHom(sw.V, sv.V, images, _trusted=True), sw, sv)
+                    for images, sw, sv in maps] for maps in (homs, pulls))
     return sites, homs, pulls
 
 
 class Limit(tuple):
     """The part of a limit that no degree changes: the triple (sites, homs,
-    pulls) as tuples; free, whether a site carries unknowns (no pullback
-    leaves it); and in shapes the non-identity maps of homs + pulls by
-    (rank W, rank V) shape, each shape with k, the number of its maps that
-    are constraints (from homs, so they come first), the positions of its
+    pulls) as tuples; free, whether a site carries unknowns (no pull leaves
+    it); and in shapes the non-identity maps of homs + pulls by (rank W,
+    rank V) shape, each shape with k, the number of its maps that are
+    constraints (from homs, so they come first), the positions of its
     maps in homs + pulls, the indices in sites of their W and V, and the
-    stack of their hom matrices."""
+    stack of their hom matrices.  The shapes come in the order the pulls
+    are applied: those into a larger rank first, by descending rank of W,
+    so that each reads sites that are free or set by an earlier shape, then
+    those within one rank, the pulls along iota onto a representative."""
 
     def __new__(cls, sites, homs, pulls):
         self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
@@ -126,7 +221,8 @@ class Limit(tuple):
         self.shapes = tuple(
             (shape, sum(k < len(homs) for k, *_ in rows),
              *map(np.array, zip(*rows)))
-            for shape, rows in shapes.items())
+            for shape, rows in sorted(shapes.items(), key=lambda item: (
+                item[0][0] == item[0][1], -item[0][0])))
         return self
 
     def bounds(self, d):
@@ -144,12 +240,12 @@ def fusion_ea_morphisms(F):
     on first use and kept on F."""
     if F._limit is None:
         sites = [Site(V, F.p) for V in elementary_abelians(F.group, F.p)]
-        F._limit = Limit(*_site_morphisms(sites, F.homsets, F.p))
+        F._limit = Limit(*_site_morphisms(sites, F.homsets, F.p, F.group))
     return F._limit
 
 
 def _all_morphisms(F):
-    """The Limit (sites, every morphism, no pullbacks) of the brute-force
+    """The Limit (sites, every morphism, no pulls) of the brute-force
     references: each stored h : W -> S paired with every site above h(W)."""
     sites = fusion_ea_morphisms(F)[0]
     return Limit(sites, [(InjHom(sw.V, sv.V, im, _trusted=True), sw, sv)
@@ -163,42 +259,45 @@ def quillen_morphisms(G, p):
     if p not in G._limits:
         sites = [Site(V, p) for V in elementary_abelians(G, p)]
         found = conjugation_images(G, [s.V for s in sites])
-        G._limits[p] = Limit(*_site_morphisms(sites, found, p))
+        G._limits[p] = Limit(*_site_morphisms(sites, found, p, G))
     return G._limits[p]
 
 
-def _restrictions(limit, d, p):
+def _restrictions(limit, d, p, pulls=True):
     """The degree-d restriction matrices along the maps of limit.shapes
-    whose source has a nonzero degree-d basis: per shape, k, the positions
-    of its maps in homs + pulls, the indices of their W and V in sites, and
-    the stack of their images."""
+    whose source has a nonzero degree-d basis, or along their constraints
+    alone unless pulls: per shape, in order, k, the positions of its maps
+    in homs + pulls, the indices of their W and V in sites, and the stack
+    of their images."""
     for (n_w, n_v), k, positions, w, v, mats in limit.shapes:
-        if basis_size(n_w, p, d):
-            yield k, positions, w, v, restriction_matrices(mats, n_w, n_v,
-                                                           p, d)
+        n = len(positions) if pulls else k
+        if n and basis_size(n_w, p, d):
+            yield k, positions[:n], w[:n], v[:n], restriction_matrices(
+                mats[:n], n_w, n_v, p, d)
 
 
-def _constraints(limit, d, p):
+def _constraints(limit, d, p, pulls=True):
     """(widths, nonzero rows of the linear system, pulls).
 
     widths holds the size of the degree-d basis at each site.  One block
     of unknowns per site of limit.free, and one block of equations per
     non-identity morphism phi: W -> V of homs, in their order, saying that
     the restriction of the V component equals the W component.  pulls
-    holds, per shape, the indices of its pulled sites W and of their R,
-    and the stack of the restriction matrices along iota: W -> R.
+    holds, per shape in order, the indices of its pulled sites W and of
+    their R, and the stack of the restriction matrices along f: W -> R;
+    it is empty, and no restriction along a pull is made, unless pulls.
     """
     widths = np.diff(limit.bounds(d))
     solved = widths * limit.free
     offsets = np.cumsum(solved) - solved
     heights = np.zeros(len(limit[1]), dtype=np.intp)
-    parts, pulls = [], []
-    for k, positions, w, v, images in _restrictions(limit, d, p):
+    parts, found = [], []
+    for k, positions, w, v, images in _restrictions(limit, d, p, pulls):
         if k:
             parts.append((positions[:k], w[:k], v[:k], images[:k]))
             heights[positions[:k]] = images.shape[1]
         if k < len(positions):
-            pulls.append((w[k:], v[k:], images[k:]))
+            found.append((w[k:], v[k:], images[k:]))
     starts = np.cumsum(heights) - heights
     system = np.zeros((heights.sum(), solved.sum()), dtype=np.int32)
     for positions, w, v, images in parts:
@@ -208,7 +307,16 @@ def _constraints(limit, d, p):
         system[rows[:, :, None], cols[:, None, :]] = images
         diag = offsets[w, None] + np.arange(n_w)
         system[rows, diag] = (system[rows, diag] - 1) % p
-    return widths, system[system.any(axis=1)], pulls
+    return widths, system[system.any(axis=1)], found
+
+
+def _dimension(limit, d, p):
+    """The dimension of the degree-d limit: the unknowns less the rank of
+    the constraints, with no pull, no row over every site and no
+    canonical basis."""
+    widths, system, _ = _constraints(limit, d, p, pulls=False)
+    unknowns = int((widths * limit.free).sum())
+    return unknowns - len(rref(system, unknowns, p)[1])
 
 
 def _limit_basis(limit, d, p):
@@ -217,9 +325,9 @@ def _limit_basis(limit, d, p):
     for the system with unknowns on every site.
 
     The unknowns sit on the sites of limit.free, and the W component of a
-    pullback (iota, W, R) is iota^* of the R component: per shape, one
-    float64 product of the stacked R components with the stacked
-    restriction matrices, exact as long as (p - 1)^2 B_R < 2^53.
+    pull (f, W, R) is f^* of the R component, shape by shape in the order
+    of limit.shapes: one float64 product of the stacked R components with
+    the stacked restriction matrices, exact as long as (p - 1)^2 B_R < 2^53.
     """
     widths, system, pulls = _constraints(limit, d, p)
     unknown = np.repeat(limit.free, widths)     # the columns solved for
@@ -239,16 +347,15 @@ def _limit_basis(limit, d, p):
     return list(map(tuple, canonical_kernel(full, full.shape[1], p).tolist()))
 
 
-def _limits(degrees, p, morphisms, *args):
-    """_limit_basis at each of degrees over the Limit morphisms(*args)
-    keeps; the degrees are checked first, so a refused one builds nothing."""
+def _limit(degrees, morphisms, *args):
+    """The Limit morphisms(*args) keeps, for a solve at each of degrees;
+    the degrees are checked first, so a refused one builds nothing."""
     if min(degrees, default=0) < 0:
         raise ValueError("degree must be nonnegative")
     top = max(degrees, default=0)
     if top > MAX_DEGREE:
         raise DegreeBoundExceeded(f"degree {top} exceeds cap {MAX_DEGREE}")
-    limit = morphisms(*args)
-    return limit[0], [_limit_basis(limit, d, p) for d in degrees]
+    return morphisms(*args)
 
 
 @dataclass
@@ -277,8 +384,9 @@ class StableFamily:
 
 
 def _stable_series(F, degrees, morphisms):
-    return [[StableFamily(F, d, row) for row in rows] for d, rows in
-            zip(degrees, _limits(degrees, F.p, morphisms, F)[1])]
+    limit = _limit(degrees, morphisms, F)
+    return [[StableFamily(F, d, row) for row in _limit_basis(limit, d, F.p)]
+            for d in degrees]
 
 
 def stable_basis(F, d):
@@ -298,7 +406,11 @@ def stable_basis_all_morphisms(F, d):
 
 
 def poincare_series(F, max_degree):
-    return [len(fams) for fams in stable_bases(F, max_degree)]
+    """The number of degree-d stable elements for d = 0..max_degree,
+    counted on the constraints alone (_dimension): no family is built."""
+    degrees = range(max_degree + 1)
+    limit = _limit(degrees, fusion_ea_morphisms, F)
+    return [_dimension(limit, d, F.p) for d in degrees]
 
 
 def family_product(f1, f2):
@@ -361,20 +473,28 @@ def is_nilpotent(fam):
 
 @dataclass
 class QuillenLimit:
+    """The degree-d limit over the Quillen category of G at p: its
+    dimension, counted on the constraints, and its families, coordinate
+    rows over sites, solved on first read."""
+
     group: object
     p: int
     degree: int
     dimension: int
-    families: list
     sites: tuple
+
+    @cached_property
+    def families(self):
+        return _limit_basis(quillen_morphisms(self.group, self.p),
+                            self.degree, self.p)
 
 
 def quillen_limits(G, p, degrees):
     """The same limit over the Quillen category of a finite group, at each
     of degrees, building the sites and morphisms once."""
-    sites, limits = _limits(degrees, p, quillen_morphisms, G, p)
-    return [QuillenLimit(G, p, d, len(families), families, sites)
-            for d, families in zip(degrees, limits)]
+    limit = _limit(degrees, quillen_morphisms, G, p)
+    return [QuillenLimit(G, p, d, _dimension(limit, d, p), limit[0])
+            for d in degrees]
 
 
 def quillen_limit_finite_group(G, p, d):

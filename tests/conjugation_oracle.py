@@ -6,8 +6,10 @@ morphisms P -> S, and builds the morphisms between elementary abelian
 sites with one builder (stable._site_morphisms).  The tests keep the loops
 these replaced, one per (P, Q, g) triple with the subgroups searched
 afresh, a union-find over pairs of subgroups, and a conjugation loop per
-site, as the independent oracles for them.  It also keeps the restriction
-and the image subgroup of a map, which only the tests take.
+site, as the independent oracles for them, and the builder's earlier plan,
+with unknowns on every class representative (reference_site_morphisms).
+It also keeps the restriction and the image subgroup of a map, which only
+the tests take.
 """
 
 from fusionwb.groups import (
@@ -165,3 +167,63 @@ def reference_quillen_morphisms(G, p, sites):
             target = by_key[tuple(sorted(images))]
             homs.append((conjugation_hom(sw.V, target.V, g), sw, target))
     return homs
+
+
+def reference_greedy_generators(key, autos):
+    """Each of the image tuples autos, automorphisms of the site with
+    elements key, in turn, kept unless those kept before it generate it."""
+    pos = {x: i for i, x in enumerate(key)}
+    reached, kept = {key}, []
+    for images in autos:
+        if images in reached:
+            continue
+        kept.append(images)
+        todo = list(reached)
+        while todo:
+            g = todo.pop()
+            for h in kept:
+                gh = tuple(g[pos[y]] for y in h)
+                if gh not in reached:
+                    reached.add(gh)
+                    todo.append(gh)
+    return kept
+
+
+def reference_site_morphisms(sites, images_of, p):
+    """(sites, constraints, pulls) with one block of unknowns per class
+    representative, as (map, W, V) triples, for stable.Limit.
+
+    images_of[W key] lists the image tuples of the maps out of W.  The
+    representative R_W of W's class is its first site in (size, elements)
+    order, and iota_W : W -> R_W the least image tuple onto it.  The
+    constraints are, on each representative V, a greedy generating set of
+    its automorphisms in stored order and, for one index-p subsite U of V
+    per Aut(V)-orbit, the first in site order, the map incl o iota_U^-1 :
+    R_U -> V.  Every other site W is pulled along iota_W.
+    """
+    by_key = {s.key: s for s in sites}
+    spans = {s.key: [(tuple(sorted(images)), images)
+                     for images in images_of[s.key]] for s in sites}
+    iota = {key: min(pairs) for key, pairs in spans.items()}
+    homs, pulls = [], []
+    for sv in sites:
+        rep, images = iota[sv.key]
+        if rep != sv.key:
+            rep = by_key[rep]
+            pulls.append((InjHom(sv.V, rep.V, images, _trusted=True), sv, rep))
+            continue
+        autos = [images for span, images in spans[sv.key] if span == sv.key]
+        homs += [(InjHom(sv.V, sv.V, images, _trusted=True), sv, sv)
+                 for images in reference_greedy_generators(sv.key, autos)]
+        pos = {x: i for i, x in enumerate(sv.key)}
+        seen = set()
+        for su in sites:
+            if (su.V.order * p == sv.V.order and su.key not in seen
+                    and sv.V.contains_subgroup(su.V)):
+                seen.update(tuple(sorted(g[pos[x]] for x in su.key))
+                            for g in autos)
+                ru, images = iota[su.key]
+                back = dict(zip(images, su.key))
+                homs.append((InjHom(by_key[ru].V, sv.V, [back[x] for x in ru],
+                                    _trusted=True), by_key[ru], sv))
+    return sites, homs, pulls

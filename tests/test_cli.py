@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -42,6 +43,23 @@ def test_poincare_degree_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "degrees 0..0: 1" in out
+
+
+def test_poincare_of_trivial_fusion_on_c2e6(tmp_path, capsys):
+    # 2,825 elementary abelian subgroups but one F-maximal site, C2^6,
+    # whose classes the count reads off: H^*(C2^6), of dimension
+    # C(d + 5, 5), with no row over every site
+    (tmp_path / "c2e6.grp").write_text(
+        "group C2^6 order 64\nmode perm\n"
+        + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(6)))
+    (tmp_path / "c2e6.fus").write_text("fusion p=2 S=c2e6.grp\n")
+    start = time.perf_counter()
+    code = main(["stable", "poincare", "--fusion", str(tmp_path / "c2e6.fus"),
+                 "--max-degree", "8"])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "degrees 0..8: 1 6 21 56 126 252 462 792 1287" in \
+        capsys.readouterr().out
 
 
 def test_hnn_then_verify_pipeline(tmp_path, capsys):

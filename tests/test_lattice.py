@@ -10,6 +10,7 @@ from conjugation_oracle import (
     reference_fusion_ea_morphisms,
     reference_pullback_morphisms,
     reference_quillen_morphisms,
+    reference_site_morphisms,
     reference_transporter_homsets,
 )
 from group_oracle import (
@@ -43,6 +44,7 @@ from fusionwb.groups import (
     InjHom,
     Subgroup,
     centralizer,
+    conjugation_images,
     conjugations,
     full_subgroup,
     lattice,
@@ -52,7 +54,9 @@ from fusionwb.groups import (
 )
 from fusionwb.io import load_datum, load_fusion_spec
 from fusionwb.stable import (
+    Limit,
     _all_morphisms,
+    _limit_basis,
     quillen_limits,
     quillen_morphisms,
     stable_bases,
@@ -378,15 +382,21 @@ def _terms(sites, d, rows):
 @pytest.mark.parametrize("G, p", _quillen_groups(),
                          ids=lambda x: str(getattr(x, "name", x)))
 def test_quillen_morphisms_match_the_per_site_loop(G, p):
-    # the limit on class representatives equals, term by term, the limit
-    # with unknowns on every site over the per-site conjugation loop
+    # the limit on the F-maximal sites equals, term by term, the limit
+    # with unknowns on every site over the per-site conjugation loop, and
+    # row for row the earlier plan with unknowns on every class
+    # representative; the dimension, counted on the constraints, agrees
     sites = quillen_morphisms(G, p)[0]
     ref_sites = [Site(V, p) for V in groups._elementary_abelian_search(G, p)]
     assert [s.key for s in sites] == [s.key for s in ref_sites]
     ref = reference_quillen_morphisms(G, p, ref_sites)
-    for q in quillen_limits(G, p, range(5)):
+    plan = Limit(*reference_site_morphisms(
+        sites, conjugation_images(G, [s.V for s in sites]), p))
+    for q in quillen_limits(G, p, range(7)):
         assert _terms(q.sites, q.degree, q.families) == \
             reference_limit_terms(ref_sites, ref, q.degree, p)
+        assert q.families == _limit_basis(plan, q.degree, p)
+        assert q.dimension == len(q.families)
 
 
 def _transporter(G):

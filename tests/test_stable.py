@@ -2,10 +2,17 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conjugation_oracle import inclusion_hom, reference_fusion_ea_morphisms
+from conjugation_oracle import (
+    inclusion_hom,
+    reference_fusion_ea_morphisms,
+    reference_greedy_generators,
+    reference_site_morphisms,
+)
 from elimination_oracle import reference_nullspace, reference_rref
 from group_oracle import reference_check_family
 from hypothesis import example, given, settings
@@ -24,6 +31,7 @@ from restriction_oracle import (
 from fusionwb.catalog import (
     alternating4,
     cyclic,
+    dihedral8,
     direct_product,
     elementary,
     klein_four,
@@ -706,8 +714,10 @@ KERNEL_SYSTEMS = {
 }
 
 
-# (sites, constraints, pullbacks, every morphism) of each KERNEL_SYSTEMS system
-KERNEL_COUNTS = {"c2e4_shift": (67, 75, 44, 1729), "c3e2_q8": (6, 6, 3, 78)}
+# (sites, constraints, pulls, every morphism) of each KERNEL_SYSTEMS system:
+# S = V is the one F-maximal site, with two generators of Q8 or one shift,
+# and every other site is filled from one rank up or pulled along iota
+KERNEL_COUNTS = {"c2e4_shift": (67, 1, 66, 1729), "c3e2_q8": (6, 2, 5, 78)}
 
 
 def _is_identity(phi, sw, sv):
@@ -754,8 +764,12 @@ def test_restriction_on_generating_morphisms(name):
                               reference_constraints(solved, homs, d, F.p))
         pulled = {w: (r, image) for ws, rs, images in pulled
                   for w, r, image in zip(ws.tolist(), rs.tolist(), images)}
-        assert len(pulled) == len(pulls)
-        for phi, sw, sr in pulls:
+        # every pull out of a site with a degree-d class: the trivial site,
+        # filled from a line, has none above degree 0
+        live = [(phi, sw, sr) for phi, sw, sr in pulls
+                if cohomology_basis(sw, d)]
+        assert len(pulled) == len(live) == len(pulls) - (d > 0)
+        for phi, sw, sr in live:
             r, image = pulled[index[sw.key]]
             assert sites[r] is sr
             assert np.array_equal(image,
@@ -883,18 +897,147 @@ def test_elimination_on_the_series_systems(name):
             system.tolist(), system.shape[1], F.p)
 
 
-@pytest.mark.parametrize("name", SERIES_SYSTEMS)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _spec_system(path):
+    return lambda: load_fusion_spec(path).fusion()
+
+
+# name -> (a fresh system, the top degree checked): the series systems,
+# which hold the benchmark's, the corpus and golden .fus files, and
+# trivial D8 x C2, each to degree 6 at least
+ORACLE_SYSTEMS = {
+    **{name: (build, max(top, 6))
+       for name, (build, top) in SERIES_SYSTEMS.items()},
+    **{f"{path.parent.name}_{path.stem}": (_spec_system(path), 6)
+       for directory in (corpus_dir(), GOLDEN)
+       for path in sorted(directory.glob("*.fus"))},
+    "d8xc2_trivial": (lambda: _trivial(direct_product(dihedral8(),
+                                                      cyclic(2))), 6),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
 def test_class_reduced_limit_matches_every_site(name):
     # term by term: the old generating set with unknowns on every site, and
-    # every morphism through the library's own solver
-    build, top = SERIES_SYSTEMS[name]
+    # every morphism through the library's own solver; row for row, the
+    # earlier plan with unknowns on every class representative; and the
+    # count on the constraints alone gives as many
+    build, top = ORACLE_SYSTEMS[name]
     F = build()
     sites = fusion_ea_morphisms(F)[0]
     old = reference_fusion_ea_morphisms(F, sites)
-    for d, families in enumerate(stable_bases(F, top)):
+    plan = stable.Limit(*reference_site_morphisms(sites, F.homsets, F.p))
+    bases = stable_bases(F, top)
+    for d, families in enumerate(bases):
         terms = _terms(families)
         assert terms == reference_limit_terms(sites, old, d, F.p)
         assert terms == _terms(stable_basis_all_morphisms(F, d))
+        assert [fam.coords for fam in families] == \
+            stable._limit_basis(plan, d, F.p)
+    assert poincare_series(F, top) == [len(fams) for fams in bases]
+
+
+def _dickson_gl3_2(d):
+    """The coefficient of t^d in 1/((1 - t^4)(1 - t^6)(1 - t^7))."""
+    return sum(1 for a in range(d // 4 + 1) for b in range(d // 6 + 1)
+               if (d - 4 * a - 6 * b) >= 0 and (d - 4 * a - 6 * b) % 7 == 0)
+
+
+# a Singer cycle (x^3 = x + 1) and a transvection generate GL3(2)
+GL3_2 = [[[0, 0, 1], [1, 0, 1], [0, 1, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+
+
+def test_poincare_series_closed_forms():
+    # H^*(C2^n) under trivial fusion on C2^n, C(n + d - 1, d), counted to
+    # degree 8 at n = 6, where a row over every site would not fit; trivial
+    # D8 x D8, whose F-maximal sites are the four V4 x V4, C(d + 3, 3); and
+    # GL3(2) on C2^3, the Dickson invariants of degrees 4, 6 and 7
+    for n in range(2, 7):
+        F = _trivial(elementary(2, n))
+        top = 8 if n == 6 else 6
+        want = [math.comb(n + d - 1, d) for d in range(top + 1)]
+        assert poincare_series(F, top) == want
+        if n < 6:
+            top = 6 if n < 5 else 4
+            assert [len(fams) for fams in stable_bases(F, top)] == \
+                want[:top + 1]
+    F = _trivial(direct_product(dihedral8(), dihedral8()))
+    assert poincare_series(F, 12) == [math.comb(d + 3, 3) for d in range(13)]
+    F = _automizer_system(2, 3, GL3_2)
+    assert poincare_series(F, 21) == [_dickson_gl3_2(d) for d in range(22)]
+    assert [len(fams) for fams in stable_bases(F, 8)] == \
+        [_dickson_gl3_2(d) for d in range(9)]
+
+
+def test_two_generators_per_automizer():
+    # GL3(2) and GL4(2) are each generated by a pair the seeded search
+    # finds, where the greedy set keeps 5 and 9; C2^3, which no pair
+    # generates, keeps the greedy set
+    GL4_2 = [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+             [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]
+    for mats, greedy in ((GL3_2, 5), (GL4_2, 9)):
+        F = _automizer_system(2, len(mats[0]), mats)
+        key = F.S.elements
+        autos = [h for h in F.homsets[key] if tuple(sorted(h)) == key]
+        gens = stable._generators(key, autos)
+        assert len(gens) == 2 and _generated(key, gens) == set(autos)
+        assert len(reference_greedy_generators(key, autos)) == greedy
+        assert stable._generators(key, autos) == gens
+    key = tuple(range(8))
+    translations = [tuple(x ^ c for x in key) for c in key]
+    gens = stable._generators(key, translations)
+    assert gens == reference_greedy_generators(key, translations)
+    assert len(gens) == 3 and _generated(key, gens) == set(translations)
+
+
+def test_a_count_restricts_along_the_constraints_alone(monkeypatch):
+    # poincare_series and a Quillen dimension solve on the constraints:
+    # no canonical basis, and no restriction along a fill or a pull; the
+    # same counters see both in a solve for the bases
+    kernels, stacks, steps = [], [], []
+    real_kernel, real_restrict = stable.canonical_kernel, \
+        stable.restriction_matrices
+    real_step = cohomology._product_step
+
+    def kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    def restrict(homs, *args):
+        stacks.append(np.array(homs))
+        return real_restrict(homs, *args)
+
+    def step(low, *args):
+        steps.append(len(low))
+        return real_step(low, *args)
+
+    monkeypatch.setattr(stable, "canonical_kernel", kernel)
+    monkeypatch.setattr(stable, "restriction_matrices", restrict)
+    monkeypatch.setattr(cohomology, "_product_step", step)
+    F = SERIES_SYSTEMS["s4xc2"][0]()
+    for limit, count in (
+            (fusion_ea_morphisms(F), lambda: poincare_series(F, 6)),
+            (quillen_morphisms(symmetric(4), 2), lambda: [
+                quillen_limit_finite_group(symmetric(4), 2, d).dimension
+                for d in range(7)])):
+        constraints = [mats[:k] for _, k, _, _, _, mats in limit.shapes
+                       if k]
+        sizes = {len(mats) for mats in constraints}
+        del stacks[:], steps[:]
+        count()
+        assert kernels == []
+        assert stacks and all(any(np.array_equal(stack, mats)
+                                  for mats in constraints)
+                              for stack in stacks)
+        assert steps and set(steps) <= sizes
+    # the bases restrict along every map of a shape at once, pulls too
+    del stacks[:], steps[:]
+    stable_bases(F, 6)
+    whole = {len(mats) for _, k, _, _, _, mats in fusion_ea_morphisms(F).shapes
+             if k < len(mats)}
+    assert len(kernels) == 7 and set(steps) & whole
 
 
 @pytest.mark.parametrize("name", ["v4_rho", "c2e3_singer", "c3e2_q8"])
@@ -977,6 +1120,47 @@ def test_check_family_matches_the_per_morphism_check(name):
         assert len(verdicts) == CHANGES_CHECKED[name]
 
 
+# the systems whose every basis family, changed at one site at a time, both
+# checks must refuse
+REFUSAL_SYSTEMS = {
+    "c2e4_shift": KERNEL_SYSTEMS["c2e4_shift"],
+    "c3e2_q8": KERNEL_SYSTEMS["c3e2_q8"],
+    "s4xc2": SERIES_SYSTEMS["s4xc2"][0],
+    "d8xc2_trivial": lambda: _trivial(direct_product(dihedral8(), cyclic(2))),
+}
+
+
+@pytest.mark.parametrize("name", REFUSAL_SYSTEMS)
+def test_check_family_refuses_a_change_at_any_site(name):
+    # check_family reads only the constraints and pulls of the Limit, so
+    # it must still see a change at every site: each basis family of
+    # degrees 1 to 4 with its last coordinate at one site raised by one,
+    # for every site in turn.  That monomial has at most one a_i, so it
+    # restricts to a nonzero class on a line, and no such row is compatible.
+    # The reference reads the morphisms into and out of the changed site,
+    # the only ones along which the row changed
+    F = REFUSAL_SYSTEMS[name]()
+    sites = fusion_ea_morphisms(F)[0]
+    every = reference_fusion_ea_morphisms(F, sites, generating=False)
+    through = {s.key: [(phi, sw, sv) for phi, sw, sv in every
+                       if s.key in (sw.key, sv.key)] for s in sites}
+    refused, bases = 0, stable_bases(F, 4)
+    for d, families in enumerate(bases[1:], start=1):
+        bounds = fusion_ea_morphisms(F).bounds(d)
+        for fam in families:
+            for site, end, width in zip(sites, bounds[1:], np.diff(bounds)):
+                if not width:
+                    continue
+                moved = _changed(fam, end - 1)
+                with pytest.raises(IncompatibleFamily):
+                    check_family(moved)
+                with pytest.raises(IncompatibleFamily):
+                    reference_check_family(moved, through[site.key])
+                refused += 1
+    # every site but the trivial one has a class in each degree 1 to 4
+    assert refused == sum(map(len, bases[1:])) * (len(sites) - 1) > 0
+
+
 def test_check_family_refuses_a_family_declared_at_the_wrong_degree():
     # a degree-2 row declared at degree 4 has too few coordinates
     F = SERIES_SYSTEMS["v4_rho"][0]()
@@ -990,24 +1174,92 @@ def test_check_family_refuses_a_family_declared_at_the_wrong_degree():
         check_family(wrong)
 
 
+def _trivial(G, p=2):
+    return fusion_from_group(full_subgroup(G), G, p=p)
+
+
+def _orbit_count(F, u, v):
+    """The number of Aut_F(V)-orbits on the maps U -> V, by the whole
+    automizer: distinct sets {g o h : g in Aut_F(V)}."""
+    autos = F.aut_set(F.subgroup(v))
+    into = [h for h in F.homsets[u] if set(v).issuperset(h)]
+    return len({frozenset(tuple(g.image_of(y) for y in h) for g in autos)
+                for h in into})
+
+
+def _generated(key, gens):
+    """The group that the image tuples gens, automorphisms of the site with
+    elements key, generate, by a search from the identity."""
+    pos = {x: i for i, x in enumerate(key)}
+    seen, todo = {key}, [key]
+    for f in todo:
+        for g in gens:
+            gf = tuple(g[pos[y]] for y in f)
+            if gf not in seen:
+                seen.add(gf)
+                todo.append(gf)
+    return seen
+
+
 def test_unknowns_sit_on_class_representatives():
-    F = KERNEL_SYSTEMS["c2e4_shift"]()
-    sites, homs, pulls = fusion_ea_morphisms(F)
-    keys = {s.key for s in sites}
-    reps = {cls[0].elements for cls in F.conjugacy_classes()
-            if cls[0].elements in keys}
-    assert (len(sites), len(reps)) == (67, 23)
-    # every other site is pulled back along the least map onto its
-    # representative, and the constraints join representatives only
-    assert sorted(sw.key for _, sw, _ in pulls) == sorted(keys - reps)
-    for phi, sw, sv in pulls:
-        onto = [images for images in F.homsets[sw.key]
-                if tuple(sorted(images)) == sv.key]
-        assert sv.key in reps and phi.images == min(onto)
-    assert all(sw.key in reps and sv.key in reps for _, sw, sv in homs)
-    triples = {(phi.images, sw.key, sv.key) for phi, sw, sv in homs}
-    assert len(triples) == len(homs) < len(reference_fusion_ea_morphisms(
-        F, sites))
+    # unknowns on the F-maximal representatives and on those whose maps
+    # into them fall into two or more orbits; every other representative
+    # filled from a representative one rank up that is free or filled
+    # before it; every other site pulled along the least map onto its
+    # representative
+    for F, free_ranks in (
+            (KERNEL_SYSTEMS["c2e4_shift"](), {4: 1}),
+            (SERIES_SYSTEMS["s4xc2"][0](), {3: 2, 2: 1, 1: 3, 0: 1}),
+            (_trivial(direct_product(dihedral8(), dihedral8())),
+             {4: 4, 3: 4, 2: 17, 1: 11, 0: 1})):
+        limit = fusion_ea_morphisms(F)
+        sites, homs, pulls = limit
+        keys = {s.key for s in sites}
+        reps = {cls[0].elements for cls in F.conjugacy_classes()
+                if cls[0].elements in keys}
+        maximal = {s.key for s in sites
+                   if not any(t.V.order > s.V.order
+                              and t.V.contains_subgroup(s.V) for t in sites)}
+        f_maximal = {key for key in reps if all(
+            P.elements in maximal for P in F.class_of(F.subgroup(key)))}
+        orbits = {u: sum(_orbit_count(F, u, v) for v in f_maximal)
+                  for u in reps - f_maximal}
+        free = {s.key for s, f in zip(sites, limit.free) if f}
+        assert free == f_maximal | {u for u, n in orbits.items() if n > 1}
+        assert Counter(s.rank for s in sites if s.key in free) == free_ranks
+        # (a) generators of Aut_F(V) on each F-maximal V, at most two here;
+        # (b) one map per orbit out of each other free site
+        for v in f_maximal:
+            gens = [phi.images for phi, sw, sv in homs if sw.key == v]
+            assert len(gens) <= 2
+            assert all(sv.key == v for _, sw, sv in homs if sw.key == v)
+            assert _generated(v, gens) == {
+                h for h in F.homsets[v] if tuple(sorted(h)) == v}
+        for u in free - f_maximal:
+            out = [(phi, sv) for phi, sw, sv in homs if sw.key == u]
+            assert len(out) == orbits[u]
+            assert all(sv.key in f_maximal for _, sv in out)
+        # every other site is pulled back along the least map onto its
+        # representative, or filled from a representative one rank up
+        pulled = Counter(sw.key for _, sw, _ in pulls)
+        assert set(pulled) == keys - free and set(pulled.values()) == {1}
+        for phi, sw, sv in pulls:
+            assert sv.key in reps
+            if sw.key in reps:
+                assert sv.V.order == sw.V.order * F.p
+                assert phi.images in F.homsets[sw.key]
+            else:
+                onto = [images for images in F.homsets[sw.key]
+                        if tuple(sorted(images)) == sv.key]
+                assert phi.images == min(onto)
+        # in the order of the shapes, a pull reads a site set before it
+        ready = set(np.flatnonzero(limit.free).tolist())
+        order = [(r, w) for _, k, _, w, r, _ in limit.shapes
+                 for w, r in zip(w[k:].tolist(), r[k:].tolist())]
+        assert len(order) == len(pulls)
+        for r, w in order:
+            assert r in ready and w not in ready
+            ready.add(w)
 
 
 def test_c2e4_shift_series_to_degree_eight():
