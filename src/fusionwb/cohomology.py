@@ -7,7 +7,10 @@ exponent tuples for the exterior and polynomial parts; eps stays zero at p=2.
 A class is its degree and its coordinate tuple in the basis of that degree;
 the restriction kernel's product steps and the cup product read one product
 table per pair of degrees, _products, and restrictions from a rank-1 site
-read one exponent table per degree and one power table per p instead.
+read one exponent table per degree and one power table per p instead.  The
+kernel (restriction_stack) builds the images of each degree from those of
+the degree below, or two below at odd p, by one product step, so a caller
+that keeps the stacks, as stable.Limit does, pays one step per new degree.
 """
 
 from __future__ import annotations
@@ -92,9 +95,12 @@ def basis_size(n, p, d):
 
 
 @functools.lru_cache(maxsize=None)
-def _labels(n, p, d):
-    """format_monomial of each monomial of the degree-d basis."""
-    return tuple(format_monomial(mono, p) for mono in _basis(n, p, d))
+def _terms(n, p, d):
+    """Per coefficient c in 0..p-1, the term "monomial:c" of each monomial
+    of the degree-d basis, in basis order (none at c = 0)."""
+    labels = [format_monomial(mono, p) for mono in _basis(n, p, d)]
+    return ((),) + tuple(tuple(f"{label}:{c}" for label in labels)
+                         for c in range(1, p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,9 +180,13 @@ class CohoElement:
 
     def describe(self):
         """The nonzero terms as "monomial:c", in basis order, or "0"."""
-        labels = _labels(self.site.rank, self.site.p, self.degree)
-        return " ".join([f"{label}:{c}" for label, c in zip(labels, self.coords)
-                         if c]) or "0"
+        terms = _terms(self.site.rank, self.site.p, self.degree)
+        coords = self.coords
+        if self.site.p == 2:            # every nonzero coordinate is 1
+            out = " ".join(itertools.compress(terms[1], coords))
+        else:
+            out = " ".join([terms[c][i] for i, c in enumerate(coords) if c])
+        return out or "0"
 
     def __repr__(self):
         return f"CohoElement({self.describe()})"
@@ -251,22 +261,10 @@ def _products(n, p, a, b):
     return u, v, sign, starts, t[starts]
 
 
-@functools.lru_cache(maxsize=None)
-def _chain(p, d):
-    """The product steps (k, a, b), k = a + b, that build degree d from
-    degrees 1 and, at odd p, 2, in increasing k: k splits near k/2, as
-    a = floor(k/2) at p = 2 and a = max(2, 2 floor(k/4)) at odd p, so that
-    every monomial has a factor of degree a.
-    """
-    base = 1 if p == 2 else 2
-    steps, todo = {}, [d]
-    while todo:
-        k = todo.pop()
-        if k > base and k not in steps:
-            a = k // 2 if p == 2 else max(2, 2 * (k // 4))
-            steps[k] = (a, k - a)
-            todo += steps[k]
-    return sorted((k, *ab) for k, ab in steps.items())
+def stack_dtype(p):
+    """The smallest unsigned dtype that holds p - 1, in which the kernel
+    keeps its stacks: uint8 for every p < 256."""
+    return np.min_scalar_type(p - 1)
 
 
 def _product_step(low, high, n_w, n_v, p, a, b):
@@ -274,11 +272,12 @@ def _product_step(low, high, n_w, n_v, p, a, b):
     the stacks low and high of the images of degrees a and b: column c is
     phi*(c1) phi*(c2), c = c1 c2 read off the target's product table and
     summed over the pairs of the source's, a slice of the stack and of the
-    columns at a time."""
+    columns at a time, in int32, and kept mod p as stack_dtype(p)."""
     c1, c2 = _splits(n_v, p, a, b)
     u, v, sign, starts, reached = _products(n_w, p, a, b)
     m = len(low)
-    out = np.zeros((m, len(_basis(n_w, p, a + b)), len(c1)), dtype=np.int32)
+    out = np.zeros((m, len(_basis(n_w, p, a + b)), len(c1)),
+                   dtype=stack_dtype(p))
     if not (len(u) and len(c1)):
         return out
     width = max(1, min(len(c1), _STEP_ELEMENTS // len(u)))
@@ -287,13 +286,13 @@ def _product_step(low, high, n_w, n_v, p, a, b):
         maps = slice(i, i + rows)
         for j in range(0, len(c1), width):
             cols = slice(j, j + width)
-            terms = low[maps, :, c1[cols]][:, u]
+            terms = low[maps, :, c1[cols]][:, u].astype(np.int32)
             terms *= high[maps, :, c2[cols]][:, v]
             if sign is not None:
                 terms *= sign
-            out[maps, reached, cols] = np.add.reduceat(terms, starts, axis=1,
-                                                       dtype=np.int32)
-    return out % p
+            out[maps, reached, cols] = np.add.reduceat(
+                terms, starts, axis=1, dtype=np.int32) % p
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,46 +321,64 @@ def _powers(p):
     return powers
 
 
-def restriction_matrices(homs, n_w, n_v, p, d):
-    """Images of every degree-d basis monomial of a rank-n_v site along each
-    of a stack of maps from a rank-n_w site.
+def restriction_stack(homs, n_w, n_v, p, lower):
+    """Images of every degree-d basis monomial of a rank-n_v site along
+    each of a stack of maps from a rank-n_w site, d = len(lower), given
+    lower, those of every degree below d.
 
     homs is an (m, n_v, n_w) stack of hom matrices (see hom_matrix) with
-    entries in [0, p).  Returns the (m, B_w, B_v) int32 stack of images,
-    entries in [0, p): column c of image k is the image of the c-th
-    monomial of the degree-d basis of the target, in coordinates of the
-    degree-d basis of the source.  phi* is a ring map, so phi*(c) =
+    entries in [0, p).  Returns the (m, B_w, B_v) stack of images in
+    stack_dtype(p), entries in [0, p): column c of image k is the image of
+    the c-th monomial of the degree-d basis of the target, in coordinates
+    of the degree-d basis of the source.  phi* is a ring map, so phi*(c) =
     phi*(c1) phi*(c2) whenever c = c1 c2.  Degree 1 is the transposed hom
     matrix (phi*(a_i) = sum_j M[i][j] a_j, phi*(x_i) = sum_j M[i][j] x_j),
     and so is the x_j-by-x_i block of degree 2 at odd p, whose a_i a_j
-    come from degree 1; every other degree is one product step of two
-    lower ones (_chain), for the whole stack at once, so a call takes
-    O(log d) steps on the halving chain.  From a rank-1 site, whose basis
-    in each degree is one monomial, x^k or a x^k, phi*(x_i) = m_i x and
-    phi*(a_i) = m_i a, so the image of (eps, alpha) is the product of the
+    come from degree 1.  Every higher degree is one product step, for the
+    whole stack at once: (1, d - 1) at p = 2, where every monomial of
+    degree d >= 2 has a factor of degree 1, and (2, d - 2) at odd p, where
+    every monomial of degree d >= 3 has one of degree 2, an x_i or an
+    a_i a_j.  So a caller that keeps the stacks, as stable.Limit does,
+    pays one step per new degree.  From a rank-1 site, whose basis in each
+    degree is one monomial, x^k or a x^k, phi*(x_i) = m_i x and phi*(a_i)
+    = m_i a, so the image of (eps, alpha) is the product of the
     m_i^(alpha_i + eps_i), or 0 if it has two a_i or more: it is read off
-    _powers at _exponents, with no product step, and is exact as long as
-    (p - 1)^n_v < 2^63, as on every site (p^n_v <= 512).
+    _powers at _exponents, with no product step and no lower degree, and
+    is exact as long as (p - 1)^n_v < 2^63, as on every site
+    (p^n_v <= 512).
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    m = len(homs)
+    d, m = len(lower), len(homs)
     homs = np.asarray(homs, dtype=np.int32).reshape(m, n_v, n_w)
+    dtype = stack_dtype(p)
     if n_w == 1:
         factors = _powers(p)[homs.transpose(0, 2, 1), _exponents(n_v, p, d)]
-        return (factors.prod(axis=2) % p).astype(np.int32)[:, None]
-    images = {0: np.ones((m, 1, 1), dtype=np.int32),
-              1: homs.transpose(0, 2, 1).copy()}
-    if p != 2 and d >= 2:
+        return (factors.prod(axis=2) % p).astype(dtype)[:, None]
+    if d == 0:
+        return np.ones((m, 1, 1), dtype=dtype)
+    if d == 1:
+        return homs.transpose(0, 2, 1).astype(dtype)
+    if p != 2 and d == 2:
         # the x_i come last in the degree-2 basis, after the a_i a_j
-        ext = _product_step(images[1], images[1], n_w, n_v, p, 1, 1)
-        img = images[2] = np.zeros(
-            (m, len(_basis(n_w, p, 2)), len(_basis(n_v, p, 2))), dtype=np.int32)
+        ext = _product_step(lower[1], lower[1], n_w, n_v, p, 1, 1)
+        img = np.zeros((m, len(_basis(n_w, p, 2)), len(_basis(n_v, p, 2))),
+                       dtype=dtype)
         img[:, :, :ext.shape[2]] = ext
-        img[:, img.shape[1] - n_w:, ext.shape[2]:] = images[1]
-    for k, a, b in _chain(p, d):
-        images[k] = _product_step(images[a], images[b], n_w, n_v, p, a, b)
-    return images[d]
+        img[:, img.shape[1] - n_w:, ext.shape[2]:] = lower[1]
+        return img
+    a = 1 if p == 2 else 2
+    return _product_step(lower[a], lower[d - a], n_w, n_v, p, a, d - a)
+
+
+def restriction_matrices(homs, n_w, n_v, p, d):
+    """The degree-d restriction_stack along homs, as int32: from a rank-1
+    site the closed form alone, else every degree up to d in turn, one
+    product step per degree from 2 to d."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    lower = [None] * d if n_w == 1 else []
+    while len(lower) <= d:
+        lower.append(restriction_stack(homs, n_w, n_v, p, lower))
+    return lower[d].astype(np.int32)
 
 
 def restriction_matrix(phi, site_w, site_v, d):

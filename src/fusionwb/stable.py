@@ -34,7 +34,7 @@ from .cohomology import (
     basis_size,
     hom_matrix,
     polynomial_mask,
-    restriction_matrices,
+    restriction_stack,
 )
 from .errors import DegreeBoundExceeded, IncompatibleFamily
 from .groups import (
@@ -205,12 +205,14 @@ class Limit(tuple):
     stack of their hom matrices.  The shapes come in the order the pulls
     are applied: those into a larger rank first, by descending rank of W,
     so that each reads sites that are free or set by an earlier shape, then
-    those within one rank, the pulls along iota onto a representative."""
+    those within one rank, the pulls along iota onto a representative.
+    The restriction matrices along the maps of a shape depend only on the
+    degree, so the Limit keeps them (stack)."""
 
     def __new__(cls, sites, homs, pulls):
         self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
         index = {s.key: i for i, s in enumerate(sites)}
-        self._bounds = {}
+        self._bounds, self._stacks = {}, {}
         self.free = np.ones(len(sites), dtype=bool)
         self.free[[index[sw.key] for _, sw, _ in pulls]] = False
         shapes = {}
@@ -224,6 +226,19 @@ class Limit(tuple):
             for shape, rows in sorted(shapes.items(), key=lambda item: (
                 item[0][0] == item[0][1], -item[0][0])))
         return self
+
+    def stack(self, i, d, pulls=False):
+        """The degree-d restriction_stack along the constraints of the i-th
+        shape, or along its pulls if pulls.  A degree not kept yet is built
+        from the highest one kept below it, one product step per degree,
+        and every degree passed is kept.  The constraints and the pulls
+        are kept apart, so a count never builds a pull stack."""
+        (n_w, n_v), k, _, _, _, mats = self.shapes[i]
+        kept = self._stacks.setdefault((i, pulls), [])
+        while len(kept) <= d:
+            kept.append(restriction_stack(mats[k:] if pulls else mats[:k],
+                                          n_w, n_v, self[0][0].p, kept))
+        return kept[d]
 
     def bounds(self, d):
         """The start of each site's block in a degree-d coordinate row, then
@@ -266,14 +281,17 @@ def quillen_morphisms(G, p):
 def _restrictions(limit, d, p, pulls=True):
     """The degree-d restriction matrices along the maps of limit.shapes
     whose source has a nonzero degree-d basis, or along their constraints
-    alone unless pulls: per shape, in order, k, the positions of its maps
-    in homs + pulls, the indices of their W and V in sites, and the stack
-    of their images."""
-    for (n_w, n_v), k, positions, w, v, mats in limit.shapes:
-        n = len(positions) if pulls else k
-        if n and basis_size(n_w, p, d):
-            yield k, positions[:n], w[:n], v[:n], restriction_matrices(
-                mats[:n], n_w, n_v, p, d)
+    alone unless pulls, as the Limit keeps them: per shape, in order, its
+    constraints and then its pulls, each part as k, the number of its
+    constraints, the positions of its maps in homs + pulls, the indices of
+    their W and V in sites, and the stack of their images."""
+    for i, ((n_w, _), k, positions, w, v, _) in enumerate(limit.shapes):
+        if not basis_size(n_w, p, d):
+            continue
+        if k:
+            yield k, positions[:k], w[:k], v[:k], limit.stack(i, d)
+        if pulls and k < len(positions):
+            yield 0, positions[k:], w[k:], v[k:], limit.stack(i, d, True)
 
 
 def _constraints(limit, d, p, pulls=True):
@@ -294,10 +312,10 @@ def _constraints(limit, d, p, pulls=True):
     parts, found = [], []
     for k, positions, w, v, images in _restrictions(limit, d, p, pulls):
         if k:
-            parts.append((positions[:k], w[:k], v[:k], images[:k]))
-            heights[positions[:k]] = images.shape[1]
-        if k < len(positions):
-            found.append((w[k:], v[k:], images[k:]))
+            parts.append((positions, w, v, images))
+            heights[positions] = images.shape[1]
+        else:
+            found.append((w, v, images))
     starts = np.cumsum(heights) - heights
     system = np.zeros((heights.sum(), solved.sum()), dtype=np.int32)
     for positions, w, v, images in parts:

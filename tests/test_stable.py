@@ -387,7 +387,7 @@ def test_product_tables_match_the_pair_loop(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_describe_matches_the_term_rendering(p):
-    # describe reads the cached labels; the terms rendered one by one are
+    # describe reads the cached terms; the terms rendered one by one are
     # the reference, on seeded coordinates (ranks past the table cap at
     # p = 5 on a site that only carries its rank and prime)
     rng = random.Random(p)
@@ -439,14 +439,16 @@ def test_float64_pullback_and_product_codes_fit_every_site():
 
 def test_no_restriction_out_of_a_site_with_no_class(monkeypatch):
     # at d >= 1 the trivial site has no class, so no map out of it is
-    # restricted; at d = 0 it has one, and its maps are
+    # restricted; at d = 0 it has one, and its maps are, and the Limit
+    # keeps their degree-0 stack alone
     calls = []
+    real = stable.Limit.stack
 
-    def counting(homs, n_w, n_v, p, d):
-        calls.append((n_w, d))
-        return restriction_matrices(homs, n_w, n_v, p, d)
+    def counting(limit, i, d, pulls=False):
+        calls.append((limit.shapes[i][0][0], d))
+        return real(limit, i, d, pulls)
 
-    monkeypatch.setattr(stable, "restriction_matrices", counting)
+    monkeypatch.setattr(stable.Limit, "stack", counting)
     for make in KERNEL_SYSTEMS.values():
         F = make()
         for d in range(5):
@@ -454,6 +456,10 @@ def test_no_restriction_out_of_a_site_with_no_class(monkeypatch):
             stable_basis(F, d)
             assert calls
             assert any(n_w == 0 for n_w, _ in calls) == (d == 0)
+        limit = fusion_ea_morphisms(F)
+        kept = [len(stacks) for (i, _), stacks in limit._stacks.items()
+                if limit.shapes[i][0][0] == 0]
+        assert kept and set(kept) == {1}
 
 
 def test_restriction_identity_and_axis():
@@ -603,34 +609,50 @@ def test_restriction_from_a_rank_one_site_matches_reference(p):
 
 
 def test_a_rank_one_stack_runs_no_product_step(monkeypatch):
-    steps = []
-
-    def counting(low, high, n_w, n_v, p, a, b):
-        steps.append(n_w)
-        return product_step(low, high, n_w, n_v, p, a, b)
-
-    product_step = cohomology._product_step
-    monkeypatch.setattr(cohomology, "_product_step", counting)
+    steps = _counting_steps(monkeypatch)
     rng = random.Random(5)
     for p, n_w in itertools.product((2, 3), (1, 2)):
         homs = np.array(_random_homs(rng, n_w, 3, p), dtype=np.int32)
         for d in range(1, 9):
             restriction_matrices(homs, n_w, 3, p, d)
-    assert steps and set(steps) == {2}
+    assert steps and {n_w for _, n_w, _, _ in steps} == {2}
 
 
-def test_product_steps_build_each_degree_from_two_lower_ones():
+def _counting_steps(monkeypatch):
+    """Patch cohomology._product_step so that each step appends its
+    (len(low), n_w, a, b) to the returned list."""
+    steps, real = [], cohomology._product_step
+
+    def counting(low, high, n_w, n_v, p, a, b):
+        steps.append((len(low), n_w, a, b))
+        return real(low, high, n_w, n_v, p, a, b)
+
+    monkeypatch.setattr(cohomology, "_product_step", counting)
+    return steps
+
+
+def test_product_steps_build_each_degree_from_two_lower_ones(monkeypatch):
+    # degree k is one product step over degree k - 1 at p = 2, (1, k - 1),
+    # and over degree k - 2 at odd p, (2, k - 2), after the (1, 1) step
+    # that gives the a_i a_j of degree 2: each step reads degrees built
+    # before it, one step per degree above 1
+    steps = _counting_steps(monkeypatch)
+    rng = random.Random(3)
     for p, d in itertools.product((2, 3, 5), (3, 8, 13)):
+        homs = np.array(_random_homs(rng, 2, 2, p), dtype=np.int32)
+        del steps[:]
+        restriction_matrices(homs, 2, 2, p, d)
         built = {0, 1} if p == 2 else {0, 1, 2}
-        for k, a, b in cohomology._chain(p, d):
-            assert k == a + b and a in built and b in built
-            built.add(k)
+        splits = [(a, b) for _, _, a, b in steps]
+        for a, b in splits[p != 2:]:
+            assert a in built and b in built
+            built.add(a + b)
         assert d in built
-    # halving: O(log d) steps
-    assert [k for k, _, _ in cohomology._chain(2, 40)] == \
-        [2, 3, 5, 10, 20, 40]
-    assert [k for k, _, _ in cohomology._chain(3, 30)] == \
-        [4, 6, 8, 14, 16, 30]
+        assert len(splits) == d - 1
+        if p == 2:
+            assert splits == [(1, k - 1) for k in range(2, d + 1)]
+        else:
+            assert splits == [(1, 1)] + [(2, k - 2) for k in range(3, d + 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -652,12 +674,14 @@ def test_basis_is_every_monomial_in_decreasing_order(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_product_step_splits_multiply_to_their_monomial(p):
-    # every step of the chains up to degree 12, and at odd p the a_i a_j of
-    # degree 2: split j is a pair that multiplies to monomial j with sign
-    # +1, and the splits cover a prefix of the basis of degree a + b
-    steps = {(a, b) for d in range(13) for _, a, b in cohomology._chain(p, d)}
-    if p != 2:
-        steps.add((1, 1))
+    # every step of the kernel up to degree 12, (1, k - 1) at p = 2 and
+    # (2, k - 2) at odd p, and at odd p the a_i a_j of degree 2: split j is
+    # a pair that multiplies to monomial j with sign +1, and the splits
+    # cover a prefix of the basis of degree a + b
+    if p == 2:
+        steps = {(1, k - 1) for k in range(2, 13)}
+    else:
+        steps = {(1, 1)} | {(2, k - 2) for k in range(3, 13)}
     for n in range(5):
         for a, b in sorted(steps):
             low, high = _basis(n, p, a), _basis(n, p, b)
@@ -992,52 +1016,173 @@ def test_two_generators_per_automizer():
     assert len(gens) == 3 and _generated(key, gens) == set(translations)
 
 
+def _counting_stacks(monkeypatch):
+    """Patch stable.restriction_stack so that each stack the Limit starts,
+    at degree 0, appends its hom matrices to the returned list."""
+    stacks, real = [], stable.restriction_stack
+
+    def counting(homs, n_w, n_v, p, lower):
+        if not lower:
+            stacks.append(np.array(homs))
+        return real(homs, n_w, n_v, p, lower)
+
+    monkeypatch.setattr(stable, "restriction_stack", counting)
+    return stacks
+
+
+def _parts(limit, pulls):
+    """The hom matrices of the constraints of each shape of limit, or of
+    its pulls if pulls, leaving out an empty part."""
+    return [mats[k:] if pulls else mats[:k]
+            for _, k, _, _, _, mats in limit.shapes
+            if (k < len(mats) if pulls else k)]
+
+
 def test_a_count_restricts_along_the_constraints_alone(monkeypatch):
     # poincare_series and a Quillen dimension solve on the constraints:
-    # no canonical basis, and no restriction along a fill or a pull; the
-    # same counters see both in a solve for the bases
-    kernels, stacks, steps = [], [], []
-    real_kernel, real_restrict = stable.canonical_kernel, \
-        stable.restriction_matrices
-    real_step = cohomology._product_step
-
-    def kernel(*args):
-        kernels.append(args)
-        return real_kernel(*args)
-
-    def restrict(homs, *args):
-        stacks.append(np.array(homs))
-        return real_restrict(homs, *args)
-
-    def step(low, *args):
-        steps.append(len(low))
-        return real_step(low, *args)
-
-    monkeypatch.setattr(stable, "canonical_kernel", kernel)
-    monkeypatch.setattr(stable, "restriction_matrices", restrict)
-    monkeypatch.setattr(cohomology, "_product_step", step)
+    # no canonical basis, and no stack along a fill or a pull; a solve for
+    # the bases after the count starts only the pull stacks, as the Limit
+    # keeps those of the constraints
+    kernels = _count_calls(monkeypatch, "canonical_kernel")
+    stacks = _counting_stacks(monkeypatch)
+    steps = _counting_steps(monkeypatch)
     F = SERIES_SYSTEMS["s4xc2"][0]()
     for limit, count in (
             (fusion_ea_morphisms(F), lambda: poincare_series(F, 6)),
             (quillen_morphisms(symmetric(4), 2), lambda: [
                 quillen_limit_finite_group(symmetric(4), 2, d).dimension
                 for d in range(7)])):
-        constraints = [mats[:k] for _, k, _, _, _, mats in limit.shapes
-                       if k]
-        sizes = {len(mats) for mats in constraints}
+        constraints = _parts(limit, pulls=False)
         del stacks[:], steps[:]
         count()
         assert kernels == []
         assert stacks and all(any(np.array_equal(stack, mats)
                                   for mats in constraints)
                               for stack in stacks)
-        assert steps and set(steps) <= sizes
-    # the bases restrict along every map of a shape at once, pulls too
+        assert steps and {m for m, *_ in steps} <= set(map(len, constraints))
     del stacks[:], steps[:]
     stable_bases(F, 6)
-    whole = {len(mats) for _, k, _, _, _, mats in fusion_ea_morphisms(F).shapes
-             if k < len(mats)}
-    assert len(kernels) == 7 and set(steps) & whole
+    pulls = _parts(fusion_ea_morphisms(F), pulls=True)
+    assert len(kernels) == 7
+    assert len(stacks) == len(pulls) and all(
+        any(np.array_equal(stack, mats) for mats in pulls) for stack in stacks)
+    assert steps and {m for m, *_ in steps} <= set(map(len, pulls))
+
+
+def test_a_solve_runs_one_product_step_per_stack_and_degree(monkeypatch):
+    # a solve to degree 8 on a rank-3 system at p = 2 runs one product step
+    # per stack out of a source of rank 2 or more and per degree 2..8, the
+    # constraints and the pulls of a shape being two stacks; a repeated
+    # solve, a solve at a lower degree, a count and a check run none
+    steps = _counting_steps(monkeypatch)
+    for name in ("c2e3_singer", "s4xc2"):
+        F = SERIES_SYSTEMS[name][0]()
+        limit = fusion_ea_morphisms(F)
+        del steps[:]
+        bases = stable_bases(F, 8)
+        parts = [(shape, k, len(mats)) for shape, k, *_, mats in limit.shapes
+                 if shape[0] >= 2]
+        stacks = sum((k > 0) + (k < n) for _, k, n in parts)
+        assert stacks and len(steps) == stacks * 7
+        assert Counter((a, b) for *_, a, b in steps) == \
+            {(1, k - 1): stacks for k in range(2, 9)}
+        del steps[:]
+        assert stable_bases(F, 8) == bases
+        stable_basis(F, 5)
+        poincare_series(F, 8)
+        assert all(check_family(fam) for fam in bases[8])
+        assert steps == []
+
+
+def test_a_second_check_restricts_nothing(monkeypatch):
+    # check_family reads the stacks the Limit keeps: the first check at a
+    # degree builds them, a second check at that degree, of the same family
+    # or another, or a nilpotence test, runs no product step and starts no
+    # restriction
+    F = KERNEL_SYSTEMS["c2e4_shift"]()
+    limit = fusion_ea_morphisms(F)
+    zero = StableFamily(F, 3, (0,) * limit.bounds(3)[-1])
+    steps = _counting_steps(monkeypatch)
+    stacks = _counting_stacks(monkeypatch)
+    matrices = []
+    monkeypatch.setattr(cohomology, "restriction_matrices",
+                        lambda *args: matrices.append(args))
+    assert check_family(zero)
+    assert steps and stacks
+    del steps[:], stacks[:]
+    fams = stable_basis(F, 3)
+    assert fams and (steps, stacks) == ([], [])
+    for fam in [zero] + fams:
+        assert check_family(fam)
+        is_nilpotent(fam)
+    assert (steps, stacks, matrices) == ([], [], [])
+
+
+# the systems whose kept stacks are checked against the reference: the
+# series systems, two Quillen categories at p = 2 and trivial C3 x C3
+KEPT_SYSTEMS = {
+    **{name: lambda build=build: fusion_ea_morphisms(build())
+       for name, (build, _) in SERIES_SYSTEMS.items()},
+    "quillen_s4": lambda: quillen_morphisms(symmetric(4), 2),
+    "quillen_a4": lambda: quillen_morphisms(alternating4(), 2),
+    "c3e2_trivial": lambda: fusion_ea_morphisms(_trivial(elementary(3, 2),
+                                                         p=3)),
+}
+
+
+@pytest.mark.parametrize("name", KEPT_SYSTEMS)
+def test_kept_stacks_match_the_reference(name, monkeypatch):
+    # every degree 0..8 (0..12 at p = 3) asked ascending, descending, in a
+    # seeded shuffle, and as a count then a solve at each degree: each
+    # stack read is the reference's, in the store dtype, every degree
+    # passed is kept, and each stack runs one product step per degree
+    # above 1
+    base = KEPT_SYSTEMS[name]()
+    p = base[0][0].p
+    top = 8 if p == 2 else 12
+    want = {}
+    for (n_w, n_v), k, positions, _, _, mats in base.shapes:
+        for m, hom in zip(positions.tolist(), mats):
+            want[m] = reference_restrictions(hom, n_w, n_v, p, top)
+    descending = list(range(top, -1, -1))
+    shuffled = random.Random(name).sample(descending, top + 1)
+    steps = _counting_steps(monkeypatch)
+    for order in (range(top + 1), descending, shuffled, "count"):
+        limit = stable.Limit(*base)
+        del steps[:]
+        for d in range(top + 1) if order == "count" else order:
+            if order == "count":
+                dim = stable._dimension(limit, d, p)
+                assert len(stable._limit_basis(limit, d, p)) == dim
+            for _, positions, _, _, images in _restrictions(limit, d, p):
+                assert images.dtype == cohomology.stack_dtype(p) == np.uint8
+                for m, image in zip(positions.tolist(), images):
+                    assert np.array_equal(image, want[m][d])
+        ranks = [limit.shapes[i][0][0] for i, _ in limit._stacks]
+        for n_w, kept in zip(ranks, limit._stacks.values()):
+            assert len(kept) == (top + 1 if n_w else 1)
+        assert len(steps) == sum(n_w >= 2 for n_w in ranks) * (top - 1)
+
+
+def test_product_steps_at_p_7_reduce_in_int32():
+    # at p = 7 the products of a_i a_j classes carry a sign, so a product
+    # of two stored entries can be negative and a sum of them can pass 255:
+    # each step multiplies and sums in int32 and keeps the result mod p in
+    # uint8
+    rng = random.Random(7)
+    homs = _random_homs(rng, 2, 3, 7) + [
+        [[rng.randrange(1, 7) for _ in range(2)] for _ in range(3)]
+        for _ in range(4)]
+    want = [reference_restrictions(hom, 2, 3, 7, 8) for hom in homs]
+    stacks = []
+    for d in range(9):
+        images = cohomology.restriction_stack(np.array(homs), 2, 3, 7, stacks)
+        stacks.append(images)
+        assert images.dtype == np.uint8
+        assert np.array_equal(restriction_matrices(np.array(homs), 2, 3, 7, d),
+                              images)
+        for k, image in enumerate(images):
+            assert np.array_equal(image, want[k][d])
 
 
 @pytest.mark.parametrize("name", ["v4_rho", "c2e3_singer", "c3e2_q8"])
