@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .groups import generating_sequence
+from .groups import format_elems, generating_sequence
 
 
 class Site:
@@ -50,6 +50,12 @@ class Site:
 
     def __repr__(self):
         return f"Site({list(self.V.elements)}, p={self.p})"
+
+    @functools.cached_property
+    def label(self):
+        """The site's elements as text (format_elems), formatted once, as
+        every family over the site is written with them."""
+        return format_elems(self.key)
 
 
 def monomial_degree(mono, p):

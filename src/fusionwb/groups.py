@@ -25,6 +25,12 @@ MAX_PERM_DEGREE = 16
 MAX_SUBGROUPS = 4096
 
 
+def format_elems(elems):
+    """The elements as every workbench file and report writes them:
+    [e1,e2,...], with no spaces."""
+    return "[" + ",".join(map(str, elems)) + "]"
+
+
 def _factorize(n):
     factors = {}
     d = 2

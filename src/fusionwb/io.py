@@ -20,6 +20,7 @@ from .groups import (
     Subgroup,
     _validate_table,
     build_group_from_permutations,
+    format_elems,
     full_subgroup,
     normalizer,
     prime_of,
@@ -36,10 +37,6 @@ from .stable import MAX_DEGREE, StableFamily, fusion_ea_morphisms
 
 class ParseError(WorkbenchError):
     """A workbench file does not match its grammar."""
-
-
-def format_elems(elems):
-    return "[" + ",".join(map(str, elems)) + "]"
 
 
 def parse_elems(text):
@@ -422,8 +419,8 @@ def parse_word(pres, text):
 
 
 def serialize_family(fam):
-    return "".join(f"V={format_elems(s.key)} ; "
-                   f"{fam.components[s.key].describe()}\n" for s in fam.sites)
+    return "".join(f"V={s.label} ; {fam.components[s.key].describe()}\n"
+                   for s in fam.sites)
 
 
 def parse_family(F, text):

@@ -14,9 +14,10 @@ are put in the basis that the system with unknowns on every site gives; a
 dimension is counted on the equations alone.  The maps come from the
 fusion category, or for a finite group from the Quillen category, which
 the cross-check compares; they are built once per fusion system or
-(group, p) and kept there as a Limit.  A family is its coordinate row over
-every site, and check_family tests it on the same Limit.  Every morphism
-is listed only for the brute-force references.
+(group, p) and kept there as a Limit, which keeps each degree's answer
+too.  A family is its coordinate row over every site, and check_family
+tests it on the same Limit.  Every morphism is listed only for the
+brute-force references.
 """
 
 from __future__ import annotations
@@ -206,13 +207,16 @@ class Limit(tuple):
     are applied: those into a larger rank first, by descending rank of W,
     so that each reads sites that are free or set by an earlier shape, then
     those within one rank, the pulls along iota onto a representative.
-    The restriction matrices along the maps of a shape depend only on the
-    degree, so the Limit keeps them (stack)."""
+    The restriction matrices along the maps of a shape, the solutions and
+    the dimension of the limit depend only on the degree, so the Limit
+    keeps them (stack, basis, count, families): a degree solved or counted
+    once costs nothing again."""
 
     def __new__(cls, sites, homs, pulls):
         self = super().__new__(cls, (tuple(sites), tuple(homs), tuple(pulls)))
         index = {s.key: i for i, s in enumerate(sites)}
         self._bounds, self._stacks = {}, {}
+        self._bases, self._counts, self._families = {}, {}, {}
         self.free = np.ones(len(sites), dtype=bool)
         self.free[[index[sw.key] for _, sw, _ in pulls]] = False
         shapes = {}
@@ -239,6 +243,32 @@ class Limit(tuple):
             kept.append(restriction_stack(mats[k:] if pulls else mats[:k],
                                           n_w, n_v, self[0][0].p, kept))
         return kept[d]
+
+    def basis(self, d):
+        """The degree-d solutions (_limit_basis) as a tuple of coordinate
+        rows, solved once per degree."""
+        if d not in self._bases:
+            self._bases[d] = tuple(_limit_basis(self, d, self[0][0].p))
+        return self._bases[d]
+
+    def count(self, d):
+        """The dimension of the degree-d limit: the length of the kept
+        basis if there is one, else _dimension, counted once per degree;
+        a count never builds a pull stack."""
+        if d in self._bases:
+            return len(self._bases[d])
+        if d not in self._counts:
+            self._counts[d] = _dimension(self, d, self[0][0].p)
+        return self._counts[d]
+
+    def families(self, F, d):
+        """The degree-d basis as StableFamily objects over F, the fusion
+        system this Limit belongs to, built once per degree, so each
+        family reads its components once."""
+        if d not in self._families:
+            self._families[d] = tuple(StableFamily(F, d, row)
+                                      for row in self.basis(d))
+        return self._families[d]
 
     def bounds(self, d):
         """The start of each site's block in a degree-d coordinate row, then
@@ -376,11 +406,13 @@ def _limit(degrees, morphisms, *args):
     return morphisms(*args)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StableFamily:
     """A compatible family of classes over the elementary abelian subgroups:
     its coordinates at each site of fusion_ea_morphisms(F), one site after
-    another; components reads them as {site key: CohoElement}."""
+    another; components reads them as {site key: CohoElement}, once.  It is
+    frozen, as the Limit keeps the families of each degree it solves and
+    hands the same ones to every caller."""
 
     F: object
     degree: int
@@ -403,8 +435,7 @@ class StableFamily:
 
 def _stable_series(F, degrees, morphisms):
     limit = _limit(degrees, morphisms, F)
-    return [[StableFamily(F, d, row) for row in _limit_basis(limit, d, F.p)]
-            for d in degrees]
+    return [list(limit.families(F, d)) for d in degrees]
 
 
 def stable_basis(F, d):
@@ -424,11 +455,13 @@ def stable_basis_all_morphisms(F, d):
 
 
 def poincare_series(F, max_degree):
-    """The number of degree-d stable elements for d = 0..max_degree,
-    counted on the constraints alone (_dimension): no family is built."""
+    """The number of degree-d stable elements for d = 0..max_degree, as
+    Limit.count keeps it: the length of a basis already solved, else
+    counted on the constraints alone (_dimension), and no family is
+    built."""
     degrees = range(max_degree + 1)
     limit = _limit(degrees, fusion_ea_morphisms, F)
-    return [_dimension(limit, d, F.p) for d in degrees]
+    return [limit.count(d) for d in degrees]
 
 
 def family_product(f1, f2):
@@ -492,8 +525,9 @@ def is_nilpotent(fam):
 @dataclass
 class QuillenLimit:
     """The degree-d limit over the Quillen category of G at p: its
-    dimension, counted on the constraints, and its families, coordinate
-    rows over sites, solved on first read."""
+    dimension, as Limit.count keeps it, and its families, coordinate rows
+    over sites, read from the Limit (Limit.basis), which solves the degree
+    once."""
 
     group: object
     p: int
@@ -501,18 +535,17 @@ class QuillenLimit:
     dimension: int
     sites: tuple
 
-    @cached_property
+    @property
     def families(self):
-        return _limit_basis(quillen_morphisms(self.group, self.p),
-                            self.degree, self.p)
+        return list(quillen_morphisms(self.group, self.p).basis(self.degree))
 
 
 def quillen_limits(G, p, degrees):
     """The same limit over the Quillen category of a finite group, at each
-    of degrees, building the sites and morphisms once."""
+    of degrees, building the sites and morphisms once; each dimension is
+    Limit.count, so a degree already solved or counted costs nothing."""
     limit = _limit(degrees, quillen_morphisms, G, p)
-    return [QuillenLimit(G, p, d, _dimension(limit, d, p), limit[0])
-            for d in degrees]
+    return [QuillenLimit(G, p, d, limit.count(d), limit[0]) for d in degrees]
 
 
 def quillen_limit_finite_group(G, p, d):

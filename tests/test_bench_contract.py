@@ -106,7 +106,9 @@ def test_render_stable_is_the_cli_basis_block(path):
 
 def test_every_workload_answers_right_on_one_pass(tmp_path):
     # one pass of each workload against perfbench/reference.json: the whole
-    # fusion-ladder list and the short lists of the other three
+    # fusion-ladder list and the short lists of the other three; stable-series
+    # twice, as every pass after the first reads the answers each system's
+    # Limit keeps, and those are the passes the benchmark times
     inputs, workloads = _load("inputs"), _load("workloads")
     inp = inputs.Inputs(tmp_path, 0)
     ref = workloads.Reference()
@@ -115,7 +117,8 @@ def test_every_workload_answers_right_on_one_pass(tmp_path):
                        small=name != "fusion-ladder")
         tasks = workload.tasks(workload.setup())
         assert tasks, name
-        workload.begin_pass()
-        failures = [task.check(task.run()) for task in tasks]
-        failures += workload.pass_failures()
-        assert [line for line in failures if line] == [], name
+        for _ in range(2 if name == "stable-series" else 1):
+            workload.begin_pass()
+            failures = [task.check(task.run()) for task in tasks]
+            failures += workload.pass_failures()
+            assert [line for line in failures if line] == [], name

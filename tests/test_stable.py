@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import itertools
 import math
 import random
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -1164,6 +1167,135 @@ def test_kept_stacks_match_the_reference(name, monkeypatch):
         assert len(steps) == sum(n_w >= 2 for n_w in ranks) * (top - 1)
 
 
+@pytest.mark.parametrize("name", KEPT_SYSTEMS)
+def test_kept_answers_match_a_fresh_limit(name):
+    # every degree 0..8 asked ascending, descending, in a seeded shuffle,
+    # and as a count at every degree then a solve at every degree: each
+    # basis and count the Limit keeps, read once and again, is that of a
+    # fresh Limit solved at that degree alone
+    base = KEPT_SYSTEMS[name]()
+    p, top = base[0][0].p, 8
+    want = [tuple(stable._limit_basis(stable.Limit(*base), d, p))
+            for d in range(top + 1)]
+    descending = list(range(top, -1, -1))
+    shuffled = random.Random(name).sample(descending, top + 1)
+    for order in (range(top + 1), descending, shuffled, "count"):
+        limit = stable.Limit(*base)
+        if order == "count":
+            assert [limit.count(d) for d in range(top + 1)] == \
+                [len(rows) for rows in want]
+            order = range(top + 1)
+        for d in order:
+            assert limit.basis(d) == want[d]
+            assert limit.count(d) == len(want[d])
+        assert [limit.basis(d) for d in range(top + 1)] == want
+
+
+def _counting_solves(monkeypatch):
+    """A Counter of the constraint systems stable builds (_constraints),
+    the reductions linalg runs (rref, whether nullspace, canonical_kernel
+    or a count calls it) and the canonical_kernel calls."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(stable, "_constraints",
+                        counting("_constraints", stable._constraints))
+    for name in ("rref", "canonical_kernel"):
+        wrapped = counting(name, getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, wrapped)
+        monkeypatch.setattr(stable, name, wrapped)
+    return calls
+
+
+def test_a_degree_is_solved_once_per_limit(monkeypatch):
+    # the Limit keeps each degree's basis and count: a repeated solve at a
+    # solved degree builds no system and reduces nothing, a count after a
+    # solve reduces nothing, a solve after a count solves once, and the
+    # brute-force reference, on a new Limit per call, solves every time
+    calls = _counting_solves(monkeypatch)
+    top = 6
+    F = SERIES_SYSTEMS["s4xc2"][0]()
+    bases = stable_bases(F, top)
+    assert calls["_constraints"] == calls["canonical_kernel"] == top + 1
+    calls.clear()
+    assert stable_bases(F, top) == bases
+    assert [stable_basis(F, d) for d in range(top + 1)] == bases
+    assert poincare_series(F, top) == [len(fams) for fams in bases]
+    assert calls == {}
+    for _ in range(2):
+        assert _terms(stable_basis_all_morphisms(F, 3)) == _terms(bases[3])
+        assert calls["_constraints"] == calls["canonical_kernel"] == 1
+        calls.clear()
+    F = SERIES_SYSTEMS["s4xc2"][0]()
+    dims = poincare_series(F, top)
+    assert calls["_constraints"] == calls["rref"] == top + 1
+    assert calls["canonical_kernel"] == 0
+    calls.clear()
+    assert poincare_series(F, top) == dims and calls == {}
+    assert [len(fams) for fams in stable_bases(F, top)] == dims
+    assert calls["_constraints"] == calls["canonical_kernel"] == top + 1
+    calls.clear()
+    stable_bases(F, top)
+    poincare_series(F, top)
+    assert calls == {}
+
+
+def test_quillen_families_are_read_from_the_limit(monkeypatch):
+    # quillen_limits counts; the first read of families solves each degree
+    # once, and a second read, of the same limits or of new ones at the
+    # same degrees, solves nothing and counts nothing
+    calls = _counting_solves(monkeypatch)
+    S4 = symmetric(4)
+    qs = quillen_limits(S4, 2, range(6))
+    assert calls["canonical_kernel"] == 0
+    calls.clear()
+    assert [len(q.families) for q in qs] == [q.dimension for q in qs]
+    assert calls["_constraints"] == calls["canonical_kernel"] == 6
+    calls.clear()
+    for q in qs + quillen_limits(S4, 2, range(6)):
+        assert q.families == list(quillen_morphisms(S4, 2).basis(q.degree))
+    assert calls == {}
+
+
+def test_kept_families_are_frozen_and_handed_out_in_new_lists():
+    # the families a Limit keeps are shared by every caller, so none can be
+    # changed, and a change to a returned list is not seen by the next call
+    F = SERIES_SYSTEMS["c2e3_singer"][0]()
+    fams = stable_basis(F, 4)
+    want = [fam.coords for fam in fams]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fams[0].coords = (0,) * len(want[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fams[0].degree = 5
+    fams.reverse()
+    fams.pop()
+    bases = stable_bases(F, 4)
+    bases[4].clear()
+    bases.pop()
+    assert [fam.coords for fam in stable_basis(F, 4)] == want
+    assert [len(fams) for fams in stable_bases(F, 4)] == \
+        poincare_series(F, 4)
+    q = quillen_limit_finite_group(symmetric(4), 2, 4)
+    q.families.clear()
+    assert len(q.families) == q.dimension == 3
+
+
+def test_a_dropped_system_is_collected():
+    # the kept families refer to F, which holds its Limit: a cycle that
+    # the garbage collector frees once F is dropped
+    F = SERIES_SYSTEMS["c2e3_singer"][0]()
+    assert stable_bases(F, 4)[4][0].components
+    dropped = weakref.ref(F)
+    del F
+    gc.collect()
+    assert dropped() is None
+
+
 def test_product_steps_at_p_7_reduce_in_int32():
     # at p = 7 the products of a_i a_j classes carry a sign, so a product
     # of two stored entries can be negative and a sum of them can pass 255:
@@ -1476,11 +1608,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_degree_cap(monkeypatch):
-    # the degrees are checked before the sites and maps of a cold system
-    # are built
-    builds = _count_calls(monkeypatch, "_site_morphisms")
-    F = KERNEL_SYSTEMS["c2e4_shift"]()
+def _refuse_degrees(F, G):
     with pytest.raises(DegreeBoundExceeded):
         stable_basis(F, 41)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
@@ -1488,8 +1616,23 @@ def test_degree_cap(monkeypatch):
     with pytest.raises(DegreeBoundExceeded):
         poincare_series(F, 50)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
-        quillen_limits(symmetric(4), 2, [3, -1])
+        quillen_limits(G, 2, [3, -1])
+    with pytest.raises(DegreeBoundExceeded):
+        quillen_limit_finite_group(G, 2, MAX_DEGREE + 1)
+
+
+def test_degree_cap(monkeypatch):
+    # the degrees are checked before the sites and maps of a cold system
+    # are built, and still before anything a warm one keeps is read
+    builds = _count_calls(monkeypatch, "_site_morphisms")
+    F, S4 = KERNEL_SYSTEMS["c2e4_shift"](), symmetric(4)
+    _refuse_degrees(F, S4)
     assert builds == []
+    stable_bases(F, 3)
+    poincare_series(F, 4)
+    for q in quillen_limits(S4, 2, range(4)):
+        assert len(q.families) == q.dimension
+    _refuse_degrees(F, S4)
 
 
 def test_sites_and_maps_are_built_once_per_fusion_system(monkeypatch):
