@@ -15,8 +15,9 @@ def cyclic(n, name=None):
 def direct_product(G, H, name=None):
     """G x H on the pairs (g, h), first factor major."""
     pairs = [(a, b) for a in G.elements() for b in H.elements()]
+    g, h = G.table.tolist(), H.table.tolist()
     return group_from_elements(
-        pairs, lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]),
+        pairs, lambda x, y: (g[x[0]][y[0]], h[x[1]][y[1]]),
         name=name or f"{G.name}x{H.name}")
 
 

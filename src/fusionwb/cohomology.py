@@ -28,21 +28,21 @@ class Site:
     that elementary_abelians returned, and is not checked again."""
 
     def __init__(self, V, p):
-        t = V.parent.table
         self.V = V
         self.key = V.elements
         self.p = p
         self.basis = generating_sequence(V)
         self.rank = len(self.basis)
+        cols = [V.parent.table[:, b].tolist() for b in self.basis]
         coords = {}
         combos = [((), 0)]
-        for b in self.basis:
+        for col in cols:
             new = []
             for vec, elem in combos:
                 y = elem
                 for c in range(p):
                     new.append((vec + (c,), y))
-                    y = t[y][b]
+                    y = col[y]
             combos = new
         for vec, elem in combos:
             coords[elem] = vec

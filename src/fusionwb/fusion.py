@@ -189,14 +189,14 @@ def fusion_from_group(S, G, p=None):
     Sgroup._conjugations = {
         key: dict(sorted((kv for kv in kvs if kv[1]), key=lambda kv: kv[1][0]))
         for key, kvs in inner.items()}
-    t, conj = G.table, conjugation_array(G)
-    covered = set()
+    t, conj, elems = G.table, conjugation_array(G), np.array(S.elements)
+    covered = np.zeros(G.order, dtype=bool)
     gens = []
     for g in G.elements():
-        if g in covered:
+        if covered[g]:
             continue
-        covered.update(t[t[s][g]][u] for s in S.elements for u in S.elements)
-        row = conj[g, list(S.elements)].tolist()
+        covered[t[t[elems, g][:, None], elems]] = True      # S g S
+        row = conj[g, elems].tolist()
         c_g = {k: back[y] for k, y in enumerate(row) if y in back}
         gens.append(InjHom(Subgroup(Sgroup, c_g, _trusted=True), top,
                            list(c_g.values()), _trusted=True))

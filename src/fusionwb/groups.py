@@ -4,15 +4,17 @@ Elements are the integers 0..order-1 with 0 the identity.  Every ordering
 (elements from generators, subgroup lists, morphism lists) is fixed so that
 repeated runs produce identical output.
 
-Centralizers, normalizers, transporters, Sylow subgroups and conjugation
-images read one array per group, conjugation_array(G) with conj[g, x] =
-g x g^-1, of 8|G|^2 bytes, so each pass over G is an array operation.  The
-subgroup searches read the table itself as one array, table_array(G).
+Each group holds its table once, as the read-only intp array G.table of
+8|G|^2 bytes.  Centralizers, normalizers, transporters, Sylow subgroups and
+conjugation images read one more array per group, conjugation_array(G)
+with conj[g, x] = g x g^-1, so each pass over G is an array operation.
+Scalar loops read the rows they need once, through .tolist().
 """
 
 from __future__ import annotations
 
 import heapq
+import zlib
 
 import numpy as np
 
@@ -69,22 +71,23 @@ def prime_of(order):
 
 class Group:
     """A finite group as a Cayley table, unchecked: io checks each table read
-    from a file, and a table the library composes is a group by construction."""
+    from a file, and a table the library composes is a group by construction.
+
+    table is a read-only, C-contiguous |G| x |G| intp copy of the rows, list
+    or array it is given, with table[a, b] = a b.  Equality and hash read
+    its values, so groups built from equal tables are equal in every
+    process."""
 
     def __init__(self, table, name="G"):
-        rows = tuple(map(tuple, table))
-        self.table = rows
-        self.order = len(rows)
+        self.table = table = np.array(table, dtype=np.intp, order="C")
+        table.flags.writeable = False
+        self.order = len(table)
         self.name = name
         self.order_factors = _factorize(self.order)
-        inv = [None] * self.order
-        for a in range(self.order):
-            inv[a] = rows[a].index(0)
-        self._inv = tuple(inv)
-        self._hash = hash(self.table)
+        self._inv = tuple((table == 0).argmax(axis=1).tolist())
+        self._hash = zlib.crc32(table.tobytes())
         self._element_orders = None
         self._lattice = None
-        self._table_array = None
         self._conj_array = None
         self._conjugations = None
         self._inner = None
@@ -95,18 +98,19 @@ class Group:
 
     def conj(self, g, x):
         """g x g^-1."""
-        return self.table[self.table[g][x]][self._inv[g]]
+        t = self.table
+        return int(t[t[g, x], self._inv[g]])
 
     def elements(self):
         return range(self.order)
 
     def element_order(self, a):
         if self._element_orders is None:
-            orders = []
+            t, orders = self.table.tolist(), []
             for x in range(self.order):
                 k, y = 1, x
                 while y != 0:
-                    y = self.table[y][x]
+                    y = t[y][x]
                     k += 1
                 orders.append(k)
             self._element_orders = tuple(orders)
@@ -117,19 +121,18 @@ class Group:
             a, k = self._inv[a], -k
         r = 0
         for _ in range(k):
-            r = self.table[r][a]
+            r = int(self.table[r, a])
         return r
 
     def is_abelian(self):
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return np.array_equal(self.table, self.table.T)
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Group):
             return NotImplemented
-        return self.order == other.order and self.table == other.table
+        return np.array_equal(self.table, other.table)
 
     def __hash__(self):
         return self._hash
@@ -139,6 +142,8 @@ class Group:
 
 
 def _validate_table(rows):
+    """The rows, tuples of ints, as an intp array, once they are checked to
+    be a group's table."""
     n = len(rows)
     if n == 0:
         raise NotClosed("empty table")
@@ -166,6 +171,7 @@ def _validate_table(rows):
         if not np.array_equal(lhs, rhs):
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NonAssociative((a, b, c))
+    return t
 
 
 def _perm_mul(p, q):
@@ -227,11 +233,10 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity 0")
         if elems[-1] >= parent.order:
             raise ValueError(f"element {elems[-1]} is not in the group")
-        t = parent.table
-        for x in elems:
+        rows = parent.table.take(elems, axis=0).tolist()
+        for x, row in zip(elems, rows):
             if parent.inv(x) not in eset:
                 raise ValueError(f"not closed under inverse at {x}")
-            row = t[x]
             for y in elems:
                 if row[y] not in eset:
                     raise ValueError(f"not closed under product at ({x}, {y})")
@@ -273,14 +278,13 @@ def closure(G, seed):
         if x not in elems:
             elems.add(x)
             frontier.append(x)
-    gens = list(frontier)
-    t = G.table
+    cols = [G.table[:, g].tolist() for g in frontier]
     # positive words suffice: inverses are positive powers in a finite group
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = t[x][g]
+            for col in cols:
+                y = col[x]
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
@@ -289,16 +293,7 @@ def closure(G, seed):
 
 
 def full_subgroup(G):
-    return Subgroup(G, range(G.order))
-
-
-def table_array(G):
-    """G's table as a read-only |G| x |G| intp array, built on first use
-    (or by group_from_elements) and kept on G."""
-    if G._table_array is None:
-        G._table_array = np.array(G.table, dtype=np.intp)
-        G._table_array.flags.writeable = False
-    return G._table_array
+    return Subgroup(G, range(G.order), _trusted=True)    # G is a subgroup
 
 
 def conjugation_array(G):
@@ -310,7 +305,7 @@ def conjugation_array(G):
 
 
 def _conjugation_table(G):
-    T = table_array(G)
+    T = G.table
     conj = T[T, np.array(G._inv)[:, None]]
     conj.flags.writeable = False
     return conj
@@ -334,7 +329,7 @@ def _add(found, heap, inside, gens):
         heapq.heappush(heap, (int(inside.sum()), key))
 
 
-def _prime_steps(G, T, found, heap, candidates):
+def _prime_steps(G, found, heap, candidates):
     """Extend found by every subgroup reached by prime-index steps from the
     ones queued on heap, smallest first.
 
@@ -342,10 +337,10 @@ def _prime_steps(G, T, found, heap, candidates):
     in the bool mask candidates(gens, inside), which lies in N_G(H), and,
     when xH has prime order q, K = H<x>: the cosets H x^i, i < q,
     generated by gens + (x,).  Every element of K outside H gives the same
-    K, so none of them is tried again from H.  T is G's table as an array.
+    K, so none of them is tried again from H.
     """
-    t = G.table
-    over = T.T[list(G._inv)]        # inside[over[y]] is the coset H y
+    t = G.table.tolist()
+    over = G.table.T[list(G._inv)]  # inside[over[y]] is the coset H y
     while heap:
         _, key = heapq.heappop(heap)
         gens, inside = found[key]
@@ -366,13 +361,13 @@ def _prime_steps(G, T, found, heap, candidates):
             _add(found, heap, grown, gens + (x,))
 
 
-def _prime_step_search(G, T, candidates):
+def _prime_step_search(G, candidates):
     """found of _prime_steps run from the trivial subgroup."""
     found, heap = {}, []
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
     _add(found, heap, trivial, ())
-    _prime_steps(G, T, found, heap, candidates)
+    _prime_steps(G, found, heap, candidates)
     return found
 
 
@@ -399,13 +394,12 @@ def subgroups(G):
     if G.order > MAX_TABLE_ORDER:
         raise OrderBoundExceeded(f"order {G.order} exceeds {MAX_TABLE_ORDER}")
     n = G.order
-    T = table_array(G)
     conj = conjugation_array(G)
 
     def normalizing(gens, inside):
         return inside[conj[:, list(gens)]].all(axis=1)
 
-    found = _prime_step_search(G, T, normalizing)
+    found = _prime_step_search(G, normalizing)
     if np.ones(n, dtype=bool).tobytes() in found:
         return _sorted_subgroups(G, found)
     heap, seen = [], np.zeros(n, dtype=bool)
@@ -428,7 +422,7 @@ def subgroups(G):
                 inside = np.zeros(n, dtype=bool)
                 inside[conj[g, elems]] = True
                 _add(found, heap, inside, (int(conj[g, x]), int(conj[g, y])))
-    _prime_steps(G, T, found, heap, normalizing)
+    _prime_steps(G, found, heap, normalizing)
     return _sorted_subgroups(G, found)
 
 
@@ -555,7 +549,7 @@ def elementary_abelians(G, p):
     """
     if p_part(G.order, p) != G.order:
         return _elementary_abelian_search(G, p)
-    t = table_array(G)
+    t = G.table
     out = []
     for V in lattice(G).subgroups:
         if all(G.element_order(x) == p for x in V.elements[1:]):
@@ -568,14 +562,14 @@ def elementary_abelians(G, p):
 def _elementary_abelian_search(G, p):
     """elementary_abelians by the prime-step search, with the elements of
     order p that commute with H as the only candidates."""
-    T = table_array(G)
+    T = G.table
     order_p = np.array([G.element_order(x) == p for x in G.elements()])
 
     def commuting(gens, inside):
         gens = list(gens)
         return order_p & (T[:, gens] == T[gens].T).all(axis=1)
 
-    return _sorted_subgroups(G, _prime_step_search(G, T, commuting))
+    return _sorted_subgroups(G, _prime_step_search(G, commuting))
 
 
 def generating_sequence(P):
@@ -631,13 +625,14 @@ def _hom_from_generators(G, H, gens, images):
     homomorphism, and no all-pairs check is needed."""
     fmap = {0: 0}
     frontier = [0]
-    gen_pairs = list(zip(gens, images))
+    gen_pairs = [(G.table[:, g].tolist(), H.table[:, h].tolist())
+                 for g, h in zip(gens, images)]
     while frontier:
         nxt = []
         for x in frontier:
-            for g, hg in gen_pairs:
-                y = G.table[x][g]
-                fy = H.table[fmap[x]][hg]
+            for g_col, h_col in gen_pairs:
+                y = g_col[x]
+                fy = h_col[fmap[x]]
                 if y in fmap:
                     if fmap[y] != fy:
                         return None
@@ -660,7 +655,7 @@ def group_from_elements(items, compose, name="G"):
     from 0, and right[j][a] is the index of items[a] composed with it.
     Every other column c = b g_j, b reached before c, is right[j] read
     at column b, since a (b g_j) = (a b) g_j.  A product outside the items
-    is a ValueError.  The table array it builds is kept as table_array(G).
+    is a ValueError.  The array it builds is the Group's table.
     """
     n = len(items)
     if n > MAX_TABLE_ORDER:
@@ -687,18 +682,15 @@ def group_from_elements(items, compose, name="G"):
     for c in reached[1:]:
         b, j = via[c]
         cols[c] = right[j][cols[b]]
-    table = cols.T
-    table.flags.writeable = False
-    G = Group(table.tolist(), name=name)
-    G._table_array = table
-    return G
+    return Group(cols.T, name=name)
 
 
 def subgroup_as_group(P, name=None):
     """P as a standalone Group; element k is P.elements[k]."""
-    t = P.parent.table
+    rows = P.parent.table.take(P.elements, axis=0).tolist()
+    rows = dict(zip(P.elements, rows))
     name = name or f"{P.parent.name}|{list(P.elements)}"
-    return group_from_elements(P.elements, lambda a, b: t[a][b], name=name)
+    return group_from_elements(P.elements, lambda a, b: rows[a][b], name=name)
 
 
 def quotient_group(G, N):
@@ -709,7 +701,7 @@ def quotient_group(G, N):
     """
     if not conjugates_into(G, N, N).all():
         raise ValueError("subgroup is not normal")
-    t = G.table
+    t = G.table.tolist()
 
     def coset(g):
         return tuple(sorted(t[g][x] for x in N.elements))
@@ -740,10 +732,12 @@ class InjHom:
             for y in images:
                 if y not in tset:
                     raise ValueError(f"image {y} escapes the target subgroup")
-            st, tt = source.parent.table, target.parent.table
-            for x in source.elements:
+            st = source.parent.table.take(source.elements, axis=0).tolist()
+            tt = dict(zip(images,
+                          target.parent.table.take(images, axis=0).tolist()))
+            for x, row in zip(source.elements, st):
                 for y in source.elements:
-                    if fmap[st[x][y]] != tt[fmap[x]][fmap[y]]:
+                    if fmap[row[y]] != tt[fmap[x]][fmap[y]]:
                         raise ValueError(f"not multiplicative at ({x}, {y})")
         self.source = source
         self.target = target

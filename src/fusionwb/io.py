@@ -74,13 +74,12 @@ def _read_table(lines, order, name="G"):
     rows = [tuple(int(x) for x in ln.split()) for ln in lines]
     if len(rows) != order:
         raise ParseError(f"expected {order} table rows, got {len(rows)}")
-    _validate_table(rows)
-    return Group(rows, name=name)
+    return Group(_validate_table(rows), name=name)
 
 
 def serialize_group(G):
     lines = [f"group {G.name} order {G.order}", "mode table"]
-    for row in G.table:
+    for row in G.table.tolist():
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -263,7 +262,7 @@ def serialize_presentation(pres):
         raise ValueError(_TRIVIAL_S)
     lines = [f"presentation kind={pres.kind}",
              f"sgroup order {pres.s_group.order}"]
-    for row in pres.s_group.table:
+    for row in pres.s_group.table.tolist():
         lines.append(" ".join(str(x) for x in row))
     if pres.kind == "hnn":
         for _, _, phi, _, gid in pres.graph_edges:
@@ -275,7 +274,7 @@ def serialize_presentation(pres):
         lines.append(f"sembed {format_elems(pres.s_embed)}")
         for fi, L in enumerate(pres.vertices, start=1):
             lines.append(f"factor {fi} order {L.order}")
-            for row in L.table:
+            for row in L.table.tolist():
                 lines.append(" ".join(str(x) for x in row))
         for inner, _, _, back, _ in pres.graph_edges:
             left = sorted(back)

@@ -78,11 +78,9 @@ class _Half(NamedTuple):
 
 def _transversal(L, sub):
     """The `_Half.transversal` table of an edge subgroup `sub` of L."""
-    table = []
-    for s in range(L.order):
-        rep = min(L.table[a][s] for a in sub)
-        table.append((rep, sub[L.table[s][L.inv(rep)]]))
-    return tuple(table)
+    reps = L.table[list(sub)].min(axis=0).tolist()
+    carried = L.table[np.arange(L.order), [L.inv(r) for r in reps]]
+    return tuple(zip(reps, map(sub.__getitem__, carried.tolist())))
 
 
 class Presentation:
@@ -106,8 +104,10 @@ class Presentation:
         self.s_back = {y: x for x, y in enumerate(self.s_embed)}
         # graph of groups: half 2j crosses edge j as t^-1, half 2j + 1 as t;
         # paths[generator, exponent] lists (half or None, table, element)
-        # steps, each crossing its half, then multiplying at the arrival
+        # steps, each crossing its half, then multiplying at the arrival;
+        # rows[v] is vertex v's table as lists, read by every scalar loop
         self.vertices = tuple(vertices)
+        self.rows = rows = tuple(L.table.tolist() for L in self.vertices)
         self.vertex_letters = tuple(vertex_letters)
         self.graph_edges = tuple(graph_edges)
         halves, self.paths, tree = [], {}, {}
@@ -121,20 +121,20 @@ class Presentation:
             if gid is None:
                 tree[inner] = j
             else:
-                self.paths[gid, -1] = ((2 * j, vertices[inner].table, 0),)
-                self.paths[gid, 1] = ((2 * j + 1, vertices[outer].table, 0),)
+                self.paths[gid, -1] = ((2 * j, rows[inner], 0),)
+                self.paths[gid, 1] = ((2 * j + 1, rows[outer], 0),)
         self.halves = tuple(halves)
-        root = vertices[0].table
+        root = rows[0]
         for v, letters in enumerate(vertex_letters):
             L = vertices[v]
             for x, gid in letters.items():
                 for exp, y in ((1, x), (-1, L.inv(x))):
                     self.paths[gid, exp] = (
                         ((None, root, y),) if v == 0 else
-                        ((2 * tree[v], L.table, y), (2 * tree[v] + 1, root, 0)))
+                        ((2 * tree[v], rows[v], y), (2 * tree[v] + 1, root, 0)))
         # steps[letter] compiles paths[letter] for _extend: h, h ^ 1, the edge
         # map of h ^ 1, table, and x as its column s -> table[s][x] (or None)
-        columns = [tuple(zip(*L.table)) for L in vertices]
+        columns = [tuple(zip(*table)) for table in rows]
         self.steps = {letter: tuple(
             (h, h ^ 1, halves[h ^ 1].sub, table,
              columns[halves[h].arrive][x] if x else None) if h is not None
@@ -146,11 +146,12 @@ class Presentation:
     def _relators(self):
         """x y (xy)^-1 over each vertex group, then t^-1 u t phi(u)^-1 on
         each generator edge and x back(x)^-1 on each tree edge."""
-        for L, letters in zip(self.vertices, self.vertex_letters):
+        for L, t, letters in zip(self.vertices, self.rows,
+                                 self.vertex_letters):
             for a in range(L.order):
                 for b in range(L.order):
                     yield tuple((letters[x], 1)
-                                for x in (a, b, L.inv(L.table[a][b])) if x)
+                                for x in (a, b, L.inv(t[a][b])) if x)
         for inner, outer, phi, back, gid in self.graph_edges:
             # vertex_letters has no letter for 1, so .get gives None there
             at, to = self.vertex_letters[inner], self.vertex_letters[outer]
@@ -266,11 +267,11 @@ def _reduced_path(word):
 def _canonical(m, svals, ts):
     """Push coset parts leftward: each s_j becomes its coset representative
     in the edge subgroup before it, and the part it drops crosses that edge."""
-    halves, vertices = m.halves, m.vertices
+    halves, rows = m.halves, m.rows
     for j in range(len(ts), 0, -1):
         half = halves[ts[j - 1]]
         svals[j], pushed = half.transversal[svals[j]]
-        there = vertices[half.depart].table
+        there = rows[half.depart]
         svals[j - 1] = there[svals[j - 1]][pushed]
 
 
@@ -578,7 +579,7 @@ def ball_enumerate(pres, radius):
     # letters that a new node (h, rep, rest) puts before rest's
     steps = {}
     for h, half in enumerate(pres.halves):
-        steps[h] = (h, h ^ 1, half.transversal, vertices[half.depart].table,
+        steps[h] = (h, h ^ 1, half.transversal, pres.rows[half.depart],
                     [_spell(_emit(pres, (0, rep), (h,)))
                      for rep in range(vertices[half.arrive].order)])
     steps[None] = (None,) * 5

@@ -42,7 +42,6 @@ from .groups import (
     InjHom,
     conjugation_images,
     elementary_abelians,
-    table_array,
 )
 from .linalg import canonical_kernel, nullspace, rref
 
@@ -98,7 +97,7 @@ def _overgroups(G, sites, p):
     holds the site with index p, or None}: <V, x> for the least x of order
     p outside V that commutes with V's basis, so None exactly when V is
     maximal among the elementary abelian subgroups of G."""
-    t = table_array(G)
+    t = G.table
     every = np.arange(G.order)
     power = every
     for _ in range(p - 1):

@@ -43,12 +43,12 @@ def reference_canonical(m, svals, ts):
     edge subgroup before it, and the part it drops crosses that edge."""
     for j in range(len(ts), 0, -1):
         half = m.halves[ts[j - 1]]
-        here = m.vertices[half.arrive]
+        here, t = m.vertices[half.arrive], m.rows[half.arrive]
         s = svals[j]
-        rep = min(here.table[a][s] for a in half.sub)
-        carried = here.table[s][here.inv(rep)]   # s = carried * rep
+        rep = min(t[a][s] for a in half.sub)
+        carried = t[s][here.inv(rep)]   # s = carried * rep
         svals[j] = rep
-        there = m.vertices[half.depart].table
+        there = m.rows[half.depart]
         svals[j - 1] = there[svals[j - 1]][half.sub[carried]]
 
 

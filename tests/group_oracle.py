@@ -75,7 +75,7 @@ def conjugate_subgroup(G, g, P):
 
 def reference_centralizer(G, P):
     """C_G(P) = elements commuting with every element of P."""
-    t = G.table
+    t = G.table.tolist()
     elems = [g for g in G.elements()
              if all(t[g][x] == t[x][g] for x in P.elements)]
     return Subgroup(G, elems)
@@ -101,7 +101,7 @@ def reference_conjugation_images(G, subs, emb=None):
     or, when the dict emb embeds their group into G, of that group, with
     c_g(x) = emb^-1(g emb(x) g^-1); an image outside emb's range is left out.
     """
-    t = G.table
+    t = G.table.tolist()
     back = None if emb is None else {y: x for x, y in emb.items()}
     found = {P.elements: {} for P in subs}
     for g in G.elements():
@@ -119,7 +119,7 @@ def reference_conjugation_images(G, subs, emb=None):
 def reference_elementary_abelian_search(G, p):
     """elementary_abelians by closing commuting elements of order p."""
     order_p = [x for x in G.elements() if x != 0 and G.element_order(x) == p]
-    t = G.table
+    t = G.table.tolist()
     found = {(0,)}
     frontier = [(0,)]
     while frontier:

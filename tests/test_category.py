@@ -152,7 +152,8 @@ def _relabelled(G, seed):
     rng = random.Random(seed)
     new = [0] + rng.sample(range(1, G.order), G.order - 1)
     old = {y: x for x, y in enumerate(new)}
-    return Group([[new[G.table[old[a]][old[b]]] for b in G.elements()]
+    t = G.table.tolist()
+    return Group([[new[t[old[a]][old[b]]] for b in G.elements()]
                   for a in G.elements()], name=f"{G.name}'")
 
 

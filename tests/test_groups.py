@@ -1,5 +1,10 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +51,6 @@ from fusionwb.groups import (
     subgroup_as_group,
     subgroups,
     sylow_p,
-    table_array,
 )
 from fusionwb.io import parse_group, parse_presentation
 from fusionwb.models import p_core
@@ -237,8 +241,8 @@ def test_elementary_abelian_counts(G, p, count):
     assert len(eas) == count
     # oracle: filter the full lattice by commutativity and exponent
     expect = []
+    t = G.table.tolist()
     for P in subgroups(G):
-        t = G.table
         if all(G.power(x, p) == 0 for x in P.elements) and \
            all(t[x][y] == t[y][x] for x in P.elements for y in P.elements):
             expect.append(P.elements)
@@ -272,9 +276,10 @@ def test_is_isomorphic_order_cap():
 
 def _is_bijective_hom(G, H, fmap):
     """Oracle: the all-pairs check _hom_from_generators leaves out."""
+    g, h = G.table.tolist(), H.table.tolist()
     return (sorted(fmap) == list(range(G.order))
             and sorted(fmap.values()) == list(range(H.order))
-            and all(fmap[G.table[a][b]] == H.table[fmap[a]][fmap[b]]
+            and all(fmap[g[a][b]] == h[fmap[a]][fmap[b]]
                     for a in range(G.order) for b in range(G.order)))
 
 
@@ -373,7 +378,8 @@ def test_elementary_rank_zero_is_trivial_and_negative_is_refused():
 
 
 def _digest(G):
-    return hashlib.sha256(repr(G.table).encode()).hexdigest()
+    rows = tuple(map(tuple, G.table.tolist()))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def _s4_datum_groups():
@@ -388,9 +394,9 @@ def _s4_datum_groups():
     }
 
 
-# sha256 of repr(G.table): the benchmark's recorded answers and the corpus
-# files depend on each group's element numbering, so a new way of building
-# a table must reproduce these
+# sha256 of the repr of G's rows as tuples: the benchmark's recorded
+# answers and the corpus files depend on each group's element numbering,
+# so a new way of building a table must reproduce these
 TABLE_DIGESTS = {
     "C2": "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
     "C3": "0b02f8857f3981776e483a979fdaadeaff0765fa625f75488158f22bdbb1a73e",
@@ -439,7 +445,7 @@ def test_group_from_elements_keeps_the_given_order():
     items = [0, 3, 1, 2]
     G = group_from_elements(items, lambda a, b: (a + b) % 4)
     # element 1 is the item 3, not 1: 3 + 3 = 2 is element 3
-    assert G.table[1] == (1, 3, 0, 2)
+    assert G.table[1].tolist() == [1, 3, 0, 2]
     with pytest.raises(ValueError, match="not closed under composition"):
         group_from_elements([0, 1], lambda a, b: (a + b) % 3)
 
@@ -481,7 +487,7 @@ def test_library_tables_pass_the_table_check():
         F = fusion_from_group(sylow_p(G, 2), G, p=2)
         groups += [aut_group(F, P)[0] for P in F.subgroups]
     for G in groups:
-        _validate_table(G.table)
+        _validate_table(tuple(map(tuple, G.table.tolist())))
 
 
 @pytest.fixture
@@ -514,7 +520,8 @@ def test_group_from_elements_matches_the_all_pairs_builder(table_builds):
             aut_group(F, P)
     assert {G.order for _, _, G in table_builds} >= {1, 2, 8, 24, 168}
     for items, compose, G in table_builds:
-        assert reference_group_from_elements(items, compose).table == G.table
+        assert np.array_equal(
+            reference_group_from_elements(items, compose).table, G.table)
 
 
 def test_group_from_elements_composes_only_with_generators():
@@ -534,7 +541,8 @@ def test_group_from_elements_composes_only_with_generators():
     G = group_from_elements(perms, compose)
     assert G.order == 168
     assert len(calls) <= 3 * G.order
-    assert G.table == reference_group_from_elements(perms, _perm_mul).table
+    assert np.array_equal(
+        G.table, reference_group_from_elements(perms, _perm_mul).table)
 
 
 A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]        # (0 1 2 3 4), (0 1 2)
@@ -669,33 +677,98 @@ def test_transporter_build_makes_one_conjugation_array_per_group(
     assert len({id(H) for H in built}) == len(built)
 
 
+def _holds_rows(value, rows):
+    """value is a list or tuple of Python sequences equal to rows."""
+    return (isinstance(value, (list, tuple)) and len(value) == len(rows)
+            and all(isinstance(r, (list, tuple)) and list(r) == row
+                    for r, row in zip(value, rows)))
+
+
 def test_each_table_becomes_one_array(monkeypatch):
-    # the conjugation array and every subgroup search read table_array(G):
-    # a table read from a file is converted once, and group_from_elements
-    # hands over the array it builds, so a composed group converts none
+    # a table read from a file is converted from its rows once, by the
+    # table check; group_from_elements hands Group the array it builds, so
+    # a composed group converts none; and no search converts a table again
     def parsed(G):
-        rows = "".join(" ".join(map(str, row)) + "\n" for row in G.table)
+        rows = "".join(" ".join(map(str, row)) + "\n"
+                       for row in G.table.tolist())
         return parse_group(f"group X order {G.order}\nmode table\n{rows}")
 
-    built = psl27()
-    read = [parsed(built), parsed(dihedral8())]
-    converted = []
+    converted = []      # the order of each square array built from rows
 
     class CountingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         def array(self, obj, *args, **kwargs):
-            converted.extend(G for G in [built, *read] if obj is G.table)
-            return np.array(obj, *args, **kwargs)
+            out = np.array(obj, *args, **kwargs)
+            if (not isinstance(obj, np.ndarray) and out.ndim == 2
+                    and out.shape[0] == out.shape[1] > 1):
+                converted.append(len(out))
+            return out
 
     monkeypatch.setattr("fusionwb.groups.np", CountingNumpy())
+    built = psl27()
+    assert converted == []
+    read = [parsed(built), parsed(dihedral8())]
+    assert converted == [168, 8]
     for G in [built, *read]:
+        table = G.table
         subgroups(G)
         elementary_abelians(G, 2)
         elementary_abelians(G, 3)
         conjugation_array(G)
         sylow_p(G, 2)
-        assert not table_array(G).flags.writeable
-        assert table_array(G).tolist() == [list(row) for row in G.table]
-    assert converted == read
+        assert G.table is table
+        assert type(table) is np.ndarray and table.dtype == np.intp
+        assert table.flags.c_contiguous and not table.flags.writeable
+        rows = table.tolist()
+        assert not [name for name, value in vars(G).items()
+                    if _holds_rows(value, rows)]
+    assert converted == [168, 8]
+    assert np.array_equal(read[0].table, built.table)
+
+
+def test_an_order_512_group_holds_its_table_once():
+    D8 = dihedral8()
+    D8xD8 = direct_product(D8, D8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        G = direct_product(D8xD8, D8)
+        built = tracemalloc.get_traced_memory()[0] - start
+        conjugation_array(G)
+        with_conj = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert G.order == 512
+    # one 8|G|^2 = 2 MiB table, then one conjugation array of the same size
+    assert built <= 2.5 * 2**20
+    assert with_conj <= 4.5 * 2**20
+
+
+def test_group_hash_is_the_same_in_every_process():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "from fusionwb.catalog import symmetric; print(hash(symmetric(4)))"
+    printed = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        printed.add(proc.stdout)
+    assert printed == {f"{hash(symmetric(4))}\n"}
+
+
+def test_groups_from_rows_lists_and_arrays_are_equal():
+    S4 = symmetric(4)
+    rows = tuple(map(tuple, S4.table.tolist()))
+    given = np.array(rows)
+    same = [Group(rows), Group([list(r) for r in rows]), Group(given),
+            Group(np.asfortranarray(given, dtype=np.int32))]
+    given[0, 0] = 5          # Group holds a copy
+    for G in same:
+        assert G == S4 and hash(G) == hash(S4)
+        assert G.table.dtype == np.intp and G.table.flags.c_contiguous
+        assert not G.table.flags.writeable
+    assert Group([[0]]) != S4 != cyclic(24)

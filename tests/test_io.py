@@ -110,7 +110,7 @@ def test_corrupted_table_surfaces_nonassociative():
     # square with identity, so the corruption can only surface as a
     # non-associative triple
     D8 = named_group("D8")
-    t = [list(row) for row in D8.table]
+    t = D8.table.tolist()
     n = D8.order
     found = None
     for i1 in range(1, n):
